@@ -209,6 +209,10 @@ def cmd_relevance(args: argparse.Namespace) -> int:
             joint = LabeledJoint.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         raise SystemExit(f"error: cannot load joint {args.joint}: {exc}")
+    try:
+        joint.check_search_bound()
+    except ValueError as exc:
+        raise SystemExit(f"error: joint {args.joint}: {exc}")
 
     def name(f: int) -> str:
         return f"V{f + 1}"

@@ -27,6 +27,8 @@ class JointTable:
         if np.any(arr < 0.0):
             raise ValueError("negative probability mass")
         total = float(arr.sum())
+        if not np.isfinite(total):
+            raise ValueError(f"total mass {total} is not finite")
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"total mass {total} not within {MASS_TOLERANCE} of 1")
         arr /= total
@@ -68,9 +70,20 @@ class JointTable:
 
     @classmethod
     def from_json(cls, text: str) -> "JointTable":
-        doc = json.loads(text)
-        arities = [int(a) for a in doc["arities"]]
-        flat = np.asarray(doc["probs"], dtype=float)
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc: object) -> "JointTable":
+        """Build from a parsed ``{"arities": [...], "probs": [...]}`` object."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        try:
+            arities = [int(a) for a in doc["arities"]]
+            flat = np.asarray(doc["probs"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"malformed joint table: {exc}") from exc
+        if any(a < 1 for a in arities):
+            raise ValueError(f"arities must be positive, got {arities}")
         return cls(flat.reshape(arities))
 
 

@@ -7,8 +7,15 @@ sets; features partition into strongly relevant / weakly relevant /
 irrelevant, and Markov blanket filtering extracts one relevance-optimal
 set by backward elimination.
 
-Checks run on the nonzero support atoms of the joint, so desk-scale
-tables with millions of cells but a few hundred atoms stay fast.
+Checks run on the nonzero support atoms of the joint, held as one
+integer array of cell indices and one mass vector, so desk-scale tables
+with millions of cells but a few hundred atoms stay fast.  Projecting
+the atoms on a variable subset gives each atom a mixed-radix code;
+``np.unique`` turns the codes into dense group ids and ``np.bincount``
+sums the group masses in atom order.  Each subset's grouping is computed
+once per joint, and every conditional probability is the quotient of two
+group masses.  Relevance-optimal sets come from an exhaustive search
+over feature subsets, which is bounded at ``MAX_SEARCH_FEATURES``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .infotheory import JointTable
 from .oracle import ScenarioSpec, class_labels, feature_matrix
 
 PROB_TOLERANCE = 1e-9
+MAX_SEARCH_FEATURES = 12
 
 
 class RelevanceClass(Enum):
@@ -52,45 +60,52 @@ class LabeledJoint:
         class_mass = table.marginal((class_index,))
         if np.count_nonzero(class_mass) < 2:
             raise ValueError("class variable must have at least two states")
-        idx = np.argwhere(table.probs > 0.0)
-        self._atoms = [tuple(int(v) for v in row) for row in idx]
-        self._mass = [float(table.probs[a]) for a in self._atoms]
+        # support atoms: cell indices (n_atoms, nvars) and masses, row-major
+        self._atoms = np.argwhere(table.probs > 0.0)
+        self._mass = table.probs[tuple(self._atoms.T)]
+        self._groupings: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._classes: dict[int, RelevanceClass] = {}
 
     # -- conditional machinery ---------------------------------------------
 
-    def _cond_dists(
-        self, given: Sequence[int], over: Sequence[int]
-    ) -> dict[tuple, dict[tuple, float]]:
-        """P(over-projection | given-projection) from the support atoms."""
-        groups: dict[tuple, dict[tuple, float]] = {}
-        totals: dict[tuple, float] = {}
-        for atom, mass in zip(self._atoms, self._mass):
-            key = tuple(atom[v] for v in given)
-            val = tuple(atom[v] for v in over)
-            bucket = groups.setdefault(key, {})
-            bucket[val] = bucket.get(val, 0.0) + mass
-            totals[key] = totals.get(key, 0.0) + mass
-        for key, bucket in groups.items():
-            t = totals[key]
-            for val in bucket:
-                bucket[val] /= t
-        return groups
+    def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Group id of each atom by its projection on ``variables``, and group masses.
+
+        Each group's mass is summed in atom order, so a conditional
+        probability is the same float whichever grouping it comes from.
+        """
+        key = tuple(sorted(set(variables)))
+        cached = self._groupings.get(key)
+        if cached is None:
+            codes = np.zeros(len(self._mass), dtype=np.int64)
+            for v in key:
+                codes = codes * self.table.arities[v] + self._atoms[:, v]
+            _, ids = np.unique(codes, return_inverse=True)
+            cached = (ids, np.bincount(ids, weights=self._mass))
+            self._groupings[key] = cached
+        return cached
 
     def _conditioning_invariant(
         self, extra: Sequence[int], base: Sequence[int], over: Sequence[int]
     ) -> bool:
-        """True iff P(over | base, extra) == P(over | base) on all atoms."""
-        wide = self._cond_dists(tuple(base) + tuple(extra), over)
-        narrow = self._cond_dists(tuple(base), over)
-        for atom in self._atoms:
-            wkey = tuple(atom[v] for v in tuple(base) + tuple(extra))
-            nkey = tuple(atom[v] for v in base)
-            wdist = wide[wkey]
-            ndist = narrow[nkey]
-            for val in set(wdist) | set(ndist):
-                if abs(wdist.get(val, 0.0) - ndist.get(val, 0.0)) > PROB_TOLERANCE:
-                    return False
-        return True
+        """True iff P(over | base, extra) == P(over | base) on all atoms.
+
+        A value of ``over`` seen under a base key but under none of the
+        atoms of one of its (base, extra) keys has probability 0 there.
+        """
+        n_ids, n_mass = self._grouping(base)
+        w_ids, w_mass = self._grouping((*base, *extra))
+        no_ids, no_mass = self._grouping((*base, *over))
+        wo_ids, wo_mass = self._grouping((*base, *extra, *over))
+        p_narrow = no_mass[no_ids] / n_mass[n_ids]
+        if np.any(np.abs(wo_mass[wo_ids] / w_mass[w_ids] - p_narrow) > PROB_TOLERANCE):
+            return False
+        # a value is absent under some wide key when fewer wide keys carry
+        # it than there are wide keys under its base key
+        keys_with_value = np.bincount(_coarser(wo_ids, len(wo_mass), no_ids))[no_ids]
+        keys_in_base = np.bincount(_coarser(w_ids, len(w_mass), n_ids))[n_ids]
+        absent = keys_with_value < keys_in_base
+        return not np.any(absent & (p_narrow > PROB_TOLERANCE))
 
     # -- definitions ---------------------------------------------------------
 
@@ -103,6 +118,12 @@ class LabeledJoint:
         return self._conditioning_invariant(rest, subset, (self.class_index,))
 
     def classify_feature(self, i: int) -> RelevanceClass:
+        cls = self._classes.get(i)
+        if cls is None:
+            cls = self._classes[i] = self._classify(i)
+        return cls
+
+    def _classify(self, i: int) -> RelevanceClass:
         self._check_features((i,))
         others = tuple(f for f in self.features if f != i)
         if not self.is_maximally_informative(others):
@@ -113,13 +134,17 @@ class LabeledJoint:
                     return RelevanceClass.WR
         return RelevanceClass.IRRELEVANT
 
-    def relevance_optimal_sets(self, max_features: int = 12) -> list[tuple[int, ...]]:
-        """All minimum-size maximally informative subsets, lexicographic."""
-        if len(self.features) > max_features:
+    def check_search_bound(self) -> None:
+        """Raise ValueError when there are too many features for exhaustive search."""
+        if len(self.features) > MAX_SEARCH_FEATURES:
             raise ValueError(
                 f"{len(self.features)} features exceed the exhaustive-search "
-                f"bound of {max_features}"
+                f"bound of {MAX_SEARCH_FEATURES}"
             )
+
+    def relevance_optimal_sets(self) -> list[tuple[int, ...]]:
+        """All minimum-size maximally informative subsets, lexicographic."""
+        self.check_search_bound()
         for size in range(len(self.features) + 1):
             found = [
                 subset
@@ -210,12 +235,18 @@ class LabeledJoint:
     @classmethod
     def from_json(cls, text: str) -> "LabeledJoint":
         doc = json.loads(text)
-        table = JointTable(
-            np.asarray(doc["probs"], dtype=float).reshape(
-                [int(a) for a in doc["arities"]]
-            )
-        )
-        return cls(table, doc.get("class_index"))
+        table = JointTable.from_doc(doc)
+        class_index = doc.get("class_index")
+        if class_index is not None and type(class_index) is not int:
+            raise ValueError(f"class_index must be an integer, got {class_index!r}")
+        return cls(table, class_index)
+
+
+def _coarser(fine_ids: np.ndarray, n_fine: int, coarse_ids: np.ndarray) -> np.ndarray:
+    """Coarse group of each fine group, for a grouping refined by another."""
+    out = np.empty(n_fine, dtype=coarse_ids.dtype)
+    out[fine_ids] = coarse_ids
+    return out
 
 
 # ---------------------------------------------------------------------------

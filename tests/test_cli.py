@@ -3,7 +3,8 @@ import pytest
 
 from miselect.cli import main, parse_config_file
 from miselect.oracle import Scenario, ScenarioSpec
-from miselect.relevance import duplicated_features_example
+from miselect.infotheory import JointTable
+from miselect.relevance import LabeledJoint, duplicated_features_example
 from miselect.simlab import generate_sample
 
 
@@ -151,9 +152,37 @@ def test_relevance_report(tmp_path, capsys):
 
 
 def test_relevance_bad_file(tmp_path):
-    path = tmp_path / "nope.json"
-    with pytest.raises(SystemExit):
+    cases = {
+        "missing": None,
+        "nan-mass": '{"arities":[2,2],"probs":[0.5,NaN,0.25,0.25],"class_index":1}',
+        "text-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":"x"}',
+        "float-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1.0}',
+        "bool-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":true}',
+        "top-level-list": "[1, 2]",
+        "malformed-arities": '{"arities":2,"probs":[0.5,0.5]}',
+    }
+    for label, text in cases.items():
+        path = tmp_path / f"{label}.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["relevance", "--joint", str(path)])
+        assert str(info.value.code).startswith(f"error: cannot load joint {path}: "), label
+
+
+def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch):
+    def analysis(*args, **kwargs):
+        raise AssertionError("analysis ran before the feature bound was checked")
+
+    for name in ("markov_blanket_filter", "partition", "relevance_optimal_sets"):
+        monkeypatch.setattr(LabeledJoint, name, analysis)
+    path = tmp_path / "wide.json"
+    path.write_text(LabeledJoint(JointTable(np.full((2,) * 14, 2.0**-14))).to_json())
+    with pytest.raises(SystemExit) as info:
         main(["relevance", "--joint", str(path)])
+    assert str(info.value.code) == (
+        f"error: joint {path}: 13 features exceed the exhaustive-search bound of 12"
+    )
 
 
 def test_verify_passes(capsys):

@@ -55,6 +55,9 @@ def test_construction_validates_mass():
         JointTable(np.array([0.5, 0.4]))  # mass 0.9
     with pytest.raises(ValueError):
         JointTable(np.array([1.1, -0.1]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            JointTable(np.array([0.5, bad, 0.25, 0.25]))
     # within tolerance of 1 -> normalized
     t = JointTable(np.array([0.5, 0.5 + 5e-10]))
     assert abs(t.probs.sum() - 1.0) < 1e-12
@@ -158,6 +161,13 @@ def test_json_round_trip():
     back = JointTable.from_json(t.to_json())
     assert back.arities == t.arities
     np.testing.assert_allclose(back.probs, t.probs, atol=1e-15)
+
+
+def test_from_json_rejects_malformed_documents():
+    for text in ("[0.5, 0.5]", '"table"', '{"arities": 2, "probs": [0.5, 0.5]}',
+                 '{"arities": [-1, 2], "probs": [0.25, 0.25, 0.25, 0.25]}'):
+        with pytest.raises(ValueError):
+            JointTable.from_json(text)
 
 
 def test_marginal_orders_axes_as_requested():

@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example as explicit_example
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miselect.infotheory import JointTable
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import (
+    PROB_TOLERANCE,
     LabeledJoint,
     RelevanceClass,
     duplicated_features_example,
@@ -152,3 +156,146 @@ def test_json_round_trip(example):
 def test_grid_rejects_boundary_atoms():
     with pytest.raises(ValueError):
         grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.5), grid=(-0.2, 0.1, -0.1, 0.2))
+
+
+def test_classification_is_memoised(example, monkeypatch):
+    joint = LabeledJoint(example.table)
+    first = [joint.classify_feature(f) for f in joint.features]
+
+    def fail(*args):
+        raise AssertionError("classified twice")
+
+    monkeypatch.setattr(joint, "_conditioning_invariant", fail)
+    assert [joint.classify_feature(f) for f in joint.features] == first
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the coded-atom conditioning test against the
+# dict-based one it replaced.
+# ---------------------------------------------------------------------------
+
+
+class DictJoint(LabeledJoint):
+    """LabeledJoint whose conditioning test builds Python dicts per call."""
+
+    def __init__(self, table, class_index=None):
+        super().__init__(table, class_index)
+        idx = np.argwhere(table.probs > 0.0)
+        self.ref_atoms = [tuple(int(v) for v in row) for row in idx]
+        self.ref_mass = [float(table.probs[a]) for a in self.ref_atoms]
+
+    def _cond_dists(self, cond, over):
+        """P(over-projection | given-projection) from the support atoms."""
+        groups = {}
+        totals = {}
+        for atom, mass in zip(self.ref_atoms, self.ref_mass):
+            key = tuple(atom[v] for v in cond)
+            val = tuple(atom[v] for v in over)
+            bucket = groups.setdefault(key, {})
+            bucket[val] = bucket.get(val, 0.0) + mass
+            totals[key] = totals.get(key, 0.0) + mass
+        for key, bucket in groups.items():
+            t = totals[key]
+            for val in bucket:
+                bucket[val] /= t
+        return groups
+
+    def _conditioning_invariant(self, extra, base, over):
+        wide = self._cond_dists(tuple(base) + tuple(extra), over)
+        narrow = self._cond_dists(tuple(base), over)
+        for atom in self.ref_atoms:
+            wkey = tuple(atom[v] for v in tuple(base) + tuple(extra))
+            nkey = tuple(atom[v] for v in base)
+            wdist = wide[wkey]
+            ndist = narrow[nkey]
+            for val in set(wdist) | set(ndist):
+                if abs(wdist.get(val, 0.0) - ndist.get(val, 0.0)) > PROB_TOLERANCE:
+                    return False
+        return True
+
+
+# driver-cell weights: empty cells, ordinary ones, and ones whose
+# conditional probabilities land near PROB_TOLERANCE
+WEIGHTS = (0.0, 0.0, 1.0, 2.0, 3.0, 0.5e-9, 1e-9, 1.5e-9, 2e-9)
+
+
+@st.composite
+def labeled_joints(draw):
+    """Small joints whose variables are functions of a few independent drivers.
+
+    Copies and coarsenings of the drivers give redundant, irrelevant and
+    exactly invariant features; empty driver cells leave values present
+    under a narrow key but absent under a wider one.
+    """
+    driver_arities = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    cells = list(itertools.product(*(range(a) for a in driver_arities)))
+    weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(cells), max_size=len(cells)))
+    if max(weights) < 1.0:
+        weights[0] = 1.0
+    nvars = draw(st.integers(2, 5))
+    class_index = draw(st.integers(0, nvars - 1))
+    arities, maps = [], []
+    for v in range(nvars):
+        parents = draw(st.lists(st.integers(0, len(driver_arities) - 1), unique=True,
+                                min_size=int(v == class_index), max_size=2))
+        arity = draw(st.integers(2, 3))
+        size = int(np.prod([driver_arities[d] for d in parents]))
+        values = draw(st.lists(st.integers(0, arity - 1), min_size=size, max_size=size))
+        arities.append(arity)
+        maps.append((parents, values))
+    probs = np.zeros(arities)
+    for cell, w in zip(cells, weights):
+        point = []
+        for parents, values in maps:
+            code = 0
+            for d in parents:
+                code = code * driver_arities[d] + cell[d]
+            point.append(values[code])
+        probs[tuple(point)] += w
+    return JointTable(probs / probs.sum()), class_index
+
+
+def absent_value_joint(rare: float) -> tuple[JointTable, int]:
+    """Feature E and a three-valued class C, where C=2 is absent under E=0.
+
+    Under E=1 the class value 2 has probability ``rare``.  Every value
+    present under both keys moves by at most PROB_TOLERANCE, so only the
+    absent value can break invariance, and does when ``rare`` is large
+    enough.
+    """
+    p_e1 = 0.9
+    under_e0 = [0.5, 0.5, 0.0]
+    under_e1 = [0.5 - rare / 2, 0.5 - rare / 2, rare]
+    probs = np.array([[(1 - p_e1) * p for p in under_e0], [p_e1 * p for p in under_e1]])
+    return JointTable(probs / probs.sum()), 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_joints())
+@explicit_example(absent_value_joint(1.5e-9))
+@explicit_example(absent_value_joint(0.5e-9))
+def test_coded_atoms_agree_with_dict_reference(drawn):
+    table, class_index = drawn
+    try:
+        joint = LabeledJoint(table, class_index)
+    except ValueError:  # the class has a single state
+        return
+    ref = DictJoint(table, class_index)
+    features = joint.features
+    for size in range(len(features) + 1):
+        for subset in itertools.combinations(features, size):
+            assert joint.is_maximally_informative(subset) == ref.is_maximally_informative(subset)
+    for i in features:
+        assert joint.classify_feature(i) is ref.classify_feature(i)
+        others = [f for f in features if f != i]
+        for size in range(len(others) + 1):
+            for blanket in itertools.combinations(others, size):
+                assert joint.has_markov_blanket(i, blanket) == ref.has_markov_blanket(i, blanket)
+    assert joint.markov_blanket_filter() == ref.markov_blanket_filter()
+    assert joint.relevance_optimal_sets() == ref.relevance_optimal_sets()
+
+
+@pytest.mark.parametrize("rare, invariant", [(1.5e-9, False), (0.5e-9, True)])
+def test_value_absent_under_wide_key_counts_as_zero(rare, invariant):
+    joint = LabeledJoint(*absent_value_joint(rare))
+    assert joint.is_maximally_informative(()) is invariant
