@@ -5,6 +5,8 @@ Subcommands: ``oracle`` (print the analytic entropy/MI table), ``order``
 ``simulate`` (replicated Monte Carlo experiment, CSV output),
 ``relevance`` (relevance analysis of a labeled joint), and ``verify``
 (self-checks, nonzero exit on failure).
+
+Bad input ends in one ``error: ...`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .verify import run_all_checks
 DEFAULT_SEED = 20250808
 
 
+class CliError(Exception):
+    """Bad input: main prints ``error: <message>`` and returns 2."""
+
+
 def _scenario(text: str) -> Scenario:
     try:
         return Scenario(text.upper())
@@ -42,7 +48,7 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
     try:
         return ScenarioSpec(args.scenario, args.k, args.delta, args.a, args.b, args.d)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise CliError(exc)
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
@@ -74,13 +80,17 @@ def cmd_order(args: argparse.Namespace) -> int:
     try:
         mspec = MethodSpec.parse(name if beta is None else f"{name}:{beta}")
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise CliError(exc)
     spec = _build_spec(args)
     if args.data:
         try:
-            provider = estimated_provider(Sample.from_csv(args.data))
+            sample = Sample.from_csv(args.data)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot read sample {args.data}: {exc}")
+            raise CliError(f"cannot read sample {args.data}: {exc}")
+        try:
+            provider = estimated_provider(sample)
+        except ValueError as exc:
+            raise CliError(f"sample {args.data}: {exc}")
     else:
         provider = oracle_provider(spec)
     trace = select_all(mspec, provider)
@@ -139,7 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         try:
             raw = parse_config_file(args.config)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}")
+            raise CliError(exc)
     def pick(flag, key, parse, default):
         if flag is not None:
             return flag
@@ -162,7 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             d=pick(args.d, "d", float, 2.0),
         )
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise CliError(exc)
     result = run_experiment(config, keep_traces=bool(args.traces))
     out = args.out or (raw.get("out") or "experiment.csv")
     emit_csv(result, out)
@@ -208,11 +218,11 @@ def cmd_relevance(args: argparse.Namespace) -> int:
         with open(args.joint) as fh:
             joint = LabeledJoint.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
-        raise SystemExit(f"error: cannot load joint {args.joint}: {exc}")
+        raise CliError(f"cannot load joint {args.joint}: {exc}")
     try:
         joint.check_search_bound()
     except ValueError as exc:
-        raise SystemExit(f"error: joint {args.joint}: {exc}")
+        raise CliError(f"joint {args.joint}: {exc}")
 
     def name(f: int) -> str:
         return f"V{f + 1}"
@@ -301,7 +311,11 @@ def _methods_arg(text: str) -> tuple[MethodSpec, ...]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,13 +6,22 @@ width) correction.  Bivariate histograms keep the total cell count near
 m by using ceil(sqrt(m)) bins per axis; feature-feature MI evaluates
 H(X) + H(Y) - H(X,Y) with all three entropies on that shared grid, and
 class MI evaluates H(V) - sum_c p(c) H(V | C=c) on pooled bin edges.
+
+Every estimate goes through one kernel: a column is turned into integer
+bin codes once per resolution (:meth:`BinningScheme.codes`), and all
+counts are ``np.bincount`` of those codes, split by class label or
+combined as ``ci * q + cj`` for a pair.  The codes follow the counting
+rule of ``np.histogram``, so the estimates equal the histogram ones bit
+for bit.  :func:`estimated_provider` builds all 65 tables of a sample
+(10 entropies, 10 class MIs, 45 pairwise MIs) in one pass, so a sample
+the estimator cannot handle fails there, before any selection runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +29,7 @@ from .oracle import FEATURES, FeatureId
 from .xreal import XReal, finite
 
 CSV_HEADER = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
+COLUMNS = CSV_HEADER.split(",")
 
 
 class DegenerateSampleError(ValueError):
@@ -54,10 +64,33 @@ class BinningScheme:
     def for_values(cls, x: np.ndarray, count: int) -> "BinningScheme":
         lo = float(np.min(x))
         hi = float(np.max(x))
+        if not math.isfinite(hi - lo):
+            raise ValueError("observations must be finite, with a finite range")
         if hi <= lo:
             raise DegenerateSampleError("all observations are equal")
         edges = np.linspace(lo, hi, count + 1)
         return cls(count, edges, (hi - lo) / count)
+
+    def codes(self, x: np.ndarray) -> np.ndarray:
+        """Bin index of each value of x, which must lie within the edges.
+
+        The index is ``searchsorted(edges, x, side="right") - 1`` with the
+        top edge folded into the last bin: the counting rule of
+        ``np.histogram`` and ``np.histogram2d``.  An arithmetic guess is
+        checked against the edges, and the values it misses (on or next
+        to an edge, or where rounding makes edges coincide) are found by
+        binary search against the edges themselves.
+        """
+        lo = self.edges[0]
+        guess = (x - lo) / (self.edges[-1] - lo) * self.count
+        codes = guess.astype(np.intp)
+        np.minimum(codes, self.count - 1, out=codes)
+        upper = self.edges.copy()
+        upper[-1] = np.inf  # the closed top edge
+        miss = (x < upper[codes]) | (x >= upper[codes + 1])
+        if miss.any():
+            codes[miss] = np.searchsorted(upper, x[miss], side="right") - 1
+        return codes
 
 
 def _plugin(counts: np.ndarray, n: int) -> float:
@@ -67,31 +100,69 @@ def _plugin(counts: np.ndarray, n: int) -> float:
     return float(-terms.sum())
 
 
-def _entropy_on(x: np.ndarray, scheme: BinningScheme) -> float:
-    counts, _ = np.histogram(x, bins=scheme.edges)
-    return _plugin(counts, x.size) + math.log(scheme.width)
+def _joint_counts(ci: np.ndarray, cj: np.ndarray, count: int) -> np.ndarray:
+    """Cell counts of two code vectors on a count x count grid."""
+    return np.bincount(ci * count + cj, minlength=count * count)
+
+
+def _classes(labels: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Class index of each observation and the size of each class."""
+    values, index = np.unique(labels, return_inverse=True)
+    if values.size < 2:
+        raise ValueError("need both class labels in the sample")
+    return index, np.bincount(index).tolist()
+
+
+def _entropy_and_class_mi(
+    scheme: BinningScheme, codes: np.ndarray, index: np.ndarray, sizes: list[int]
+) -> tuple[float, float]:
+    """H(V) and H(V) - sum_c p(c) H(V | C=c) from one column's codes.
+
+    The class-conditional histograms reuse the pooled edges, so that an
+    independent pair centers on zero instead of inheriting a per-class
+    rebinning offset.
+    """
+    n = codes.size
+    k = len(sizes)
+    counts = np.bincount(codes * k + index, minlength=scheme.count * k)
+    counts = counts.reshape(scheme.count, k)
+    log_width = math.log(scheme.width)
+    entropy = _plugin(counts.sum(axis=1), n) + log_width
+    mi = entropy
+    for c, size in enumerate(sizes):
+        mi -= (size / n) * (_plugin(counts[:, c], size) + log_width)
+    return entropy, mi
+
+
+def _codes(x: np.ndarray, bins: int) -> tuple[BinningScheme, np.ndarray]:
+    scheme = BinningScheme.for_values(x, bins)
+    return scheme, scheme.codes(x)
+
+
+def _pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size:
+        raise ValueError("length mismatch")
+    return x, y
 
 
 def estimate_entropy_1d(x: np.ndarray, bins: int | None = None) -> float:
     """Differential entropy estimate; may legitimately be negative."""
     x = np.asarray(x, dtype=float)
-    m = bins if bins is not None else bin_count(x.size)
-    return _entropy_on(x, BinningScheme.for_values(x, m))
+    scheme, codes = _codes(x, bins if bins is not None else bin_count(x.size))
+    return _plugin(np.bincount(codes), x.size) + math.log(scheme.width)
 
 
 def estimate_entropy_2d(
     x: np.ndarray, y: np.ndarray, bins: int | None = None
 ) -> float:
     """Joint differential entropy on a bins-per-axis equal-width grid."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("length mismatch")
+    x, y = _pair(x, y)
     m = bins if bins is not None else pair_bin_count(x.size)
-    sx = BinningScheme.for_values(x, m)
-    sy = BinningScheme.for_values(y, m)
-    counts, _, _ = np.histogram2d(x, y, bins=[sx.edges, sy.edges])
-    return _plugin(counts.ravel(), x.size) + math.log(sx.width * sy.width)
+    sx, cx = _codes(x, m)
+    sy, cy = _codes(y, m)
+    return _plugin(_joint_counts(cx, cy, m), x.size) + math.log(sx.width * sy.width)
 
 
 def estimate_mi_features(
@@ -103,45 +174,27 @@ def estimate_mi_features(
     corrections cancel exactly and the result equals the discrete MI of
     the binned pair.  Not clamped: small negative values are reported.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("length mismatch")
+    x, y = _pair(x, y)
     m = bins if bins is not None else pair_bin_count(x.size)
-    sx = BinningScheme.for_values(x, m)
-    sy = BinningScheme.for_values(y, m)
-    counts, _, _ = np.histogram2d(x, y, bins=[sx.edges, sy.edges])
+    _, cx = _codes(x, m)
+    _, cy = _codes(y, m)
     n = x.size
-    h_x = _plugin(counts.sum(axis=1), n)
-    h_y = _plugin(counts.sum(axis=0), n)
-    h_xy = _plugin(counts.ravel(), n)
-    return h_x + h_y - h_xy
+    h_x = _plugin(np.bincount(cx), n)
+    h_y = _plugin(np.bincount(cy), n)
+    return h_x + h_y - _plugin(_joint_counts(cx, cy, m), n)
 
 
 def estimate_mi_class(
     x: np.ndarray, labels: np.ndarray, bins: int | None = None
 ) -> float:
-    """MI between a feature and the class: H(V) - sum_c p(c) H(V|C=c).
-
-    The class-conditional entropies reuse the pooled-sample bin edges so
-    that an independent pair centers on zero instead of inheriting a
-    per-class rebinning offset.
-    """
+    """MI between a feature and the class: H(V) - sum_c p(c) H(V|C=c)."""
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
     if x.size != labels.size:
         raise ValueError("length mismatch")
-    values = np.unique(labels)
-    if values.size < 2:
-        raise ValueError("need both class labels in the sample")
-    m = bins if bins is not None else bin_count(x.size)
-    scheme = BinningScheme.for_values(x, m)
-    out = _entropy_on(x, scheme)
-    n = x.size
-    for c in values:
-        slice_ = x[labels == c]
-        out -= (slice_.size / n) * _entropy_on(slice_, scheme)
-    return out
+    index, sizes = _classes(labels)
+    scheme, codes = _codes(x, bins if bins is not None else bin_count(x.size))
+    return _entropy_and_class_mi(scheme, codes, index, sizes)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +206,7 @@ class Sample:
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if features.ndim != 2 or features.shape[1] != len(FEATURES):
             raise ValueError(f"features must be (n, {len(FEATURES)})")
         if labels.shape != (features.shape[0],):
@@ -162,8 +215,15 @@ class Sample:
             raise ValueError("need at least 4 observations")
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0/1")
+        bad = np.argwhere(~np.isfinite(features))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(
+                f"non-finite value {features[row, col]} in row {row + 1}, "
+                f"column {COLUMNS[col]}"
+            )
         self.features = features
-        self.labels = labels
+        self.labels = labels.astype(np.int64)
 
     @property
     def n(self) -> int:
@@ -192,34 +252,50 @@ class Sample:
 
 
 class EstimatedProvider:
-    """MIProvider computing histogram estimates lazily with memoization."""
+    """MIProvider holding all 65 histogram estimates of one sample.
+
+    Built in one pass: each column is coded once at the univariate
+    resolution m (entropy and class MI) and once at the pair resolution
+    q = ceil(sqrt(m)), whose marginal entropies are shared by the nine
+    pairs the column is in.  Raises :class:`DegenerateSampleError` for a
+    constant column and ``ValueError`` for a single-class sample.
+    """
 
     def __init__(self, sample: Sample):
-        self.sample = sample
         self.feature_order = FEATURES
+        n = sample.n
+        m = bin_count(n)
+        q = pair_bin_count(n)
+        index, sizes = _classes(sample.labels)
         self._entropy: dict[FeatureId, XReal] = {}
         self._class_mi: dict[FeatureId, XReal] = {}
-        self._pairwise: dict[frozenset, XReal] = {}
+        pair_codes = {}
+        pair_entropy = {}
+        for f, x in zip(FEATURES, sample.features.T):
+            x = np.ascontiguousarray(x)
+            try:
+                scheme, codes = _codes(x, m)
+            except DegenerateSampleError as exc:
+                raise DegenerateSampleError(f"column {COLUMNS[f - 1]}: {exc}") from None
+            h, mi = _entropy_and_class_mi(scheme, codes, index, sizes)
+            self._entropy[f] = finite(h)
+            self._class_mi[f] = finite(mi)
+            pair_codes[f] = _codes(x, q)[1]
+            pair_entropy[f] = _plugin(np.bincount(pair_codes[f]), n)
+        self._pairwise: dict[tuple[FeatureId, FeatureId], XReal] = {}
+        for i, j in combinations(FEATURES, 2):
+            joint = _plugin(_joint_counts(pair_codes[i], pair_codes[j], q), n)
+            mi = finite(pair_entropy[i] + pair_entropy[j] - joint)
+            self._pairwise[i, j] = self._pairwise[j, i] = mi
 
     def entropy(self, f: FeatureId) -> XReal:
-        if f not in self._entropy:
-            self._entropy[f] = finite(estimate_entropy_1d(self.sample.column(f)))
         return self._entropy[f]
 
     def class_mi(self, f: FeatureId) -> XReal:
-        if f not in self._class_mi:
-            self._class_mi[f] = finite(
-                estimate_mi_class(self.sample.column(f), self.sample.labels)
-            )
         return self._class_mi[f]
 
     def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal:
-        key = frozenset((i, j))
-        if key not in self._pairwise:
-            self._pairwise[key] = finite(
-                estimate_mi_features(self.sample.column(i), self.sample.column(j))
-            )
-        return self._pairwise[key]
+        return self._pairwise[i, j]
 
 
 def estimated_provider(sample: Sample) -> EstimatedProvider:

@@ -73,6 +73,13 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if not self.k_values or not self.n_values or not self.methods:
             raise ValueError("k, n and method grids must be nonempty")
+        # results and traces are keyed by (method, k, n): a repeat would merge
+        for name, grid in (("k", self.k_values), ("n", self.n_values),
+                           ("method", self.methods)):
+            for i, v in enumerate(grid):
+                if v in grid[:i]:
+                    text = v.label() if isinstance(v, MethodSpec) else f"{v:g}"
+                    raise ValueError(f"{name} grid lists {text} more than once")
         for n in self.n_values:
             if n < 50:
                 raise ValueError(f"sample size {n} below the supported minimum 50")

@@ -14,6 +14,17 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_error(capsys, *argv):
+    """Run a command that must fail on bad input; return its error line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
 def test_oracle_table_uniform(capsys):
     code, out = run(capsys, "oracle", "--scenario", "I", "--k", "0.2")
     assert code == 0
@@ -31,8 +42,8 @@ def test_oracle_table_gaussian(capsys):
 
 
 def test_oracle_rejects_endpoint_k(capsys):
-    with pytest.raises(SystemExit):
-        main(["oracle", "--scenario", "I", "--k", "1.0"])
+    line = run_error(capsys, "oracle", "--scenario", "I", "--k", "1.0")
+    assert line == "error: class slope k must lie in (0,1), got 1.0"
 
 
 def test_order_nmifs(capsys):
@@ -52,9 +63,8 @@ def test_order_maxmifs_full(capsys):
 
 
 def test_order_unknown_method_lists_valid_names(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["order", "--method", "bogus"])
-    assert "mifs" in str(exc.value) and "maxmifs" in str(exc.value)
+    line = run_error(capsys, "order", "--method", "bogus")
+    assert "mifs" in line and "maxmifs" in line
 
 
 def test_order_trace_file(tmp_path, capsys):
@@ -79,6 +89,37 @@ def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
                   "--data", str(path))
     assert out1 == out2
     assert out1.strip().endswith("halt: all selected")
+
+
+@pytest.mark.parametrize("name, rows, col, value, message", [
+    ("nan-cell", 6, 2, np.nan,
+     "cannot read sample {path}: non-finite value nan in row 7, column v3"),
+    ("inf-cell", 0, 9, -np.inf,
+     "cannot read sample {path}: non-finite value -inf in row 1, column v10"),
+    ("single-class", slice(None), 10, 1,
+     "sample {path}: need both class labels in the sample"),
+    ("constant-column", slice(None), 4, 0.25,
+     "sample {path}: column v5: all observations are equal"),
+])
+def test_order_rejects_bad_sample_csv(tmp_path, capsys, name, rows, col, value,
+                                      message):
+    sample = generate_sample(ScenarioSpec(Scenario.UNIFORM, 0.2), 100,
+                             np.random.default_rng(22))
+    data = np.column_stack([sample.features, sample.labels])
+    data[rows, col] = value
+    path = tmp_path / f"{name}.csv"
+    np.savetxt(path, data, delimiter=",", comments="", fmt="%.17g",
+               header="v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class")
+    line = run_error(capsys, "order", "--method", "mrmr", "--data", str(path))
+    assert line == "error: " + message.format(path=path)
+
+
+def test_simulate_rejects_duplicate_methods(tmp_path, capsys):
+    out_csv = tmp_path / "dup.csv"
+    line = run_error(capsys, "simulate", "--methods", "mifs:1,mifs:1",
+                     "--replicates", "5", "--n", "50", "--out", str(out_csv))
+    assert line == "error: method grid lists mifs(beta=1) more than once"
+    assert not out_csv.exists()
 
 
 def test_config_file_parsing(tmp_path):
@@ -151,7 +192,7 @@ def test_relevance_report(tmp_path, capsys):
     assert "Markov blanket filter: {V1,V2}" in out
 
 
-def test_relevance_bad_file(tmp_path):
+def test_relevance_bad_file(tmp_path, capsys):
     cases = {
         "missing": None,
         "nan-mass": '{"arities":[2,2],"probs":[0.5,NaN,0.25,0.25],"class_index":1}',
@@ -165,12 +206,12 @@ def test_relevance_bad_file(tmp_path):
         path = tmp_path / f"{label}.json"
         if text is not None:
             path.write_text(text)
-        with pytest.raises(SystemExit) as info:
-            main(["relevance", "--joint", str(path)])
-        assert str(info.value.code).startswith(f"error: cannot load joint {path}: "), label
+        line = run_error(capsys, "relevance", "--joint", str(path))
+        assert line.startswith(f"error: cannot load joint {path}: "), label
 
 
-def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch):
+def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch,
+                                                            capsys):
     def analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the feature bound was checked")
 
@@ -178,9 +219,8 @@ def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypat
         monkeypatch.setattr(LabeledJoint, name, analysis)
     path = tmp_path / "wide.json"
     path.write_text(LabeledJoint(JointTable(np.full((2,) * 14, 2.0**-14))).to_json())
-    with pytest.raises(SystemExit) as info:
-        main(["relevance", "--joint", str(path)])
-    assert str(info.value.code) == (
+    line = run_error(capsys, "relevance", "--joint", str(path))
+    assert line == (
         f"error: joint {path}: 13 features exceed the exhaustive-search bound of 12"
     )
 

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from miselect.estimation import (
     BinningScheme,
@@ -15,7 +18,7 @@ from miselect.estimation import (
     estimated_provider,
     pair_bin_count,
 )
-from miselect.oracle import FeatureId, Scenario, ScenarioSpec
+from miselect.oracle import FEATURES, FeatureId, Scenario, ScenarioSpec
 from miselect.selection import Method, MethodSpec, select_all
 from miselect.simlab import generate_sample
 
@@ -169,6 +172,12 @@ def test_sample_validation():
         Sample(np.zeros((3, 10)), np.zeros(3))
     with pytest.raises(ValueError):
         Sample(np.zeros((10, 10)), np.full(10, 2))
+    with pytest.raises(ValueError, match="labels must be 0/1"):
+        Sample(np.zeros((10, 10)), np.full(10, 0.5))  # not truncated to 0
+    features = np.zeros((10, 10))
+    features[3, 7] = np.inf
+    with pytest.raises(ValueError, match="non-finite value inf in row 4, column v8"):
+        Sample(features, np.zeros(10))
 
 
 def test_sample_csv_round_trip(tmp_path):
@@ -206,3 +215,131 @@ def test_estimated_provider_feeds_selection_without_indeterminates():
         assert len(trace.selected) == 10
         for step in trace.steps:
             assert not any(v.is_indet for v in step.objectives.values())
+
+
+# ---------------------------------------------------------------------------
+# Reference: the np.histogram / np.histogram2d estimator that the coded
+# kernel replaced.  The kernel must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_plugin(counts, n):
+    p = counts[counts > 0] / n
+    terms = p * np.log(p)
+    terms.sort()
+    return float(-terms.sum())
+
+
+def _ref_edges(x, m):
+    lo, hi = float(np.min(x)), float(np.max(x))
+    return np.linspace(lo, hi, m + 1), (hi - lo) / m
+
+
+def _ref_entropy_on(x, edges, width):
+    counts, _ = np.histogram(x, bins=edges)
+    return _ref_plugin(counts, x.size) + math.log(width)
+
+
+def ref_entropy_1d(x, m):
+    return _ref_entropy_on(x, *_ref_edges(x, m))
+
+
+def ref_mi_class(x, labels, m):
+    edges, width = _ref_edges(x, m)
+    out = _ref_entropy_on(x, edges, width)
+    for c in np.unique(labels):
+        part = x[labels == c]
+        out -= (part.size / x.size) * _ref_entropy_on(part, edges, width)
+    return out
+
+
+def _ref_grid(x, y, q):
+    (ex, wx), (ey, wy) = _ref_edges(x, q), _ref_edges(y, q)
+    counts, _, _ = np.histogram2d(x, y, bins=[ex, ey])
+    return counts, wx * wy
+
+
+def ref_entropy_2d(x, y, q):
+    counts, area = _ref_grid(x, y, q)
+    return _ref_plugin(counts.ravel(), x.size) + math.log(area)
+
+
+def ref_mi_features(x, y, q):
+    counts, _ = _ref_grid(x, y, q)
+    n = x.size
+    return (_ref_plugin(counts.sum(axis=1), n) + _ref_plugin(counts.sum(axis=0), n)
+            - _ref_plugin(counts.ravel(), n))
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+@pytest.mark.parametrize("n", [50, 51, 200, 1000, 5000])
+def test_estimates_equal_the_histogram_reference(scenario, n):
+    m, q = bin_count(n), pair_bin_count(n)
+    for seed, k in enumerate((0.2, 0.8, 0.2, 0.8)):
+        sample = generate_sample(ScenarioSpec(scenario, k), n, np.random.default_rng(seed))
+        p = estimated_provider(sample)
+        for f in FEATURES:
+            x = sample.column(f)
+            assert p.entropy(f).value == ref_entropy_1d(x, m)
+            assert p.class_mi(f).value == ref_mi_class(x, sample.labels, m)
+        for i, j in combinations(FEATURES, 2):
+            x, y = sample.column(i), sample.column(j)
+            assert p.pairwise_mi(i, j).value == ref_mi_features(x, y, q)
+        # the public functions share the kernel, at default and custom bins
+        x, y = sample.column(F.V1), sample.column(F.V4)
+        for bins, pair_bins in ((None, None), (13, 5)):
+            assert estimate_entropy_1d(x, bins) == ref_entropy_1d(x, bins or m)
+            assert estimate_mi_class(x, sample.labels, bins) == ref_mi_class(
+                x, sample.labels, bins or m)
+            assert estimate_entropy_2d(x, y, pair_bins) == ref_entropy_2d(x, y, pair_bins or q)
+            assert estimate_mi_features(x, y, pair_bins) == ref_mi_features(
+                x, y, pair_bins or q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 200),
+    exponent=st.integers(-300, 300),
+    mantissa=st.floats(1.0, 10.0, exclude_max=True),
+    offset=st.floats(-1e15, 1e15),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+@example(m=200, exponent=-5, mantissa=1.0, offset=1e15, inner=[0.3])  # edges coincide
+@example(m=200, exponent=300, mantissa=9.9, offset=0.0, inner=[0.5])
+@example(m=7, exponent=-300, mantissa=1.0, offset=-3.0, inner=[])
+def test_bin_codes_equal_searchsorted(m, exponent, mantissa, offset, inner):
+    # a range of width 1e-300 .. 1e301, placed at up to 1e15 widths from 0
+    width = mantissa * 10.0**exponent
+    lo = width * offset
+    hi = lo + width
+    assume(math.isfinite(lo) and math.isfinite(hi) and hi > lo)
+    edges = np.linspace(lo, hi, m + 1)
+    x = np.concatenate([
+        [lo, hi], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        lo + width * np.array(inner, dtype=float),
+    ])
+    x = np.clip(x, lo, hi)
+    scheme = BinningScheme.for_values(x, m)
+    np.testing.assert_array_equal(scheme.edges, edges)
+    codes = scheme.codes(x)
+    expected = np.minimum(np.searchsorted(edges, x, side="right") - 1, m - 1)
+    np.testing.assert_array_equal(codes, expected)
+    counts, _ = np.histogram(x, bins=edges)
+    np.testing.assert_array_equal(np.bincount(codes, minlength=m), counts)
+
+
+def test_binning_rejects_non_finite_observations():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_entropy_1d(np.array([0.0, 1.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="finite range"):  # hi - lo overflows
+        estimate_entropy_1d(np.array([-1e308, 0.0, 1e308, 5.0]))
+
+
+def test_bad_samples_fail_when_the_provider_is_built():
+    sample = generate_sample(SPEC_I, 200, np.random.default_rng(10))
+    constant = sample.features.copy()
+    constant[:, 4] = 0.25
+    with pytest.raises(DegenerateSampleError, match="column v5: all observations"):
+        estimated_provider(Sample(constant, sample.labels))
+    with pytest.raises(ValueError, match="need both class labels"):
+        estimated_provider(Sample(sample.features, np.ones(sample.n)))

@@ -75,6 +75,13 @@ def test_config_validation():
         small_config(n_values=(20,))
     with pytest.raises(ValueError):
         small_config(methods=())
+    # a repeated grid value would merge two cells' hits or traces
+    with pytest.raises(ValueError, match="k grid lists 0.8 more than once"):
+        small_config(k_values=(0.8, 0.2, 0.8))
+    with pytest.raises(ValueError, match="n grid lists 50 more than once"):
+        small_config(n_values=(50, 50))
+    with pytest.raises(ValueError, match=r"method grid lists mrmr more than once"):
+        small_config(methods=(MethodSpec(Method.MRMR), MethodSpec(Method.MRMR)))
 
 
 def test_run_experiment_is_seed_deterministic():
