@@ -10,7 +10,9 @@ from miselect.estimation import (
     BinningScheme,
     DegenerateSampleError,
     Sample,
+    bin_column,
     bin_count,
+    code_labels,
     estimate_entropy_1d,
     estimate_entropy_2d,
     estimate_mi_class,
@@ -284,6 +286,9 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
         for i, j in combinations(FEATURES, 2):
             x, y = sample.column(i), sample.column(j)
             assert p.pairwise_mi(i, j).value == ref_mi_features(x, y, q)
+        for f in FEATURES:  # the self-MI I(X;X) on the pair grid
+            x = sample.column(f)
+            assert p.pairwise_mi(f, f).value == ref_mi_features(x, x, q)
         # the public functions share the kernel, at default and custom bins
         x, y = sample.column(F.V1), sample.column(F.V4)
         for bins, pair_bins in ((None, None), (13, 5)):
@@ -293,6 +298,13 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
             assert estimate_entropy_2d(x, y, pair_bins) == ref_entropy_2d(x, y, pair_bins or q)
             assert estimate_mi_features(x, y, pair_bins) == ref_mi_features(
                 x, y, pair_bins or q)
+        # coded inputs give the same values as raw ones
+        bx, by = bin_column(x, 13), bin_column(y, 13)
+        assert estimate_entropy_1d(bx) == ref_entropy_1d(x, 13)
+        assert estimate_mi_class(bx, code_labels(sample.labels)) == ref_mi_class(
+            x, sample.labels, 13)
+        assert estimate_entropy_2d(bx, y, 13) == ref_entropy_2d(x, y, 13)
+        assert estimate_mi_features(x, by, 13) == ref_mi_features(x, y, 13)
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,3 +355,13 @@ def test_bad_samples_fail_when_the_provider_is_built():
         estimated_provider(Sample(constant, sample.labels))
     with pytest.raises(ValueError, match="need both class labels"):
         estimated_provider(Sample(sample.features, np.ones(sample.n)))
+
+
+def test_coded_inputs_must_match_the_requested_resolution():
+    x = np.random.default_rng(12).uniform(size=100)
+    with pytest.raises(ValueError, match="binned at 10 bins, not 5"):
+        estimate_entropy_1d(bin_column(x, 10), 5)
+    with pytest.raises(ValueError, match="different resolutions"):
+        estimate_mi_features(bin_column(x, 10), bin_column(x, 4))
+    with pytest.raises(ValueError, match="length mismatch"):
+        estimate_mi_class(bin_column(x, 10), code_labels(np.arange(50) % 2))
