@@ -1,13 +1,14 @@
 """Mutual-information feature selection lab.
 
-Eight sequential forward selection criteria evaluated over
-interchangeable backends: an analytic oracle with exact entropies and
-mutual informations (including symbolic +inf and indeterminate forms),
-and a histogram estimator over generated samples.
+Eight sequential forward selection criteria, evaluated in extended-real
+arithmetic (with tagged indeterminate forms) on one kind of value,
+:class:`MITables`: entropies, class MIs and a symmetric pairwise-MI
+matrix.  The tables come from an analytic oracle with exact values,
+including symbolic +inf, or from a histogram estimator over a sample.
 """
 
 from .estimation import Sample, estimated_provider
-from .oracle import FeatureId, Scenario, ScenarioSpec, oracle_provider
+from .oracle import FeatureId, MITables, Scenario, ScenarioSpec, oracle_provider
 from .selection import Method, MethodSpec, SelectionTrace, select_all
 from .simlab import ExperimentConfig, run_experiment
 from .xreal import XReal, finite, indeterminate
@@ -15,6 +16,7 @@ from .xreal import XReal, finite, indeterminate
 __all__ = [
     "ExperimentConfig",
     "FeatureId",
+    "MITables",
     "Method",
     "MethodSpec",
     "Sample",

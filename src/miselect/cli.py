@@ -64,10 +64,10 @@ def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    provider = oracle_provider(spec)
+    tables = oracle_provider(spec)
     for f in FEATURES:
-        h = provider.entropy(f).value
-        m = provider.class_mi(f).value
+        h = tables.entropy(f).value
+        m = tables.class_mi(f).value
         print(f"{feature_label(f, spec)}\t{h:.4f}\t{m:.4f}")
     return 0
 
@@ -88,12 +88,12 @@ def cmd_order(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read sample {args.data}: {exc}")
         try:
-            provider = estimated_provider(sample)
+            tables = estimated_provider(sample)
         except ValueError as exc:
             raise CliError(f"sample {args.data}: {exc}")
     else:
-        provider = oracle_provider(spec)
-    trace = select_all(mspec, provider)
+        tables = oracle_provider(spec)
+    trace = select_all(mspec, tables)
     labels = " ".join(feature_label(f, spec) for f in trace.selected)
     print(f"{labels} | halt: {trace.halt.value}")
     if args.trace:

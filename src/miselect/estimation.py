@@ -23,12 +23,13 @@ there, before any selection runs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .oracle import FEATURES, FeatureId
+from .infotheory import plugin_entropy
+from .oracle import FEATURES, FeatureId, MITables
 from .xreal import XReal, finite
 
 CSV_HEADER = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
@@ -94,13 +95,6 @@ class BinningScheme:
         return guess
 
 
-def _plugin(counts: np.ndarray, n: int) -> float:
-    p = counts[counts > 0] / n
-    terms = p * np.log(p)
-    terms.sort()  # canonical summation order: symmetric and reproducible
-    return float(-terms.sum())
-
-
 @dataclass(frozen=True)
 class BinnedColumn:
     """One column's bin codes at one resolution.
@@ -125,7 +119,7 @@ def bin_column(x: np.ndarray, bins: int) -> BinnedColumn:
     x = np.asarray(x, dtype=float)
     scheme = BinningScheme.for_values(x, bins)
     codes = scheme.codes(x)
-    return BinnedColumn(scheme, codes, _plugin(np.bincount(codes), x.size))
+    return BinnedColumn(scheme, codes, plugin_entropy(np.bincount(codes), x.size))
 
 
 def _binned(x, bins: int | None, default) -> BinnedColumn:
@@ -182,7 +176,7 @@ def estimate_entropy_2d(x, y, bins: int | None = None) -> float:
     """Joint differential entropy on a bins-per-axis equal-width grid."""
     bx, by = _binned_pair(x, y, bins)
     area = bx.scheme.width * by.scheme.width
-    return _plugin(_joint_counts(bx, by), bx.n) + math.log(area)
+    return plugin_entropy(_joint_counts(bx, by), bx.n) + math.log(area)
 
 
 def estimate_mi_features(x, y, bins: int | None = None) -> float:
@@ -193,7 +187,7 @@ def estimate_mi_features(x, y, bins: int | None = None) -> float:
     the binned pair.  Not clamped: small negative values are reported.
     """
     bx, by = _binned_pair(x, y, bins)
-    return bx.entropy + by.entropy - _plugin(_joint_counts(bx, by), bx.n)
+    return bx.entropy + by.entropy - plugin_entropy(_joint_counts(bx, by), bx.n)
 
 
 def estimate_mi_class(x, labels, bins: int | None = None) -> float:
@@ -213,7 +207,7 @@ def estimate_mi_class(x, labels, bins: int | None = None) -> float:
     log_width = math.log(b.scheme.width)
     mi = b.entropy + log_width
     for c, size in enumerate(classes.sizes):
-        mi -= (size / b.n) * (_plugin(counts[:, c], size) + log_width)
+        mi -= (size / b.n) * (plugin_entropy(counts[:, c], size) + log_width)
     return mi
 
 
@@ -265,54 +259,45 @@ class Sample:
                 raise ValueError(
                     f"bad sample header {header!r}; expected {CSV_HEADER!r}"
                 )
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty body is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.shape[0] == 0:
+            raise ValueError("the sample has no observations")
         if data.shape[1] != len(FEATURES) + 1:
             raise ValueError(f"expected {len(FEATURES) + 1} columns")
         return cls(data[:, :-1], data[:, -1])
 
 
-class EstimatedProvider:
-    """MIProvider holding all histogram estimates of one sample.
+def estimated_provider(sample: Sample) -> MITables:
+    """All histogram estimates of one sample, built in one pass.
 
-    Built in one pass: each column is binned once at the univariate
-    resolution m (entropy and class MI) and once at the pair resolution
-    q = ceil(sqrt(m)), the labels are coded once, and the 10 entropies,
-    10 class MIs and 45 pairwise MIs are estimated from those codes.  The self-MI I(X;X) of a feature
-    is the entropy of its q-binned column, the value ``estimate_mi_features``
-    gives for a column paired with itself.  Raises
-    :class:`DegenerateSampleError` for a constant column and ``ValueError``
-    for a single-class sample.
+    Each column is binned once at the univariate resolution m (entropy and
+    class MI) and once at the pair resolution q = ceil(sqrt(m)), the labels
+    are coded once, and the 10 entropies, 10 class MIs and 45 pairwise MIs
+    are estimated from those codes.  The self-MI I(X;X) of a feature is the
+    entropy of its q-binned column, the value ``estimate_mi_features`` gives
+    for a column paired with itself.  Raises :class:`DegenerateSampleError`
+    for a constant column and ``ValueError`` for a single-class sample.
     """
+    m = bin_count(sample.n)
+    q = pair_bin_count(sample.n)
+    labels = code_labels(sample.labels)
+    fine: list[BinnedColumn] = []
+    coarse: list[BinnedColumn] = []
+    for name, x in zip(COLUMNS, np.ascontiguousarray(sample.features.T)):
+        try:
+            fine.append(bin_column(x, m))
+            coarse.append(bin_column(x, q))
+        except DegenerateSampleError as exc:
+            raise DegenerateSampleError(f"column {name}: {exc}") from None
 
-    def __init__(self, sample: Sample):
-        self.feature_order = FEATURES
-        m = bin_count(sample.n)
-        q = pair_bin_count(sample.n)
-        labels = code_labels(sample.labels)
-        fine: dict[FeatureId, BinnedColumn] = {}
-        coarse: dict[FeatureId, BinnedColumn] = {}
-        for f, x in zip(FEATURES, np.ascontiguousarray(sample.features.T)):
-            try:
-                fine[f] = bin_column(x, m)
-                coarse[f] = bin_column(x, q)
-            except DegenerateSampleError as exc:
-                raise DegenerateSampleError(f"column {COLUMNS[f - 1]}: {exc}") from None
-        self._class_mi = {f: finite(estimate_mi_class(fine[f], labels)) for f in FEATURES}
-        self._entropy = {f: finite(estimate_entropy_1d(fine[f])) for f in FEATURES}
-        self._pairwise = {(f, f): finite(coarse[f].entropy) for f in FEATURES}
-        for i, j in combinations(FEATURES, 2):
-            mi = finite(estimate_mi_features(coarse[i], coarse[j]))
-            self._pairwise[i, j] = self._pairwise[j, i] = mi
+    def pairwise(i: FeatureId, j: FeatureId) -> XReal:
+        bi, bj = coarse[i - 1], coarse[j - 1]
+        return finite(bi.entropy if i == j else estimate_mi_features(bi, bj))
 
-    def entropy(self, f: FeatureId) -> XReal:
-        return self._entropy[f]
-
-    def class_mi(self, f: FeatureId) -> XReal:
-        return self._class_mi[f]
-
-    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal:
-        return self._pairwise[i, j]
-
-
-def estimated_provider(sample: Sample) -> EstimatedProvider:
-    return EstimatedProvider(sample)
+    return MITables(
+        [finite(estimate_entropy_1d(b)) for b in fine],
+        [finite(estimate_mi_class(b, labels)) for b in fine],
+        pairwise,
+    )

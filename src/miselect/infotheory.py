@@ -87,9 +87,13 @@ class JointTable:
         return cls(flat.reshape(arities))
 
 
-def _plugin_entropy(mass: np.ndarray) -> float:
-    p = mass.ravel()
-    p = p[p > 0.0]
+def plugin_entropy(counts: np.ndarray, total: float = 1.0) -> float:
+    """Entropy (nats) of the frequencies ``counts / total``; 0*ln(0) = 0.
+
+    Takes a probability mass (``total`` 1) or bin counts (``total`` the
+    number of observations), of any shape.
+    """
+    p = counts[counts > 0] / total
     terms = p * np.log(p)
     terms.sort()  # canonical order: H(X,Y) == H(Y,X) to the last bit
     return float(-terms.sum())
@@ -97,7 +101,7 @@ def _plugin_entropy(mass: np.ndarray) -> float:
 
 def entropy(t: JointTable, variables: Sequence[int]) -> float:
     """Shannon entropy (nats) of the marginal over ``variables``."""
-    return _plugin_entropy(t.marginal(variables))
+    return plugin_entropy(t.marginal(variables))
 
 
 def _disjoint(*groups: Sequence[int]) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -52,6 +53,47 @@ FEATURES: tuple[FeatureId, ...] = tuple(FeatureId)
 CLASS_INDEPENDENT = frozenset(
     {FeatureId.V3, FeatureId.V5, FeatureId.V6, FeatureId.V8, FeatureId.V9, FeatureId.V10}
 )
+
+
+@dataclass(frozen=True, init=False)
+class MITables:
+    """Entropies and mutual informations of the ten features.
+
+    Selection reads nothing else, so the same criteria run on the exact
+    tables (:func:`oracle_provider`) and on estimated ones
+    (``estimation.estimated_provider``).  ``entropies`` and ``class_mis``
+    are in feature order.  ``pairwise(i, j)`` is called once for each
+    i <= j and its value is stored at (i, j) and at (j, i), so the matrix
+    is symmetric by construction; the diagonal holds the self-MI.
+    """
+
+    feature_order: ClassVar[tuple[FeatureId, ...]] = FEATURES
+    entropies: tuple[XReal, ...]
+    class_mis: tuple[XReal, ...]
+    matrix: tuple[tuple[XReal, ...], ...]
+
+    def __init__(
+        self,
+        entropies: Sequence[XReal],
+        class_mis: Sequence[XReal],
+        pairwise: Callable[[FeatureId, FeatureId], XReal],
+    ):
+        rows: list[list] = [[None] * len(FEATURES) for _ in FEATURES]
+        for a, i in enumerate(FEATURES):
+            for b in range(a, len(FEATURES)):
+                rows[a][b] = rows[b][a] = pairwise(i, FEATURES[b])
+        object.__setattr__(self, "entropies", tuple(entropies))
+        object.__setattr__(self, "class_mis", tuple(class_mis))
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+
+    def entropy(self, f: FeatureId) -> XReal:
+        return self.entropies[f - 1]
+
+    def class_mi(self, f: FeatureId) -> XReal:
+        return self.class_mis[f - 1]
+
+    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal:
+        return self.matrix[i - 1][j - 1]
 
 
 @dataclass(frozen=True)
@@ -275,38 +317,6 @@ def mi_y2_xy_gaussian(nodes: int = 120) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Skew normal
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SkewNormalParams:
-    loc: float = 0.0
-    scale: float = 1.0
-    shape: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-
-
-def skewnormal_pdf(p: SkewNormalParams, x: np.ndarray | float) -> np.ndarray | float:
-    t = (np.asarray(x, dtype=float) - p.loc) / p.scale
-    out = (2.0 / p.scale) * np.exp(-0.5 * t * t) / _SQRT_2PI * ndtr(p.shape * t)
-    return float(out) if np.isscalar(x) else out
-
-
-def skewnormal_sample(
-    p: SkewNormalParams, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray | float:
-    """Draw via the half-normal mixing representation."""
-    delta = p.shape / math.sqrt(1.0 + p.shape * p.shape)
-    u0 = rng.standard_normal(size)
-    u1 = rng.standard_normal(size)
-    z = delta * np.abs(u0) + math.sqrt(1.0 - delta * delta) * u1
-    return p.loc + p.scale * z
-
-
-# ---------------------------------------------------------------------------
 # Zero-MI check for the squared driver
 # ---------------------------------------------------------------------------
 
@@ -367,41 +377,15 @@ def mi_class_squared_feature(
 
 
 # ---------------------------------------------------------------------------
-# Provider
+# Tables
 # ---------------------------------------------------------------------------
 
-class OracleProvider:
-    """MIProvider view of the analytic tables; all values precomputed."""
-
-    def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
-        self.feature_order = FEATURES
-        self._entropy = {f: entropy_of(spec, f) for f in FEATURES}
-        mi_x = class_mi(spec, FeatureId.V1)
-        self._class_mi = {}
-        for f in FEATURES:
-            if f is FeatureId.V2:
-                self._class_mi[f] = finite(mi_x)  # affine invariance, exact
-            else:
-                self._class_mi[f] = finite(
-                    mi_x if f is FeatureId.V1 else class_mi(spec, f)
-                )
-        self._pairwise = {
-            frozenset((i, j)): pairwise_mi(spec, i, j)
-            for i in FEATURES
-            for j in FEATURES
-            if i <= j
-        }
-
-    def entropy(self, f: FeatureId) -> XReal:
-        return self._entropy[f]
-
-    def class_mi(self, f: FeatureId) -> XReal:
-        return self._class_mi[f]
-
-    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal:
-        return self._pairwise[frozenset((i, j))]
-
-
-def oracle_provider(spec: ScenarioSpec) -> OracleProvider:
-    return OracleProvider(spec)
+def oracle_provider(spec: ScenarioSpec) -> MITables:
+    """The analytic tables of a scenario; +inf pairwise entries are symbolic."""
+    mi_x = class_mi(spec, FeatureId.V1)  # V2 = aX + b shares it exactly
+    return MITables(
+        [entropy_of(spec, f) for f in FEATURES],
+        [finite(mi_x if f in (FeatureId.V1, FeatureId.V2) else class_mi(spec, f))
+         for f in FEATURES],
+        lambda i, j: pairwise_mi(spec, i, j),
+    )

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .infotheory import normalized_mi
-from .oracle import FeatureId
+from .oracle import FeatureId, MITables
 from .xreal import (
     XReal,
     compare,
@@ -27,18 +27,6 @@ from .xreal import (
 )
 
 HALF = finite(0.5)
-
-
-class MIProvider(Protocol):
-    """Source of entropies and mutual informations for the selection loop."""
-
-    feature_order: Sequence[FeatureId]
-
-    def entropy(self, f: FeatureId) -> XReal: ...
-
-    def class_mi(self, f: FeatureId) -> XReal: ...
-
-    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal: ...
 
 
 class Method(Enum):
@@ -113,7 +101,7 @@ class SelectionTrace:
 
 
 def objective(
-    m: MethodSpec, candidate: FeatureId, selected: Sequence[FeatureId], p: MIProvider
+    m: MethodSpec, candidate: FeatureId, selected: Sequence[FeatureId], p: MITables
 ) -> XReal:
     """Objective value of one candidate given the already selected set."""
     rel = p.class_mi(candidate)
@@ -154,26 +142,26 @@ def objective(
     return xsub(rel, redundancy)
 
 
-def _mi_sum(i: FeatureId, selected: Sequence[FeatureId], p: MIProvider) -> XReal:
+def _mi_sum(i: FeatureId, selected: Sequence[FeatureId], p: MITables) -> XReal:
     return xsum(p.pairwise_mi(i, s) for s in selected)
 
 
-def _class_ratio_term(i: FeatureId, s: FeatureId, p: MIProvider) -> XReal:
+def _class_ratio_term(i: FeatureId, s: FeatureId, p: MITables) -> XReal:
     # MI(C,Vs)/h(Vs) * MI(Vi,Vs); the quotient is where 0/0 and inf/0 arise
     ratio = xdiv(p.class_mi(s), p.entropy(s))
     return xmul(ratio, p.pairwise_mi(i, s))
 
 
-def _ni(i: FeatureId, s: FeatureId, p: MIProvider) -> XReal:
+def _ni(i: FeatureId, s: FeatureId, p: MITables) -> XReal:
     return normalized_mi(p.pairwise_mi(i, s), p.entropy(i), p.entropy(s))
 
 
-def _phi(l: FeatureId, m_: FeatureId, p: MIProvider) -> XReal:
+def _phi(l: FeatureId, m_: FeatureId, p: MITables) -> XReal:
     return xdiv(p.pairwise_mi(l, m_), p.entropy(m_))
 
 
 def _qmifs(
-    rel: XReal, i: FeatureId, selected: Sequence[FeatureId], p: MIProvider
+    rel: XReal, i: FeatureId, selected: Sequence[FeatureId], p: MITables
 ) -> XReal:
     # rel - sum_k [phi_ik - 1/2 sum_{j != k} phi_ij phi_jk] * MI(C,Vk)
     total = rel
@@ -186,7 +174,7 @@ def _qmifs(
     return total
 
 
-def first_feature(p: MIProvider) -> FeatureId:
+def first_feature(p: MITables) -> FeatureId:
     """Most class-informative feature; ties go to the earliest feature."""
     best: FeatureId | None = None
     best_val: XReal | None = None
@@ -201,7 +189,7 @@ def first_feature(p: MIProvider) -> FeatureId:
     return best
 
 
-def select_all(m: MethodSpec, p: MIProvider) -> SelectionTrace:
+def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     """Run the forward search to exhaustion or until nothing is admissible."""
     order = list(p.feature_order)
     selected: list[FeatureId] = []

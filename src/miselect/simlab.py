@@ -1,7 +1,7 @@
 """Replicated Monte Carlo experiments over the two evaluation scenarios.
 
-Each replicate draws a fresh sample, builds a histogram-estimate
-provider, runs every configured selection method on it, and scores
+Each replicate draws a fresh sample, builds its histogram-estimate
+tables, runs every configured selection method on it, and scores
 whether the first two selected features form a relevance-optimal pair.
 Replicate RNG streams are derived from (master seed, cell, replicate),
 so results do not depend on execution order.
@@ -140,9 +140,9 @@ def run_experiment(
                 )
                 try:
                     sample = generate_sample(spec, n, rng)
-                    provider = estimated_provider(sample)
+                    tables = estimated_provider(sample)
                     for m in config.methods:
-                        trace = select_all(m, provider)
+                        trace = select_all(m, tables)
                         if optimal_pair_hit(trace):
                             hits[m] += 1
                         if keep_traces:

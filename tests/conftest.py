@@ -1,43 +1,22 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from miselect.oracle import FEATURES, FeatureId, Scenario, ScenarioSpec, oracle_provider
-from miselect.xreal import POS_INF, XReal, finite
+from miselect.oracle import FEATURES, MITables, Scenario, ScenarioSpec, oracle_provider
+from miselect.xreal import POS_INF, finite
 
 
-class MapProvider:
-    """In-memory MIProvider for synthetic test scenarios."""
-
-    def __init__(self, entropies, class_mis, pairwise):
-        self.feature_order = FEATURES
-        self._h = dict(entropies)
-        self._c = dict(class_mis)
-        self._p = {frozenset(k): v for k, v in pairwise.items()}
-
-    def entropy(self, f: FeatureId) -> XReal:
-        return self._h[f]
-
-    def class_mi(self, f: FeatureId) -> XReal:
-        return self._c[f]
-
-    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal:
-        if i == j:
-            return POS_INF
-        return self._p[frozenset((i, j))]
-
-
-def random_provider(rng: np.random.Generator, inf_prob: float = 0.15) -> MapProvider:
-    entropies = {f: finite(rng.uniform(-2.0, 3.0)) for f in FEATURES}
-    class_mis = {f: finite(rng.uniform(0.0, 1.0)) for f in FEATURES}
-    pairwise = {}
-    for i in FEATURES:
-        for j in FEATURES:
-            if i < j:
-                if rng.random() < inf_prob:
-                    pairwise[(i, j)] = POS_INF
-                else:
-                    pairwise[(i, j)] = finite(rng.uniform(0.0, 1.2))
-    return MapProvider(entropies, class_mis, pairwise)
+def random_provider(rng: np.random.Generator, inf_prob: float = 0.15) -> MITables:
+    entropies = [finite(rng.uniform(-2.0, 3.0)) for _ in FEATURES]
+    class_mis = [finite(rng.uniform(0.0, 1.0)) for _ in FEATURES]
+    pairwise = {
+        (i, j): POS_INF if rng.random() < inf_prob else finite(rng.uniform(0.0, 1.2))
+        for i, j in combinations(FEATURES, 2)
+    }
+    return MITables(
+        entropies, class_mis, lambda i, j: POS_INF if i == j else pairwise[i, j]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -3,44 +3,33 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import random_provider
-from miselect import infotheory, xreal
-from miselect.infotheory import JointTable
-from miselect.oracle import (
-    FEATURES,
-    FeatureId,
-    Scenario,
-    ScenarioSpec,
-    mi_y2_xy_gaussian,
-    oracle_provider,
-    mi_class_squared_feature,
-)
+from miselect.oracle import FeatureId, Scenario, ScenarioSpec
 from miselect.estimation import (
     estimate_mi_class,
     estimate_mi_features,
 )
-from miselect.reference import (
-    CLASS_MI_TABLE,
-    ENTROPY_TABLE,
-    ORDERING_TABLE,
-    expected_positions,
-)
 from miselect.relevance import RelevanceClass, duplicated_features_example
 from miselect.selection import (
-    HaltReason,
     Method,
     MethodSpec,
     objective,
     select_all,
 )
 from miselect.simlab import ExperimentConfig, generate_sample, run_experiment
+from miselect.verify import (
+    check_discrete_identities,
+    check_ordering_tables,
+    check_oracle_tables,
+    check_pairwise_tables,
+    check_xreal_algebra,
+    check_zero_mi_of_square,
+)
 
 V = FeatureId
 SEED = 20250808
@@ -52,108 +41,31 @@ def report(num: int, failures: list, detail: str) -> None:
     assert not failures, f"criterion {num}: " + "; ".join(str(f) for f in failures)
 
 
-def test_criterion_1_oracle_value_reproduction():
+def report_check(num: int, check, seconds: float | None = None) -> None:
+    """Run one self-check of ``miselect verify``, within ``seconds`` if given."""
     start = time.perf_counter()
-    failures = []
-    worst = 0.0
-    for scenario, entries in ENTROPY_TABLE.items():
-        p = oracle_provider(ScenarioSpec(scenario, 0.2))
-        for f, want in entries.items():
-            dev = abs(p.entropy(f).value - want)
-            worst = max(worst, dev)
-            if dev > 1e-3:
-                failures.append(f"h({f.name}) {scenario.value}: off by {dev:.1e}")
-    for (scenario, k), entries in CLASS_MI_TABLE.items():
-        p = oracle_provider(ScenarioSpec(scenario, k))
-        for f, want in entries.items():
-            dev = abs(p.class_mi(f).value - want)
-            worst = max(worst, dev)
-            if dev > 1e-3:
-                failures.append(
-                    f"MI(C_{k},{f.name}) {scenario.value}: off by {dev:.1e}"
-                )
+    result = check()
     elapsed = time.perf_counter() - start
-    if elapsed >= 10.0:
-        failures.append(f"runtime {elapsed:.1f}s >= 10s")
-    report(1, failures, f"60 values, max deviation {worst:.1e}, {elapsed:.2f}s")
+    failures = [] if result.ok else [result.detail]
+    if seconds is not None and elapsed >= seconds:
+        failures.append(f"runtime {elapsed:.2f}s >= {seconds:g}s")
+    report(num, failures, f"{result.detail}, {elapsed:.2f}s")
 
 
-INF_PAIRS = {frozenset(p) for p in [
-    (V.V1, V.V2), (V.V1, V.V8), (V.V2, V.V8), (V.V3, V.V7), (V.V5, V.V6),
-]}
-HALF_PAIRS = {frozenset(p) for p in [
-    (V.V1, V.V4), (V.V2, V.V4), (V.V4, V.V7), (V.V5, V.V10), (V.V9, V.V10),
-]}
-SQUARE_PAIRS = {frozenset(p) for p in [(V.V3, V.V4), (V.V4, V.V8), (V.V6, V.V10)]}
+def test_criterion_1_oracle_value_reproduction():
+    report_check(1, check_oracle_tables, seconds=10.0)
 
 
 def test_criterion_2_pairwise_mi_tables():
-    failures = []
-    finite_value = {
-        Scenario.UNIFORM: {"half": 0.5, "square": (1 - math.log(2)) / 2},
-        Scenario.GAUSSIAN: {"half": math.log(2) / 2, "square": 0.1078},
-    }
-    for scenario in Scenario:
-        p = oracle_provider(ScenarioSpec(scenario, 0.2))
-        for i, j in itertools.combinations_with_replacement(FEATURES, 2):
-            v = p.pairwise_mi(i, j)
-            pair = frozenset((i, j))
-            if i == j or pair in INF_PAIRS:
-                if not (isinstance(v, xreal.XReal) and v.is_pos_inf):
-                    failures.append(f"{scenario.value} {i.name},{j.name}: want +inf")
-            elif pair in HALF_PAIRS:
-                if abs(v.value - finite_value[scenario]["half"]) > 2e-3:
-                    failures.append(f"{scenario.value} {i.name},{j.name}: {v}")
-            elif pair in SQUARE_PAIRS:
-                if abs(v.value - finite_value[scenario]["square"]) > 2e-3:
-                    failures.append(f"{scenario.value} {i.name},{j.name}: {v}")
-            elif v.value != 0.0:
-                failures.append(f"{scenario.value} {i.name},{j.name}: want exact 0")
-    dual = mi_y2_xy_gaussian()
-    if abs(dual - 0.1078) > 2e-3:
-        failures.append(f"independent route {dual:.4f} vs 0.1078")
-    report(2, failures, f"110 entries; independent square/diff route {dual:.4f}")
+    report_check(2, check_pairwise_tables)
 
 
 def test_criterion_3_ordering_reproduction():
-    start = time.perf_counter()
-    failures = []
-    rows = 0
-    for (scenario, k), methods in ORDERING_TABLE.items():
-        provider = oracle_provider(ScenarioSpec(scenario, k))
-        for mspec in methods:
-            want, excluded = expected_positions(scenario, k, mspec)
-            trace = select_all(mspec, provider)
-            label = f"{scenario.value} k={k} {mspec.label()}"
-            if len(trace.selected) != len(want):
-                failures.append(f"{label}: halt at {len(trace.selected)}")
-                continue
-            for pos, (got, expect) in enumerate(zip(trace.selected, want)):
-                if pos not in excluded and got != expect:
-                    failures.append(f"{label} step {pos + 1}: {got.name}")
-            want_halt = (
-                HaltReason.ALL_SELECTED if len(want) == 10
-                else HaltReason.NO_ADMISSIBLE_CANDIDATE
-            )
-            if trace.halt is not want_halt:
-                failures.append(f"{label}: halt reason {trace.halt}")
-            rows += 1
-    elapsed = time.perf_counter() - start
-    if elapsed >= 1.0:
-        failures.append(f"runtime {elapsed:.2f}s >= 1s")
-    report(3, failures, f"{rows} rows incl. halts and beta grid, {elapsed:.2f}s")
+    report_check(3, check_ordering_tables, seconds=1.0)
 
 
 def test_criterion_4_zero_mi_of_squared_driver():
-    failures = []
-    worst = 0.0
-    for k in (0.2, 0.8):
-        for base, delta in (("uniform", 0.5), ("uniform", 1.0), ("normal", 0.5)):
-            v = abs(mi_class_squared_feature(k, base, delta))
-            worst = max(worst, v)
-            if v >= 1e-3:
-                failures.append(f"k={k} {base}(delta={delta}): |MI|={v:.1e}")
-    report(4, failures, f"6 bases/slopes, max |MI| {worst:.1e}")
+    report_check(4, check_zero_mi_of_square)
 
 
 def test_criterion_5_estimator_accuracy():
@@ -246,56 +158,10 @@ def test_criterion_7_frequency_trend_with_sample_size():
     report(7, failures, detail)
 
 
-def _mi_direct(t: JointTable, x: int, y: int) -> float:
-    pxy = t.marginal((x, y))
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    mask = pxy > 0
-    return float(np.sum(pxy[mask] * np.log(pxy[mask] / (px * py)[mask])))
-
-
 def test_criterion_8_property_suites():
-    failures = []
-
-    # extended-real algebra laws
-    indets = [xreal.indeterminate(k) for k in xreal.IndetKind]
-    sample = [xreal.finite(v) for v in (-2.0, 0.0, 0.7)] + [
-        xreal.POS_INF, xreal.NEG_INF] + indets
-    for op in (xreal.xadd, xreal.xsub, xreal.xmul, xreal.xdiv):
-        for a, b in itertools.product(sample, repeat=2):
-            r = op(a, b)
-            if (a.is_indet or b.is_indet) and not r.is_indet:
-                failures.append(f"absorption: {op.__name__}({a},{b})={r}")
-            if op in (xreal.xadd, xreal.xmul):
-                r2 = op(b, a)
-                if r.is_indet != r2.is_indet or (
-                    not r.is_indet and xreal.compare(r, r2) != 0
-                ):
-                    failures.append(f"commutativity: {op.__name__}({a},{b})")
-    for v in sample:
-        if not v.is_indet and xreal.xneg(xreal.xneg(v)) != v:
-            failures.append(f"involution: {v}")
-
-    # discrete identities on 1000 random small tables at 1e-10
-    rng = np.random.default_rng(424242)
-    worst = 0.0
-    for _ in range(1000):
-        arities = rng.integers(2, 5, size=3)
-        probs = rng.random(arities.prod()).reshape(arities)
-        probs[rng.random(probs.shape) < 0.2] = 0.0
-        if probs.sum() == 0:
-            probs.flat[0] = 1.0
-        t = JointTable(probs / probs.sum())
-        dev = abs(_mi_direct(t, 0, 1) - infotheory.mi(t, (0,), (1,)))
-        forms = (
-            infotheory.tmi(t, (0,), (1,), (2,)),
-            infotheory.mi(t, (0,), (2,)) - infotheory.cond_mi(t, (0,), (2,), (1,)),
-            infotheory.mi(t, (1,), (2,)) - infotheory.cond_mi(t, (1,), (2,), (0,)),
-        )
-        dev = max(dev, max(forms) - min(forms))
-        worst = max(worst, dev)
-    if worst > 1e-10:
-        failures.append(f"identity deviation {worst:.1e} > 1e-10")
+    # extended-real algebra laws; discrete identities on 1000 random tables
+    checks = (check_xreal_algebra(), check_discrete_identities())
+    failures = [f"{r.name}: {r.detail}" for r in checks if not r.ok]
 
     # the duplication example, exactly
     ex = duplicated_features_example()
@@ -322,5 +188,5 @@ def test_criterion_8_property_suites():
                     if got != want:
                         failures.append(f"provider {i}: {f.name} objective differs")
             selected.append(step.winner)
-    report(8, failures, f"algebra, identities (max dev {worst:.1e}), "
+    report(8, failures, f"algebra, identities ({checks[1].detail}), "
                         "duplication example, mRMR/MIFS equivalence")

@@ -91,6 +91,7 @@ def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
     assert out1.strip().endswith("halt: all selected")
 
 
+@pytest.mark.filterwarnings("error")  # the error line is the only report
 @pytest.mark.parametrize("name, rows, col, value, message", [
     ("nan-cell", 6, 2, np.nan,
      "cannot read sample {path}: non-finite value nan in row 7, column v3"),
@@ -100,13 +101,18 @@ def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
      "sample {path}: need both class labels in the sample"),
     ("constant-column", slice(None), 4, 0.25,
      "sample {path}: column v5: all observations are equal"),
+    ("header-only", None, None, None,
+     "cannot read sample {path}: the sample has no observations"),
 ])
 def test_order_rejects_bad_sample_csv(tmp_path, capsys, name, rows, col, value,
                                       message):
     sample = generate_sample(ScenarioSpec(Scenario.UNIFORM, 0.2), 100,
                              np.random.default_rng(22))
     data = np.column_stack([sample.features, sample.labels])
-    data[rows, col] = value
+    if value is None:  # no rows at all, only the header
+        data = data[:0]
+    else:
+        data[rows, col] = value
     path = tmp_path / f"{name}.csv"
     np.savetxt(path, data, delimiter=",", comments="", fmt="%.17g",
                header="v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class")
@@ -229,5 +235,5 @@ def test_verify_passes(capsys):
     code, out = run(capsys, "verify")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
-    assert len(lines) == 7
+    assert len(lines) == 6
     assert all(l.startswith("PASS") for l in lines)

@@ -14,6 +14,7 @@ from miselect.infotheory import (
 )
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import grid_scenario_joint
+from miselect.verify import mi_direct, random_table
 from miselect.xreal import NEG_INF, POS_INF, IndetKind, finite
 
 LN2 = math.log(2.0)
@@ -27,24 +28,6 @@ def fair_bit_pair(correlated: bool) -> JointTable:
     if correlated:
         return table(2, 2, probs=[0.5, 0.0, 0.0, 0.5])
     return table(2, 2, probs=[0.25, 0.25, 0.25, 0.25])
-
-
-def mi_direct(t: JointTable, x: int, y: int) -> float:
-    """Defining double sum, as an independent oracle for the entropy route."""
-    pxy = t.marginal((x, y))
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    mask = pxy > 0
-    return float(np.sum(pxy[mask] * np.log(pxy[mask] / (px * py)[mask])))
-
-
-def random_table(rng, nvars=3, max_arity=4) -> JointTable:
-    arities = rng.integers(2, max_arity + 1, size=nvars)
-    probs = rng.random(arities.prod()).reshape(arities)
-    probs[rng.random(probs.shape) < 0.25] = 0.0
-    if probs.sum() == 0:
-        probs.flat[0] = 1.0
-    return JointTable(probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -2,25 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
+from conftest import random_provider
+from miselect.estimation import estimated_provider
 from miselect.oracle import (
     FEATURES,
     CLASS_INDEPENDENT,
     FeatureId,
     Scenario,
     ScenarioSpec,
-    SkewNormalParams,
     class_mi,
     entropy_of,
     feature_label,
     mi_y2_xy_gaussian,
     oracle_provider,
     pairwise_mi,
-    skewnormal_pdf,
-    skewnormal_sample,
     mi_class_squared_feature,
 )
+from miselect.simlab import generate_sample
 
 V = FeatureId
 LN2 = math.log(2.0)
@@ -121,25 +120,6 @@ def test_mi_y2_xy_gaussian():
     assert -1 + LN2 / 2 == pytest.approx(-0.6534, abs=5e-5)
 
 
-def test_skewnormal_pdf():
-    std = SkewNormalParams(0.0, 1.0, 0.0)
-    assert skewnormal_pdf(std, 0.0) == pytest.approx(0.3989, abs=5e-5)
-    p = SkewNormalParams(0.0, 1.0, 2.5)
-    mass, _ = quad(lambda t: skewnormal_pdf(p, t), -10, 10, epsabs=1e-10)
-    assert mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_skewnormal_sampler_mean():
-    p = SkewNormalParams(0.0, 1.0, 1.0)
-    rng = np.random.default_rng(12345)
-    draws = skewnormal_sample(p, rng, 1_000_000)
-    delta = 1.0 / math.sqrt(2.0)
-    want = delta * math.sqrt(2.0 / math.pi)
-    assert want == pytest.approx(0.5642, abs=5e-5)
-    se = draws.std() / math.sqrt(draws.size)
-    assert abs(draws.mean() - want) < 3 * se
-
-
 def test_squared_feature_zero_mi():
     assert abs(mi_class_squared_feature(0.2, "uniform", 0.5)) < 1e-3
     assert abs(mi_class_squared_feature(0.8, "uniform", 1.0)) < 1e-3
@@ -157,6 +137,15 @@ def test_provider_examples():
     assert oracle_provider(spec_ii()).entropy(V.V4).value == pytest.approx(
         1.7655, abs=5e-5
     )
+
+
+def test_pairwise_matrix_holds_one_object_per_pair():
+    sample = generate_sample(spec_i(), 200, np.random.default_rng(3))
+    for tables in (oracle_provider(spec_i()), oracle_provider(spec_ii()),
+                   estimated_provider(sample), random_provider(np.random.default_rng(4))):
+        for i in FEATURES:
+            for j in FEATURES:
+                assert tables.pairwise_mi(i, j) is tables.pairwise_mi(j, i)
 
 
 def test_spot_check_constants():

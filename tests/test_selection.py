@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MapProvider, random_provider
-from miselect.oracle import FEATURES, FeatureId, Scenario, ScenarioSpec, oracle_provider
+from conftest import random_provider
+from miselect.oracle import (
+    FEATURES,
+    FeatureId,
+    MITables,
+    Scenario,
+    ScenarioSpec,
+    oracle_provider,
+)
 from miselect.reference import ORDERING_TABLE, expected_positions
 from miselect.selection import (
     HaltReason,
@@ -52,10 +59,10 @@ def test_objective_examples(oracle_i_02, oracle_ii_02):
 def test_first_feature(oracle_i_02, oracle_ii_08):
     assert first_feature(oracle_i_02) is V.V1
     assert first_feature(oracle_ii_08) is V.V1
-    zero = MapProvider(
-        {f: finite(1.0) for f in FEATURES},
-        {f: finite(0.0) for f in FEATURES},
-        {(i, j): finite(0.0) for i in FEATURES for j in FEATURES if i < j},
+    zero = MITables(
+        [finite(1.0)] * len(FEATURES),
+        [finite(0.0)] * len(FEATURES),
+        lambda i, j: POS_INF if i == j else finite(0.0),
     )
     assert first_feature(zero) is V.V1
 
