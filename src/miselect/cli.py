@@ -20,6 +20,7 @@ import numpy as np
 from .estimation import Sample, estimated_provider
 from .oracle import (
     FEATURES,
+    MITables,
     Scenario,
     ScenarioSpec,
     feature_label,
@@ -56,15 +57,23 @@ def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
                    help="I (uniform drivers) or II (Gaussian drivers)")
     p.add_argument("--k", type=float, default=0.2, required=need_k,
                    help="class slope, in (0,1)")
-    p.add_argument("--delta", type=float, default=0.5, help="uniform half-width")
-    p.add_argument("--a", type=float, default=3.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--d", type=float, default=2.0)
+    p.add_argument("--delta", type=float, default=ScenarioSpec.delta,
+                   help="uniform half-width")
+    p.add_argument("--a", type=float, default=ScenarioSpec.a)
+    p.add_argument("--b", type=float, default=ScenarioSpec.b)
+    p.add_argument("--d", type=float, default=ScenarioSpec.d)
+
+
+def _oracle_tables(spec: ScenarioSpec) -> MITables:
+    try:
+        return oracle_provider(spec)
+    except ValueError as exc:  # a parameter the closed forms do not cover
+        raise CliError(exc)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    tables = oracle_provider(spec)
+    tables = _oracle_tables(spec)
     for f in FEATURES:
         h = tables.entropy(f).value
         m = tables.class_mi(f).value
@@ -73,12 +82,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    name, _, beta_txt = args.method.strip().partition(":")
-    beta = args.beta if args.beta is not None else (
-        float(beta_txt) if beta_txt else None
-    )
     try:
-        mspec = MethodSpec.parse(name if beta is None else f"{name}:{beta}")
+        mspec = MethodSpec.parse(args.method, args.beta)
     except ValueError as exc:
         raise CliError(exc)
     spec = _build_spec(args)
@@ -92,7 +97,7 @@ def cmd_order(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(f"sample {args.data}: {exc}")
     else:
-        tables = oracle_provider(spec)
+        tables = _oracle_tables(spec)
     trace = select_all(mspec, tables)
     labels = " ".join(feature_label(f, spec) for f in trace.selected)
     print(f"{labels} | halt: {trace.halt.value}")
@@ -166,10 +171,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                          (MethodSpec.parse("mifs:1"),)),
             replicates=pick(args.replicates, "replicates", int, 100),
             seed=pick(args.seed, "seed", int, DEFAULT_SEED),
-            delta=pick(args.delta, "delta", float, 0.5),
-            a=pick(args.a, "a", float, 3.0),
-            b=pick(args.b, "b", float, 1.0),
-            d=pick(args.d, "d", float, 2.0),
+            delta=pick(args.delta, "delta", float, ScenarioSpec.delta),
+            a=pick(args.a, "a", float, ScenarioSpec.a),
+            b=pick(args.b, "b", float, ScenarioSpec.b),
+            d=pick(args.d, "d", float, ScenarioSpec.d),
         )
     except ValueError as exc:
         raise CliError(exc)

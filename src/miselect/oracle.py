@@ -116,20 +116,17 @@ class ScenarioSpec:
             raise ValueError("affine coefficient a must be nonzero")
 
 
-def feature_label(f: FeatureId, spec: ScenarioSpec | None = None) -> str:
-    a = spec.a if spec is not None else 3.0
-    b = spec.b if spec is not None else 1.0
-    d = spec.d if spec is not None else 2.0
+def feature_label(f: FeatureId, spec: ScenarioSpec) -> str:
     labels = {
         FeatureId.V1: "X",
-        FeatureId.V2: f"{a:g}X+{b:g}",
+        FeatureId.V2: f"{spec.a:g}X+{spec.b:g}",
         FeatureId.V3: "Y2",
         FeatureId.V4: "X-Y",
         FeatureId.V5: "Z",
         FeatureId.V6: "Z2",
         FeatureId.V7: "Y",
         FeatureId.V8: "X2",
-        FeatureId.V9: f"W+{d:g}",
+        FeatureId.V9: f"W+{spec.d:g}",
         FeatureId.V10: "Z+W",
     }
     return labels[f]
@@ -203,7 +200,7 @@ def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
 # MI with the class
 # ---------------------------------------------------------------------------
 
-def _skew_pair_mi(alpha: float, tol: float = 1e-10) -> float:
+def _skew_pair_mi(alpha: float) -> float:
     """MI between C and a feature whose class conditionals are SN(0,1,+-alpha).
 
     Evaluates the mixed discrete-continuous MI integral with the exact
@@ -217,7 +214,8 @@ def _skew_pair_mi(alpha: float, tol: float = 1e-10) -> float:
 
     total = 0.0
     for a in (alpha, -alpha):
-        v, _ = quad(integrand, -8.0, 8.0, args=(a,), epsabs=tol, epsrel=tol, limit=200)
+        v, _ = quad(integrand, -8.0, 8.0, args=(a,), epsabs=1e-10, epsrel=1e-10,
+                    limit=200)
         total += 0.5 * v
     return total
 
@@ -234,7 +232,7 @@ def _norm_pdf(t: float) -> float:
 _GAUSSIAN_DIFF_CLASS_MI = {0.2: 0.0947, 0.8: 0.0032}
 
 
-def class_mi(spec: ScenarioSpec, f: FeatureId, tol: float = 1e-10) -> float:
+def class_mi(spec: ScenarioSpec, f: FeatureId) -> float:
     """MI between the class and one feature (always finite)."""
     if f in CLASS_INDEPENDENT:
         return 0.0
@@ -254,12 +252,12 @@ def class_mi(spec: ScenarioSpec, f: FeatureId, tol: float = 1e-10) -> float:
             + 2.0 * k * (math.log(1.0 - k * k) - 1.0)
         ) / (4.0 * k)
     if f in (FeatureId.V1, FeatureId.V2):
-        return _skew_pair_mi(1.0 / k, tol)
+        return _skew_pair_mi(1.0 / k)
     if f is FeatureId.V4:
         if k in _GAUSSIAN_DIFF_CLASS_MI:
             return _GAUSSIAN_DIFF_CLASS_MI[k]
-        return _skew_pair_mi((1.0 - k) / (1.0 + k), tol)
-    return _skew_pair_mi(k, tol)
+        return _skew_pair_mi((1.0 - k) / (1.0 + k))
+    return _skew_pair_mi(k)
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,22 @@ class MethodSpec:
             raise ValueError(f"{self.method.value} does not take beta")
 
     @classmethod
-    def parse(cls, text: str) -> "MethodSpec":
-        """Parse "mifs:0.4" or a bare method name."""
-        name, _, beta = text.strip().partition(":")
+    def parse(cls, text: str, beta: float | None = None) -> "MethodSpec":
+        """Parse "mifs:0.4" or a bare method name; ``beta`` may come apart."""
+        name, _, beta_text = text.strip().partition(":")
         try:
             method = Method(name.lower())
         except ValueError:
             valid = ", ".join(m.value for m in Method)
             raise ValueError(f"unknown method {name!r}; valid: {valid}") from None
-        return cls(method, float(beta) if beta else None)
+        if beta_text:
+            if beta is not None:
+                raise ValueError(f"beta given twice: in {text!r} and as {beta:g}")
+            try:
+                beta = float(beta_text)
+            except ValueError:
+                raise ValueError(f"beta must be a number, got {beta_text!r}") from None
+        return cls(method, beta)
 
     def label(self) -> str:
         if self.beta is not None:

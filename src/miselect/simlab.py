@@ -63,10 +63,10 @@ class ExperimentConfig:
     methods: tuple[MethodSpec, ...]
     replicates: int = 100
     seed: int = 0
-    delta: float = 0.5
-    a: float = 3.0
-    b: float = 1.0
-    d: float = 2.0
+    delta: float = ScenarioSpec.delta
+    a: float = ScenarioSpec.a
+    b: float = ScenarioSpec.b
+    d: float = ScenarioSpec.d
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -83,6 +83,8 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 50:
                 raise ValueError(f"sample size {n} below the supported minimum 50")
+        for k in self.k_values:
+            self.spec_for(k)  # raises on a bad slope, delta or a
 
     def spec_for(self, k: float) -> ScenarioSpec:
         return ScenarioSpec(self.scenario, k, self.delta, self.a, self.b, self.d)

@@ -6,13 +6,21 @@ continuous features routinely produce +inf (fully associated features),
 forms (0*inf, inf-inf, 0/0, inf/inf).  Floating-point NaN silently
 poisons comparisons, so indeterminates are first-class tagged values
 here: every operation is total, and an indeterminate operand absorbs.
+
+A value is one float plus a tag.  +inf and -inf are the IEEE
+infinities, so an operation on two determinate operands is one float
+operation: IEEE 754 infinity arithmetic gives the extended-real result
+and signals each indeterminate form as NaN, which becomes the tag of
+the operation's form.  A finite result that overflows is +inf or -inf.
+Only division by zero has a rule of its own (0/0, else the sign of the
+numerator).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from math import inf, isfinite, nan
 from typing import Iterable
 
 
@@ -25,13 +33,6 @@ class IndetKind(Enum):
     INF_OVER_INF = "inf/inf"
 
 
-class _Kind(Enum):
-    FINITE = 0
-    POS_INF = 1
-    NEG_INF = 2
-    INDET = 3
-
-
 class IndeterminateComparison(ValueError):
     """Raised when an indeterminate value reaches an order comparison."""
 
@@ -40,133 +41,113 @@ class IndeterminateComparison(ValueError):
 class XReal:
     """Extended-real value: finite, +inf, -inf, or a tagged indeterminate.
 
-    Construct through :func:`finite`, :func:`indeterminate` or the module
-    constants ``POS_INF`` / ``NEG_INF``; the raw constructor does not
-    validate.
+    ``value`` is a finite float or an IEEE infinity, and NaN exactly when
+    ``indet_kind`` names the indeterminate form.  Construct through
+    :func:`finite`, :func:`indeterminate` or the module constants
+    ``ZERO`` / ``POS_INF`` / ``NEG_INF``; the raw constructor does not
+    validate.  Operations return the infinities and the four
+    indeterminates as singletons, so ``==`` and ``is`` both hold for them.
     """
 
-    kind: _Kind
-    value: float = 0.0
+    value: float
     indet_kind: IndetKind | None = None
 
     @property
     def is_finite(self) -> bool:
-        return self.kind is _Kind.FINITE
+        return isfinite(self.value)
 
     @property
     def is_pos_inf(self) -> bool:
-        return self.kind is _Kind.POS_INF
+        return self.value == inf
 
     @property
     def is_neg_inf(self) -> bool:
-        return self.kind is _Kind.NEG_INF
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind is _Kind.POS_INF or self.kind is _Kind.NEG_INF
+        return self.value == -inf
 
     @property
     def is_indet(self) -> bool:
-        return self.kind is _Kind.INDET
+        return self.indet_kind is not None
 
     def __str__(self) -> str:
-        if self.is_finite:
+        if self.indet_kind is not None:
+            return f"indet({self.indet_kind.value})"
+        if isfinite(self.value):
             return format(self.value, "g")
-        if self.is_pos_inf:
-            return "+inf"
-        if self.is_neg_inf:
-            return "-inf"
-        assert self.indet_kind is not None
-        return f"indet({self.indet_kind.value})"
+        return "+inf" if self.value > 0.0 else "-inf"
 
     def __repr__(self) -> str:
         return f"XReal<{self}>"
 
 
-POS_INF = XReal(_Kind.POS_INF)
-NEG_INF = XReal(_Kind.NEG_INF)
+ZERO = XReal(0.0)
+POS_INF = XReal(inf)
+NEG_INF = XReal(-inf)
+_INDETS = {kind: XReal(nan, kind) for kind in IndetKind}
 
 
 def finite(value: float) -> XReal:
     """Wrap a host float; NaN and the float infinities are rejected."""
     value = float(value)
-    if math.isnan(value) or math.isinf(value):
+    if not isfinite(value):
         raise ValueError(f"not a finite real: {value!r}")
-    if value == 0.0:
-        value = 0.0  # collapse -0.0 so exact-zero tests and rendering agree
-    return XReal(_Kind.FINITE, value)
+    # collapse -0.0 so exact-zero tests and rendering agree
+    return XReal(value) if value else ZERO
 
 
 def indeterminate(kind: IndetKind) -> XReal:
-    return XReal(_Kind.INDET, indet_kind=kind)
+    return _INDETS[kind]
 
 
-ZERO = finite(0.0)
+def _wrap(x: float, form: IndetKind | None) -> XReal:
+    """Box one float result; NaN means the operation met ``form``."""
+    if isfinite(x):
+        return XReal(x) if x else ZERO  # collapse -0.0, as finite() does
+    if x != x:
+        return _INDETS[form]
+    return POS_INF if x > 0.0 else NEG_INF
 
 
 def xneg(a: XReal) -> XReal:
-    if a.is_indet:
+    if a.indet_kind is not None:
         return a
-    if a.is_pos_inf:
-        return NEG_INF
-    if a.is_neg_inf:
-        return POS_INF
-    return finite(-a.value)
+    return _wrap(-a.value, None)  # negation never meets a form
 
 
 def xadd(a: XReal, b: XReal) -> XReal:
-    if a.is_indet:
+    if a.indet_kind is not None:
         return a
-    if b.is_indet:
+    if b.indet_kind is not None:
         return b
-    if a.is_finite and b.is_finite:
-        return finite(a.value + b.value)
-    if a.is_finite:
-        return b
-    if b.is_finite:
-        return a
-    if a.kind is b.kind:
-        return a
-    return indeterminate(IndetKind.INF_MINUS_INF)
+    return _wrap(a.value + b.value, IndetKind.INF_MINUS_INF)
 
 
 def xsub(a: XReal, b: XReal) -> XReal:
-    return xadd(a, xneg(b))
+    if a.indet_kind is not None:
+        return a
+    if b.indet_kind is not None:
+        return b
+    return _wrap(a.value - b.value, IndetKind.INF_MINUS_INF)
 
 
 def xmul(a: XReal, b: XReal) -> XReal:
-    if a.is_indet:
+    if a.indet_kind is not None:
         return a
-    if b.is_indet:
+    if b.indet_kind is not None:
         return b
-    if a.is_finite and b.is_finite:
-        return finite(a.value * b.value)
-    if a.is_finite or b.is_finite:
-        fin, inf = (a, b) if a.is_finite else (b, a)
-        if fin.value == 0.0:
-            return indeterminate(IndetKind.ZERO_TIMES_INF)
-        return POS_INF if (fin.value > 0.0) == inf.is_pos_inf else NEG_INF
-    return POS_INF if a.kind is b.kind else NEG_INF
+    return _wrap(a.value * b.value, IndetKind.ZERO_TIMES_INF)
 
 
 def xdiv(a: XReal, b: XReal) -> XReal:
-    if a.is_indet:
+    if a.indet_kind is not None:
         return a
-    if b.is_indet:
+    if b.indet_kind is not None:
         return b
-    if b.is_finite and b.value == 0.0:
-        if a.is_finite and a.value == 0.0:
-            return indeterminate(IndetKind.ZERO_OVER_ZERO)
+    if b.value == 0.0:
+        if a.value == 0.0:
+            return _INDETS[IndetKind.ZERO_OVER_ZERO]
         # one-sided limit convention: sign of the numerator
-        return POS_INF if a.is_pos_inf or a.value > 0.0 else NEG_INF
-    if a.is_finite and b.is_finite:
-        return finite(a.value / b.value)
-    if b.is_infinite:
-        if a.is_infinite:
-            return indeterminate(IndetKind.INF_OVER_INF)
-        return ZERO
-    # a infinite, b finite nonzero
-    return POS_INF if a.is_pos_inf == (b.value > 0.0) else NEG_INF
+        return POS_INF if a.value > 0.0 else NEG_INF
+    return _wrap(a.value / b.value, IndetKind.INF_OVER_INF)
 
 
 def xsum(values: Iterable[XReal]) -> XReal:
@@ -184,26 +165,9 @@ def compare(a: XReal, b: XReal) -> int:
     error: callers must filter them out before ranking.
     """
     for v in (a, b):
-        if v.is_indet:
+        if v.indet_kind is not None:
             raise IndeterminateComparison(f"cannot order {v}")
-    ka = _order_class(a)
-    kb = _order_class(b)
-    if ka != kb:
-        return -1 if ka < kb else 1
-    if a.is_finite:
-        if a.value < b.value:
-            return -1
-        if a.value > b.value:
-            return 1
-    return 0
-
-
-def _order_class(v: XReal) -> int:
-    if v.is_neg_inf:
-        return 0
-    if v.is_finite:
-        return 1
-    return 2
+    return (a.value > b.value) - (a.value < b.value)
 
 
 def xmax(values: Iterable[XReal]) -> XReal:
@@ -220,7 +184,7 @@ def _extremum(values: Iterable[XReal], sign: int) -> XReal:
     best: XReal | None = None
     indet: XReal | None = None
     for v in values:
-        if v.is_indet:
+        if v.indet_kind is not None:
             indet = indet or v
             continue
         if best is None or sign * compare(v, best) > 0:

@@ -46,6 +46,25 @@ def test_oracle_rejects_endpoint_k(capsys):
     assert line == "error: class slope k must lie in (0,1), got 1.0"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--k", "1.5"), "class slope k must lie in (0,1), got 1.5"),
+    (("simulate", "--a", "0"), "affine coefficient a must be nonzero"),
+    (("simulate", "--delta", "-1"), "delta must be positive"),
+    (("order", "--method", "mifs:abc"), "beta must be a number, got 'abc'"),
+    (("order", "--method", "mifs:0.4", "--beta", "0.7"),
+     "beta given twice: in 'mifs:0.4' and as 0.7"),
+    (("oracle", "--k", "0.2", "--delta", "0.4"),
+     "uniform-scenario class MI is only tabulated for delta = 0.5"),
+    (("order", "--method", "mrmr", "--delta", "0.4"),
+     "uniform-scenario class MI is only tabulated for delta = 0.5"),
+])
+def test_bad_parameters_end_in_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                             message):
+    monkeypatch.chdir(tmp_path)  # simulate would write experiment.csv here
+    assert run_error(capsys, *argv) == "error: " + message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_order_nmifs(capsys):
     code, out = run(capsys, "order", "--scenario", "I", "--k", "0.2",
                     "--method", "nmifs")

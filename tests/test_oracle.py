@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
+from scipy.special import log_ndtr
 
 from conftest import random_provider
 from miselect.estimation import estimated_provider
@@ -77,10 +79,16 @@ def test_class_mi_rejects_off_reference_delta():
 
 
 def test_quadrature_stability():
-    for f in (V.V1, V.V7):
-        coarse = class_mi(spec_ii(0.3), f, tol=1e-6)
-        fine = class_mi(spec_ii(0.3), f, tol=5e-7)
-        assert abs(coarse - fine) < 1e-5
+    # the adaptive quadrature agrees with a dense trapezoid rule on the same
+    # integral: sum over the two classes of 1/2 * int f_c ln(f_c / phi)
+    t = np.linspace(-8.0, 8.0, 16_001)
+    phi = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    for f, alpha in ((V.V1, 1.0 / 0.3), (V.V7, 0.3)):
+        dense = 0.0
+        for a in (alpha, -alpha):
+            log_cdf = log_ndtr(a * t)
+            dense += 0.5 * trapezoid(2.0 * phi * np.exp(log_cdf) * (LN2 + log_cdf), t)
+        assert abs(class_mi(spec_ii(0.3), f) - dense) < 1e-9  # quad asks for 1e-10
 
 
 def test_affine_invariance_is_exact():

@@ -36,7 +36,12 @@ def test_method_spec_validation():
     with pytest.raises(ValueError, match="mifs, mifsu"):
         MethodSpec.parse("bogus")
     assert MethodSpec.parse("mifs:0.4") == MethodSpec(Method.MIFS, 0.4)
+    assert MethodSpec.parse("mifs", 0.4) == MethodSpec(Method.MIFS, 0.4)
     assert MethodSpec.parse("MRMR") == MethodSpec(Method.MRMR)
+    with pytest.raises(ValueError, match="beta must be a number, got 'abc'"):
+        MethodSpec.parse("mifs:abc")
+    with pytest.raises(ValueError, match="beta given twice"):
+        MethodSpec.parse("mifs:0.4", 0.7)
 
 
 def test_objective_examples(oracle_i_02, oracle_ii_02):

@@ -1,8 +1,12 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from miselect.xreal import (
     NEG_INF,
@@ -151,3 +155,202 @@ def test_finite_values_never_nan():
         for op in (xadd, xsub, xmul):
             r = op(a, b)
             assert r.is_finite and not math.isnan(r.value)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the case analysis xreal used while +inf and -inf were kinds of
+# their own, written against the public predicates.  The float arithmetic
+# must reproduce it, except that a finite result which overflows raises
+# here (finite() rejects inf) and is +inf or -inf in xreal.
+# ---------------------------------------------------------------------------
+
+def ref_xneg(a):
+    if a.is_indet:
+        return a
+    if a.is_pos_inf:
+        return NEG_INF
+    if a.is_neg_inf:
+        return POS_INF
+    return finite(-a.value)
+
+
+def ref_xadd(a, b):
+    if a.is_indet:
+        return a
+    if b.is_indet:
+        return b
+    if a.is_finite and b.is_finite:
+        return finite(a.value + b.value)
+    if a.is_finite:
+        return b
+    if b.is_finite:
+        return a
+    if a.is_pos_inf == b.is_pos_inf:
+        return a
+    return indeterminate(IndetKind.INF_MINUS_INF)
+
+
+def ref_xsub(a, b):
+    return ref_xadd(a, ref_xneg(b))
+
+
+def ref_xmul(a, b):
+    if a.is_indet:
+        return a
+    if b.is_indet:
+        return b
+    if a.is_finite and b.is_finite:
+        return finite(a.value * b.value)
+    if a.is_finite or b.is_finite:
+        fin, inf = (a, b) if a.is_finite else (b, a)
+        if fin.value == 0.0:
+            return indeterminate(IndetKind.ZERO_TIMES_INF)
+        return POS_INF if (fin.value > 0.0) == inf.is_pos_inf else NEG_INF
+    return POS_INF if a.is_pos_inf == b.is_pos_inf else NEG_INF
+
+
+def ref_xdiv(a, b):
+    if a.is_indet:
+        return a
+    if b.is_indet:
+        return b
+    if b.is_finite and b.value == 0.0:
+        if a.is_finite and a.value == 0.0:
+            return indeterminate(IndetKind.ZERO_OVER_ZERO)
+        # one-sided limit convention: sign of the numerator
+        return POS_INF if a.is_pos_inf or (a.is_finite and a.value > 0.0) else NEG_INF
+    if a.is_finite and b.is_finite:
+        return finite(a.value / b.value)
+    if not b.is_finite:
+        if not a.is_finite:
+            return indeterminate(IndetKind.INF_OVER_INF)
+        return ZERO
+    # a infinite, b finite nonzero
+    return POS_INF if a.is_pos_inf == (b.value > 0.0) else NEG_INF
+
+
+def ref_order_class(v):
+    if v.is_neg_inf:
+        return 0
+    if v.is_finite:
+        return 1
+    return 2
+
+
+def ref_compare(a, b):
+    for v in (a, b):
+        if v.is_indet:
+            raise IndeterminateComparison(f"cannot order {v}")
+    ka, kb = ref_order_class(a), ref_order_class(b)
+    if ka != kb:
+        return -1 if ka < kb else 1
+    if a.is_finite:
+        if a.value < b.value:
+            return -1
+        if a.value > b.value:
+            return 1
+    return 0
+
+
+def ref_extremum(values, sign):
+    best = None
+    indet = None
+    for v in values:
+        if v.is_indet:
+            indet = indet or v
+            continue
+        if best is None or sign * ref_compare(v, best) > 0:
+            best = v
+    if indet is not None:
+        return indet
+    if best is None:
+        raise ValueError("extremum of an empty sequence")
+    return best
+
+
+SINGLETONS = [POS_INF, NEG_INF] + ALL_INDETS
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1.5,
+               1.7976931348623157e308, -1.7976931348623157e308]
+XREALS = st.one_of(
+    st.sampled_from(SINGLETONS),
+    st.sampled_from(EDGE_FLOATS).map(finite),
+    st.floats(allow_nan=False, allow_infinity=False).map(finite),  # subnormals too
+)
+BINARY = [(xadd, ref_xadd, operator.add), (xsub, ref_xsub, operator.sub),
+          (xmul, ref_xmul, operator.mul), (xdiv, ref_xdiv, operator.truediv)]
+
+
+def assert_same(got, want):
+    assert got == want
+    assert got.indet_kind is want.indet_kind
+    if want.is_indet or not want.is_finite:
+        assert got is want  # the infinities and indeterminates are singletons
+    assert str(got) == str(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(XREALS, XREALS)
+@example(finite(1.7976931348623157e308), finite(1.7976931348623157e308))
+@example(finite(-0.0), finite(0.0))
+def test_operations_equal_the_case_analysis(a, b):
+    assert_same(xneg(a), ref_xneg(a))
+    for op, ref, host in BINARY:
+        got = op(a, b)
+        try:
+            want = ref(a, b)
+        except ValueError:  # a finite result overflowed: xreal gives +-inf
+            raw = host(a.value, b.value)
+            assert math.isinf(raw)
+            assert got is (POS_INF if raw > 0.0 else NEG_INF)
+            continue
+        assert_same(got, want)
+    try:
+        want_order = ref_compare(a, b)
+    except IndeterminateComparison:
+        with pytest.raises(IndeterminateComparison):
+            compare(a, b)
+    else:
+        assert compare(a, b) == want_order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(XREALS, min_size=1, max_size=6))
+def test_extrema_equal_the_case_analysis(values):
+    assert xmax(values) is ref_extremum(values, 1)
+    assert xmin(values) is ref_extremum(values, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(XREALS, XREALS)
+def test_add_and_mul_commute_unless_both_operands_are_indeterminate(a, b):
+    for op in (xadd, xmul):
+        if a.is_indet and b.is_indet:
+            assert op(a, b) is a and op(b, a) is b
+        else:
+            assert_same(op(a, b), op(b, a))
+
+
+@given(st.sampled_from(ALL_INDETS), st.sampled_from(ALL_INDETS))
+def test_first_indeterminate_operand_wins(a, b):
+    for op in (xadd, xsub, xmul, xdiv):
+        assert op(a, b) is a
+    assert xsum([finite(1.0), a, POS_INF, b]) is a
+    assert xmax([finite(1.0), a, b]) is a
+    assert xmin([b, NEG_INF, a]) is b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(XREALS, max_size=8))
+def test_sum_is_the_left_fold_of_add(values):
+    assert_same(xsum(values), functools.reduce(xadd, values, ZERO))
+
+
+def test_finite_overflow_gives_an_infinity():
+    big = finite(1.7976931348623157e308)
+    assert xadd(big, big) is POS_INF
+    assert xsub(xneg(big), big) is NEG_INF
+    assert xmul(big, finite(-2.0)) is NEG_INF
+    assert xdiv(big, finite(0.5)) is POS_INF
+    assert xdiv(finite(-1e300), finite(1e-300)) is NEG_INF
+    # and the infinity then follows the extended-real rules
+    assert xsub(xadd(big, big), POS_INF).indet_kind is IndetKind.INF_MINUS_INF
