@@ -67,8 +67,8 @@ def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
 def _oracle_tables(spec: ScenarioSpec) -> MITables:
     try:
         return oracle_provider(spec)
-    except ValueError as exc:  # a parameter the closed forms do not cover
-        raise CliError(exc)
+    except (ValueError, OverflowError) as exc:  # e.g. a delta whose entropies overflow
+        raise CliError(f"the oracle does not cover these parameters: {exc}")
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -156,11 +156,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(exc)
     def pick(flag, key, parse, default):
-        if flag is not None:
-            return flag
-        if key in raw:
-            return parse(raw[key])
-        return default
+        text = flag if flag is not None else raw.get(key)
+        if text is None:
+            return default
+        try:
+            return parse(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise CliError(f"{key}: {exc}")
 
     try:
         config = ExperimentConfig(
@@ -283,19 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--traces", default=None,
                    help="also dump every per-replicate ordering as JSON")
-    p.add_argument("--scenario", dest="scenario_opt", type=_scenario, default=None)
-    p.add_argument("--k", dest="k_values", type=_floats, default=None,
+    # plain text, parsed in cmd_simulate like the config file's values
+    p.add_argument("--scenario", dest="scenario_opt", default=None)
+    p.add_argument("--k", dest="k_values", default=None,
                    help="comma-separated class slopes")
-    p.add_argument("--n", dest="n_values", type=_ints, default=None,
+    p.add_argument("--n", dest="n_values", default=None,
                    help="comma-separated sample sizes")
-    p.add_argument("--methods", type=_methods_arg, default=None,
+    p.add_argument("--methods", default=None,
                    help="comma-separated, e.g. mifs:1,mrmr,maxmifs")
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
+    p.add_argument("--replicates", default=None)
+    p.add_argument("--seed", default=None)
+    p.add_argument("--delta", default=None)
+    p.add_argument("--a", default=None)
+    p.add_argument("--b", default=None)
+    p.add_argument("--d", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("relevance", help="relevance analysis of a labeled joint")
@@ -305,13 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suite")
     p.set_defaults(func=cmd_verify)
     return parser
-
-
-def _methods_arg(text: str) -> tuple[MethodSpec, ...]:
-    try:
-        return _methods(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

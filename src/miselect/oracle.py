@@ -16,8 +16,6 @@ from enum import Enum, IntEnum
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
 
 from .xreal import POS_INF, XReal, finite
 
@@ -207,6 +205,10 @@ def _skew_pair_mi(alpha: float) -> float:
     standard-normal marginal; the integrand is written through the
     normal log-CDF so it underflows to zero instead of NaN in the tails.
     """
+    # imported here: scipy takes longer to import than the rest of the package,
+    # and only the Gaussian oracle and the zero-MI check use it
+    from scipy.integrate import quad
+    from scipy.special import log_ndtr
 
     def integrand(t: float, a: float) -> float:
         lc = log_ndtr(a * t)
@@ -238,10 +240,8 @@ def class_mi(spec: ScenarioSpec, f: FeatureId) -> float:
         return 0.0
     k = spec.k
     if spec.scenario is Scenario.UNIFORM:
-        if spec.delta != 0.5:
-            raise ValueError(
-                "uniform-scenario class MI is only tabulated for delta = 0.5"
-            )
+        # scaling every driver by one factor leaves C = 1{X + kY >= 0} as it is
+        # and maps each feature invertibly, so no class MI depends on delta
         if f in (FeatureId.V1, FeatureId.V2):
             return LN2 - k / 2.0
         if f is FeatureId.V4:
@@ -330,6 +330,9 @@ def mi_class_squared_feature(
     result is genuine numerical evidence.  ``base`` is "uniform" (with
     half-width ``delta``) or "normal".
     """
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
     if not 0.0 < k < 1.0:
         raise ValueError(f"class slope k must lie in (0,1), got {k}")
     if base == "uniform":

@@ -5,28 +5,40 @@ whose objective is indeterminate is inadmissible for that step only;
 -inf objectives remain admissible (fully redundant features are picked
 last, not skipped).  Selection halts when no admissible candidate is
 left, which reproduces the truncated reference orderings.
+
+Each criterion is relevance minus an aggregate of a per-pair term
+t(i, s) over the selected set S, as in Brown et al. (JMLR 2012):
+
+* MIFS and MIFS-U: rel_i - beta * sum_s t;  mRMR and NMIFS: rel_i - mean_s t;
+* maxMIFS and mMIFS-U: rel_i - max_s t;  MICC: rel_i / mean_s t - rel_i;
+
+with t = I_is (MIFS, mRMR, maxMIFS), (I_cs / h_s) * I_is (MIFS-U,
+mMIFS-U) and NI_is = I_is / min(h_i, h_s) (NMIFS, MICC).  QMIFS is
+rel_i - sum_k [phi_ik - 1/2 sum_{j in S, j != k} phi_ij phi_jk] * I_ck with
+phi_lm = I_lm / h_m.
+
+The search reads the tables once and keeps, for every remaining
+candidate, the running aggregate as a float pair (``xreal.XPair``),
+extended with the new pick's term once per step: a step costs O(d) for
+d features (O(d * |S|) for QMIFS, which keeps one inner sum per candidate
+and selected k and refolds the outer sum).  The sums are left folds from
+0.0 in selection order and the pair operations are the XReal rules, so
+every objective is the same IEEE result, indeterminate kind included,
+as evaluating the formula above from scratch in XReal arithmetic; each
+step's objectives are boxed into XReal values for the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from math import inf
+from typing import Mapping
 
-from .infotheory import normalized_mi
 from .oracle import FeatureId, MITables
-from .xreal import (
-    XReal,
-    compare,
-    finite,
-    xdiv,
-    xmax,
-    xmul,
-    xsub,
-    xsum,
-)
+from .xreal import XPair, XReal, box, fadd, fdiv, fmax, fmin, fmul, fsub, unbox
 
-HALF = finite(0.5)
+HALF: XPair = (0.5, None)
 
 
 class Method(Enum):
@@ -41,6 +53,7 @@ class Method(Enum):
 
 
 _BETA_METHODS = {Method.MIFS, Method.MIFS_U}
+_MAX_METHODS = {Method.MAX_MIFS, Method.MMIFS_U}
 
 
 @dataclass(frozen=True)
@@ -107,124 +120,122 @@ class SelectionTrace:
     halt: HaltReason = HaltReason.ALL_SELECTED
 
 
-def objective(
-    m: MethodSpec, candidate: FeatureId, selected: Sequence[FeatureId], p: MITables
-) -> XReal:
-    """Objective value of one candidate given the already selected set."""
-    rel = p.class_mi(candidate)
-    if not selected:
-        return rel
-    method = m.method
+class _RunningAggregate:
+    """Every criterion but QMIFS: one sum or max of t(i, s) per candidate."""
 
-    if method is Method.MIFS:
-        redundancy = xmul(finite(m.beta), _mi_sum(candidate, selected, p))
-    elif method is Method.MRMR:
-        redundancy = xmul(
-            finite(1.0 / len(selected)), _mi_sum(candidate, selected, p)
-        )
-    elif method is Method.MAX_MIFS:
-        redundancy = xmax(p.pairwise_mi(candidate, s) for s in selected)
-    elif method is Method.MIFS_U:
-        redundancy = xmul(
-            finite(m.beta),
-            xsum(_class_ratio_term(candidate, s, p) for s in selected),
-        )
-    elif method is Method.MMIFS_U:
-        redundancy = xmax(_class_ratio_term(candidate, s, p) for s in selected)
-    elif method is Method.NMIFS:
-        redundancy = xmul(
-            finite(1.0 / len(selected)),
-            xsum(_ni(candidate, s, p) for s in selected),
-        )
-    elif method is Method.MICC:
-        mean_ni = xmul(
-            finite(1.0 / len(selected)),
-            xsum(_ni(candidate, s, p) for s in selected),
-        )
-        return xsub(xdiv(rel, mean_ni), rel)
-    elif method is Method.QMIFS:
-        return _qmifs(rel, candidate, selected, p)
-    else:  # pragma: no cover
-        raise AssertionError(method)
-    return xsub(rel, redundancy)
+    def __init__(
+        self, m: MethodSpec, rel: list[XPair], h: list[XPair], mi: list[list[XPair]]
+    ):
+        method = m.method
+        self.method = method
+        self.beta: XPair | None = None if m.beta is None else (float(m.beta), None)
+        self.rel = rel
+        if method in (Method.MIFS, Method.MRMR, Method.MAX_MIFS):
+            self.term = lambda i, s: mi[i][s]
+        elif method in (Method.MIFS_U, Method.MMIFS_U):
+            ratio = [fdiv(c, e) for c, e in zip(rel, h)]  # where 0/0 and x/0 arise
+            self.term = lambda i, s: fmul(ratio[s], mi[i][s])
+        else:  # NMIFS, MICC: the normalised MI
+            self.term = lambda i, s: fdiv(mi[i][s], fmin(h[i], h[s]))
+        if method in _MAX_METHODS:
+            self.fold, start = fmax, (-inf, None)
+        else:
+            self.fold, start = fadd, (0.0, None)
+        self.aggregate: list[XPair] = [start] * len(rel)
+
+    def step(self, picked: list[int], remaining: list[int]) -> dict[int, XPair]:
+        s = picked[-1]
+        weight = self.beta if self.beta is not None else (1.0 / len(picked), None)
+        out = {}
+        for i in remaining:
+            agg = self.aggregate[i] = self.fold(self.aggregate[i], self.term(i, s))
+            rel = self.rel[i]
+            if self.method is Method.MICC:
+                out[i] = fsub(fdiv(rel, fmul(weight, agg)), rel)
+            elif self.method in _MAX_METHODS:
+                out[i] = fsub(rel, agg)
+            else:
+                out[i] = fsub(rel, fmul(weight, agg))
+        return out
 
 
-def _mi_sum(i: FeatureId, selected: Sequence[FeatureId], p: MITables) -> XReal:
-    return xsum(p.pairwise_mi(i, s) for s in selected)
+class _QMIFS:
+    """QMIFS: one inner pair sum per (candidate, selected k), the outer sum refolded."""
+
+    def __init__(self, rel: list[XPair], h: list[XPair], mi: list[list[XPair]]):
+        d = len(rel)
+        self.rel = rel
+        self.phi = [[fdiv(mi[l][k], h[k]) for k in range(d)] for l in range(d)]
+        # inner[i][k] = sum over j in S, j != k, in selection order, of phi_ij phi_jk
+        self.inner: list[list[XPair]] = [[(0.0, None)] * d for _ in range(d)]
+
+    def step(self, picked: list[int], remaining: list[int]) -> dict[int, XPair]:
+        s, earlier = picked[-1], picked[:-1]
+        phi, rel = self.phi, self.rel
+        out = {}
+        for i in remaining:
+            inner, phi_i = self.inner[i], phi[i]
+            for k in earlier:
+                inner[k] = fadd(inner[k], fmul(phi_i[s], phi[s][k]))
+            for j in earlier:
+                inner[s] = fadd(inner[s], fmul(phi_i[j], phi[j][s]))
+            total = rel[i]
+            for k in picked:
+                bracket = fsub(phi_i[k], fmul(HALF, inner[k]))
+                total = fsub(total, fmul(bracket, rel[k]))
+            out[i] = total
+        return out
 
 
-def _class_ratio_term(i: FeatureId, s: FeatureId, p: MITables) -> XReal:
-    # MI(C,Vs)/h(Vs) * MI(Vi,Vs); the quotient is where 0/0 and inf/0 arise
-    ratio = xdiv(p.class_mi(s), p.entropy(s))
-    return xmul(ratio, p.pairwise_mi(i, s))
+def _best(values, positions) -> int | None:
+    """Position of the largest determinate value; the earliest wins a tie."""
+    best, best_x = None, 0.0
+    for a in positions:
+        x, kind = values[a]
+        if kind is None and (best is None or x > best_x):
+            best, best_x = a, x
+    return best
 
 
-def _ni(i: FeatureId, s: FeatureId, p: MITables) -> XReal:
-    return normalized_mi(p.pairwise_mi(i, s), p.entropy(i), p.entropy(s))
-
-
-def _phi(l: FeatureId, m_: FeatureId, p: MITables) -> XReal:
-    return xdiv(p.pairwise_mi(l, m_), p.entropy(m_))
-
-
-def _qmifs(
-    rel: XReal, i: FeatureId, selected: Sequence[FeatureId], p: MITables
-) -> XReal:
-    # rel - sum_k [phi_ik - 1/2 sum_{j != k} phi_ij phi_jk] * MI(C,Vk)
-    total = rel
-    for k in selected:
-        pair_term = xsum(
-            xmul(_phi(i, j, p), _phi(j, k, p)) for j in selected if j != k
-        )
-        bracket = xsub(_phi(i, k, p), xmul(HALF, pair_term))
-        total = xsub(total, xmul(bracket, p.class_mi(k)))
-    return total
+def _first(rel: list[XPair]) -> int:
+    first = _best(rel, range(len(rel)))
+    if first is None:
+        raise ValueError("every class MI is indeterminate")
+    return first
 
 
 def first_feature(p: MITables) -> FeatureId:
     """Most class-informative feature; ties go to the earliest feature."""
-    best: FeatureId | None = None
-    best_val: XReal | None = None
-    for f in p.feature_order:
-        v = p.class_mi(f)
-        if v.is_indet:
-            continue
-        if best_val is None or compare(v, best_val) > 0:
-            best, best_val = f, v
-    if best is None:
-        raise ValueError("every class MI is indeterminate")
-    return best
+    return p.feature_order[_first([unbox(p.class_mi(f)) for f in p.feature_order])]
 
 
 def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     """Run the forward search to exhaustion or until nothing is admissible."""
-    order = list(p.feature_order)
-    selected: list[FeatureId] = []
-    steps: list[SelectionStep] = []
+    order = p.feature_order
+    relevance = [p.class_mi(f) for f in order]
+    rel = [unbox(v) for v in relevance]
+    h = [unbox(p.entropy(f)) for f in order]
+    mi = [[unbox(p.pairwise_mi(i, j)) for j in order] for i in order]
+    if m.method is Method.QMIFS:
+        engine = _QMIFS(rel, h, mi)
+    else:
+        engine = _RunningAggregate(m, rel, h, mi)
 
-    first = first_feature(p)
-    steps.append(SelectionStep(first, {f: p.class_mi(f) for f in order}))
-    selected.append(first)
-
+    picked = [_first(rel)]
+    steps = [SelectionStep(order[picked[0]], dict(zip(order, relevance)))]
+    remaining = [a for a in range(len(order)) if a != picked[0]]
     halt = HaltReason.ALL_SELECTED
-    while len(selected) < len(order):
-        objectives = {
-            f: objective(m, f, selected, p) for f in order if f not in selected
-        }
-        winner: FeatureId | None = None
-        winner_val: XReal | None = None
-        for f in order:
-            v = objectives.get(f)
-            if v is None or v.is_indet:
-                continue
-            if winner_val is None or compare(v, winner_val) > 0:
-                winner, winner_val = f, v
+    while remaining:
+        values = engine.step(picked, remaining)
+        winner = _best(values, remaining)
+        objectives = {order[a]: box(values[a]) for a in remaining}
         if winner is None:
             # keep the all-inadmissible evaluation: it shows which
             # indeterminate form blocked each remaining candidate
             steps.append(SelectionStep(None, objectives))
             halt = HaltReason.NO_ADMISSIBLE_CANDIDATE
             break
-        steps.append(SelectionStep(winner, objectives))
-        selected.append(winner)
-    return SelectionTrace(m, tuple(selected), tuple(steps), halt)
+        steps.append(SelectionStep(order[winner], objectives))
+        picked.append(winner)
+        remaining.remove(winner)
+    return SelectionTrace(m, tuple(order[a] for a in picked), tuple(steps), halt)

@@ -13,7 +13,9 @@ operation: IEEE 754 infinity arithmetic gives the extended-real result
 and signals each indeterminate form as NaN, which becomes the tag of
 the operation's form.  A finite result that overflows is +inf or -inf.
 Only division by zero has a rule of its own (0/0, else the sign of the
-numerator).
+numerator).  The rules are written once, on (value, kind) float pairs;
+the XReal operations box their results, and code that folds many values
+(the selection engine) runs on the pairs and boxes only what it reports.
 """
 
 from __future__ import annotations
@@ -98,64 +100,123 @@ def indeterminate(kind: IndetKind) -> XReal:
     return _INDETS[kind]
 
 
-def _wrap(x: float, form: IndetKind | None) -> XReal:
-    """Box one float result; NaN means the operation met ``form``."""
+# ---------------------------------------------------------------------------
+# Float-level form: an extended real as a (value, kind) pair
+#
+# The rules live here once.  ``value`` is a float and ``kind`` is None, or
+# ``value`` is NaN and ``kind`` names the indeterminate form.  The pair
+# operations neither collapse -0.0 nor allocate an XReal, so a running fold
+# stays a plain float.  The sign of a zero changes nothing but the sign of a
+# zero result (x/0 takes the sign of x, not of the zero), so boxing once at
+# the end of a fold gives the same XReal as boxing every step.
+# ---------------------------------------------------------------------------
+
+XPair = tuple[float, IndetKind | None]
+
+
+def unbox(a: XReal) -> XPair:
+    return (a.value, a.indet_kind)
+
+
+def box(p: XPair) -> XReal:
+    """The XReal of a pair; -0.0 collapses, ±inf and indeterminates are singletons."""
+    x, kind = p
+    if kind is not None:
+        return _INDETS[kind]
     if isfinite(x):
-        return XReal(x) if x else ZERO  # collapse -0.0, as finite() does
-    if x != x:
-        return _INDETS[form]
+        return XReal(x) if x else ZERO
     return POS_INF if x > 0.0 else NEG_INF
 
 
-def xneg(a: XReal) -> XReal:
-    if a.indet_kind is not None:
+def fadd(a: XPair, b: XPair) -> XPair:
+    if a[1] is not None:
         return a
-    return _wrap(-a.value, None)  # negation never meets a form
+    if b[1] is not None:
+        return b
+    x = a[0] + b[0]
+    return (x, None) if x == x else (x, IndetKind.INF_MINUS_INF)
+
+
+def fsub(a: XPair, b: XPair) -> XPair:
+    if a[1] is not None:
+        return a
+    if b[1] is not None:
+        return b
+    x = a[0] - b[0]
+    return (x, None) if x == x else (x, IndetKind.INF_MINUS_INF)
+
+
+def fmul(a: XPair, b: XPair) -> XPair:
+    if a[1] is not None:
+        return a
+    if b[1] is not None:
+        return b
+    x = a[0] * b[0]
+    return (x, None) if x == x else (x, IndetKind.ZERO_TIMES_INF)
+
+
+def fdiv(a: XPair, b: XPair) -> XPair:
+    if a[1] is not None:
+        return a
+    if b[1] is not None:
+        return b
+    if b[0] == 0.0:
+        if a[0] == 0.0:
+            return (nan, IndetKind.ZERO_OVER_ZERO)
+        # one-sided limit convention: sign of the numerator
+        return (inf, None) if a[0] > 0.0 else (-inf, None)
+    x = a[0] / b[0]
+    return (x, None) if x == x else (x, IndetKind.INF_OVER_INF)
+
+
+def fmax(a: XPair, b: XPair) -> XPair:
+    """The larger operand, ``a`` on a tie; the first indeterminate operand absorbs."""
+    if a[1] is not None:
+        return a
+    if b[1] is not None:
+        return b
+    return b if b[0] > a[0] else a
+
+
+def fmin(a: XPair, b: XPair) -> XPair:
+    """The smaller operand, ``a`` on a tie; the first indeterminate operand absorbs."""
+    if a[1] is not None:
+        return a
+    if b[1] is not None:
+        return b
+    return b if b[0] < a[0] else a
+
+
+# ---------------------------------------------------------------------------
+# XReal operations: the pair operations, boxed
+# ---------------------------------------------------------------------------
+
+def xneg(a: XReal) -> XReal:
+    return xsub(ZERO, a)  # 0 - x is -x up to the sign of a zero, which box collapses
 
 
 def xadd(a: XReal, b: XReal) -> XReal:
-    if a.indet_kind is not None:
-        return a
-    if b.indet_kind is not None:
-        return b
-    return _wrap(a.value + b.value, IndetKind.INF_MINUS_INF)
+    return box(fadd(unbox(a), unbox(b)))
 
 
 def xsub(a: XReal, b: XReal) -> XReal:
-    if a.indet_kind is not None:
-        return a
-    if b.indet_kind is not None:
-        return b
-    return _wrap(a.value - b.value, IndetKind.INF_MINUS_INF)
+    return box(fsub(unbox(a), unbox(b)))
 
 
 def xmul(a: XReal, b: XReal) -> XReal:
-    if a.indet_kind is not None:
-        return a
-    if b.indet_kind is not None:
-        return b
-    return _wrap(a.value * b.value, IndetKind.ZERO_TIMES_INF)
+    return box(fmul(unbox(a), unbox(b)))
 
 
 def xdiv(a: XReal, b: XReal) -> XReal:
-    if a.indet_kind is not None:
-        return a
-    if b.indet_kind is not None:
-        return b
-    if b.value == 0.0:
-        if a.value == 0.0:
-            return _INDETS[IndetKind.ZERO_OVER_ZERO]
-        # one-sided limit convention: sign of the numerator
-        return POS_INF if a.value > 0.0 else NEG_INF
-    return _wrap(a.value / b.value, IndetKind.INF_OVER_INF)
+    return box(fdiv(unbox(a), unbox(b)))
 
 
 def xsum(values: Iterable[XReal]) -> XReal:
-    """Left fold of :func:`xadd`; the empty sum is finite zero."""
-    total = ZERO
+    """Left fold of :func:`fadd` from 0.0; the empty sum is finite zero."""
+    total: XPair = (0.0, None)
     for v in values:
-        total = xadd(total, v)
-    return total
+        total = fadd(total, unbox(v))
+    return box(total)
 
 
 def compare(a: XReal, b: XReal) -> int:
@@ -172,25 +233,22 @@ def compare(a: XReal, b: XReal) -> int:
 
 def xmax(values: Iterable[XReal]) -> XReal:
     """Maximum under the extended order; an indeterminate operand absorbs."""
-    return _extremum(values, 1)
+    return _extremum(values, fmax)
 
 
 def xmin(values: Iterable[XReal]) -> XReal:
     """Minimum under the extended order; an indeterminate operand absorbs."""
-    return _extremum(values, -1)
+    return _extremum(values, fmin)
 
 
-def _extremum(values: Iterable[XReal], sign: int) -> XReal:
+def _extremum(values: Iterable[XReal], pick) -> XReal:
+    """The element a left fold of ``pick`` keeps: the element itself, not a copy."""
     best: XReal | None = None
-    indet: XReal | None = None
+    best_pair: XPair = (nan, None)
     for v in values:
-        if v.indet_kind is not None:
-            indet = indet or v
-            continue
-        if best is None or sign * compare(v, best) > 0:
-            best = v
-    if indet is not None:
-        return indet
+        pair = unbox(v)
+        if best is None or pick(best_pair, pair) is pair:
+            best, best_pair = v, pair
     if best is None:
         raise ValueError("extremum of an empty sequence")
     return best

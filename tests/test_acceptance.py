@@ -9,18 +9,14 @@ import time
 import numpy as np
 
 from conftest import random_provider
+from selection_reference import objective
 from miselect.oracle import FeatureId, Scenario, ScenarioSpec
 from miselect.estimation import (
     estimate_mi_class,
     estimate_mi_features,
 )
 from miselect.relevance import RelevanceClass, duplicated_features_example
-from miselect.selection import (
-    Method,
-    MethodSpec,
-    objective,
-    select_all,
-)
+from miselect.selection import Method, MethodSpec, select_all
 from miselect.simlab import ExperimentConfig, generate_sample, run_experiment
 from miselect.verify import (
     check_discrete_identities,

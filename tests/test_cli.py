@@ -53,16 +53,38 @@ def test_oracle_rejects_endpoint_k(capsys):
     (("order", "--method", "mifs:abc"), "beta must be a number, got 'abc'"),
     (("order", "--method", "mifs:0.4", "--beta", "0.7"),
      "beta given twice: in 'mifs:0.4' and as 0.7"),
-    (("oracle", "--k", "0.2", "--delta", "0.4"),
-     "uniform-scenario class MI is only tabulated for delta = 0.5"),
-    (("order", "--method", "mrmr", "--delta", "0.4"),
-     "uniform-scenario class MI is only tabulated for delta = 0.5"),
+    (("simulate", "--k", "0.2,abc"), "k: could not convert string to float: 'abc'"),
+    (("simulate", "--n", "50,x"), "n: invalid literal for int() with base 10: 'x'"),
+    (("simulate", "--methods", "mifs:abc"), "methods: beta must be a number, got 'abc'"),
+    (("oracle", "--k", "0.2", "--delta", "1e-200"),
+     "the oracle does not cover these parameters: math domain error"),
 ])
 def test_bad_parameters_end_in_one_error_line(tmp_path, monkeypatch, capsys, argv,
                                              message):
     monkeypatch.chdir(tmp_path)  # simulate would write experiment.csv here
     assert run_error(capsys, *argv) == "error: " + message
     assert list(tmp_path.iterdir()) == []
+
+
+def test_uniform_scenario_answers_any_delta(capsys):
+    tables, orders = {}, {}
+    for delta in ("0.5", "0.4"):
+        code, out = run(capsys, "oracle", "--k", "0.2", "--delta", delta)
+        assert code == 0
+        tables[delta] = out.splitlines()
+        # mRMR reads no entropy, and the class and pairwise MIs are delta-free
+        code, orders[delta] = run(capsys, "order", "--method", "mrmr", "--delta", delta)
+        assert code == 0
+    assert [l.split("\t")[2] for l in tables["0.4"]] == [
+        l.split("\t")[2] for l in tables["0.5"]]
+    assert tables["0.4"] != tables["0.5"]  # the entropies do move
+    assert orders["0.4"] == orders["0.5"]
+
+
+def test_oracle_overflow_is_one_error_line(capsys):
+    # delta**2 overflows in the square's entropy; the reason text is the platform's
+    line = run_error(capsys, "order", "--method", "mrmr", "--delta", "1e200")
+    assert line.startswith("error: the oracle does not cover these parameters: ")
 
 
 def test_order_nmifs(capsys):

@@ -73,9 +73,13 @@ def test_class_mi_gaussian_quadrature():
     assert class_mi(spec_ii(0.8), V.V4) == pytest.approx(0.0032, abs=1e-3)
 
 
-def test_class_mi_rejects_off_reference_delta():
-    with pytest.raises(ValueError):
-        class_mi(spec_i(0.2, delta=1.0), V.V1)
+def test_class_mi_does_not_depend_on_delta():
+    # C = 1{X + kY >= 0} is invariant when the drivers are scaled together
+    for k in (0.2, 0.8):
+        for f in FeatureId:
+            reference = class_mi(spec_i(k), f)
+            for delta in (0.25, 1.0, 2.0):
+                assert class_mi(spec_i(k, delta), f) == reference
 
 
 def test_quadrature_stability():

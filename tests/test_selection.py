@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_provider
+from miselect.estimation import estimated_provider
 from miselect.oracle import (
     FEATURES,
     FeatureId,
@@ -18,10 +21,19 @@ from miselect.selection import (
     Method,
     MethodSpec,
     first_feature,
-    objective,
     select_all,
 )
-from miselect.xreal import POS_INF, IndetKind, compare, finite
+from miselect.simlab import generate_sample
+from miselect.xreal import (
+    NEG_INF,
+    POS_INF,
+    ZERO,
+    IndetKind,
+    compare,
+    finite,
+    indeterminate,
+)
+from selection_reference import objective, reference_select_all
 
 V = FeatureId
 
@@ -207,3 +219,68 @@ def test_every_step_winner_is_maximal_and_admissible():
                 assert c <= 0
                 if c == 0:
                     assert step.winner <= f  # smallest index wins ties
+
+
+# ---------------------------------------------------------------------------
+# The incremental engine against the scalar reference
+# ---------------------------------------------------------------------------
+
+ALL_SPECS = [MethodSpec(m, beta) for m in (Method.MIFS, Method.MIFS_U)
+             for beta in (0.0, 0.4, 0.7, 1.0)]
+ALL_SPECS += [MethodSpec(m) for m in Method if m not in (Method.MIFS, Method.MIFS_U)]
+
+# +inf, -inf, zero and the indeterminates; a few values that tie; any float
+ENTRY = st.one_of(
+    st.sampled_from([POS_INF, NEG_INF, ZERO] + [indeterminate(k) for k in IndetKind]),
+    st.sampled_from([finite(v) for v in (-1.0, -0.5, 0.5, 1.0, 2.0)]),
+    st.floats(-3.0, 3.0).map(finite),
+)
+
+
+@st.composite
+def mi_tables(draw) -> MITables:
+    entropies = draw(st.lists(ENTRY, min_size=10, max_size=10))
+    class_mis = draw(st.lists(ENTRY, min_size=10, max_size=10))
+    pairs = iter(draw(st.lists(ENTRY, min_size=55, max_size=55)))  # i <= j
+    return MITables(entropies, class_mis, lambda i, j: next(pairs))
+
+
+def assert_same_search(m: MethodSpec, p: MITables) -> None:
+    try:
+        want = reference_select_all(m, p)
+    except ValueError:
+        with pytest.raises(ValueError, match="every class MI is indeterminate"):
+            select_all(m, p)
+        return
+    got = select_all(m, p)
+    label = m.label()
+    assert got.selected == want.selected, label
+    assert got.halt is want.halt, label
+    assert len(got.steps) == len(want.steps), label
+    for step, (g, w) in enumerate(zip(got.steps, want.steps)):
+        assert g.winner == w.winner, (label, step)
+        assert list(g.objectives) == list(w.objectives), (label, step)
+        for f, v in w.objectives.items():
+            u = g.objectives[f]
+            assert u == v and u.indet_kind is v.indet_kind and str(u) == str(v), (
+                label, step, f, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mi_tables())
+def test_engine_equals_the_reference_on_generated_tables(p):
+    for m in ALL_SPECS:
+        assert_same_search(m, p)
+
+
+def test_engine_equals_the_reference_on_oracle_and_estimated_tables():
+    tables = [oracle_provider(ScenarioSpec(s, k)) for s in Scenario for k in (0.2, 0.8)]
+    rng = np.random.default_rng(5)
+    for scenario in Scenario:
+        for n in (50, 200, 5000):
+            sample = generate_sample(ScenarioSpec(scenario, 0.2), n, rng)
+            tables.append(estimated_provider(sample))
+    tables += [random_provider(rng) for _ in range(10)]
+    for p in tables:
+        for m in ALL_SPECS:
+            assert_same_search(m, p)
