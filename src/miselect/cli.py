@@ -15,8 +15,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .estimation import Sample, estimated_provider
 from .oracle import (
     FEATURES,
@@ -27,7 +25,7 @@ from .oracle import (
     oracle_provider,
 )
 from .relevance import LabeledJoint, RelevanceClass
-from .selection import HaltReason, MethodSpec, SelectionTrace, select_all
+from .selection import MethodSpec, SelectionTrace, select_all
 from .simlab import ExperimentConfig, emit_csv, run_experiment
 from .verify import run_all_checks
 
@@ -42,26 +40,38 @@ def _scenario(text: str) -> Scenario:
     try:
         return Scenario(text.upper())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"scenario must be I or II, got {text!r}")
+        raise ValueError(f"scenario must be I or II, got {text!r}") from None
+
+
+def _value(key: str, text: str | None, parse, default):
+    """Parse flag or config text, so a bad value is one ``error: <key>: ...`` line."""
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(f"{key}: {exc}")
 
 
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
+    scenario = _value("scenario", args.scenario, _scenario, Scenario.UNIFORM)
+    k = _value("k", args.k, float, 0.2)
+    shape = [_value(key, getattr(args, key), float, getattr(ScenarioSpec, key))
+             for key in ("delta", "a", "b", "d")]
     try:
-        return ScenarioSpec(args.scenario, args.k, args.delta, args.a, args.b, args.d)
+        return ScenarioSpec(scenario, k, *shape)
     except ValueError as exc:
         raise CliError(exc)
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
-    p.add_argument("--scenario", type=_scenario, default=Scenario.UNIFORM,
-                   help="I (uniform drivers) or II (Gaussian drivers)")
-    p.add_argument("--k", type=float, default=0.2, required=need_k,
-                   help="class slope, in (0,1)")
-    p.add_argument("--delta", type=float, default=ScenarioSpec.delta,
-                   help="uniform half-width")
-    p.add_argument("--a", type=float, default=ScenarioSpec.a)
-    p.add_argument("--b", type=float, default=ScenarioSpec.b)
-    p.add_argument("--d", type=float, default=ScenarioSpec.d)
+    # plain text, parsed in _build_spec
+    p.add_argument("--scenario", help="I (uniform drivers) or II (Gaussian drivers)")
+    p.add_argument("--k", required=need_k, help="class slope, in (0,1)")
+    p.add_argument("--delta", help="uniform half-width")
+    p.add_argument("--a")
+    p.add_argument("--b")
+    p.add_argument("--d")
 
 
 def _oracle_tables(spec: ScenarioSpec) -> MITables:
@@ -83,7 +93,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_order(args: argparse.Namespace) -> int:
     try:
-        mspec = MethodSpec.parse(args.method, args.beta)
+        mspec = MethodSpec.parse(args.method, _value("beta", args.beta, float, None))
     except ValueError as exc:
         raise CliError(exc)
     spec = _build_spec(args)
@@ -156,13 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(exc)
     def pick(flag, key, parse, default):
-        text = flag if flag is not None else raw.get(key)
-        if text is None:
-            return default
-        try:
-            return parse(text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise CliError(f"{key}: {exc}")
+        return _value(key, flag if flag is not None else raw.get(key), parse, default)
 
     try:
         config = ExperimentConfig(
@@ -180,7 +184,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(exc)
-    result = run_experiment(config, keep_traces=bool(args.traces))
+    try:
+        result = run_experiment(config, keep_traces=bool(args.traces))
+    except ValueError as exc:  # e.g. a feature that overflows to inf
+        raise CliError(f"simulated sample: {exc}")
     out = args.out or (raw.get("out") or "experiment.csv")
     emit_csv(result, out)
     if args.traces:
@@ -224,7 +231,7 @@ def cmd_relevance(args: argparse.Namespace) -> int:
     try:
         with open(args.joint) as fh:
             joint = LabeledJoint.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load joint {args.joint}: {exc}")
     try:
         joint.check_search_bound()
@@ -236,15 +243,9 @@ def cmd_relevance(args: argparse.Namespace) -> int:
 
     chosen = joint.markov_blanket_filter()
     partition = joint.partition(chosen)
-    for cls in (RelevanceClass.SR, RelevanceClass.WR_NR, RelevanceClass.WR_R,
-                RelevanceClass.IRRELEVANT):
+    for label, cls in (("SR", RelevanceClass.SR), ("WR-NR", RelevanceClass.WR_NR),
+                       ("WR-R", RelevanceClass.WR_R), ("Irrelevant", RelevanceClass.IRRELEVANT)):
         members = [name(f) for f, c in partition.items() if c is cls]
-        label = {
-            RelevanceClass.SR: "SR",
-            RelevanceClass.WR_NR: "WR-NR",
-            RelevanceClass.WR_R: "WR-R",
-            RelevanceClass.IRRELEVANT: "Irrelevant",
-        }[cls]
         print(f"{label}: {' '.join(members) if members else '-'}")
     sets = joint.relevance_optimal_sets()
     rendered = " ".join("{" + ",".join(name(f) for f in s) + "}" for s in sets)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p, need_k=False)
     p.add_argument("--method", required=True,
                    help="mifs, mifsu, mrmr, mmifsu, micc, qmifs, nmifs, maxmifs")
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--beta")
     p.add_argument("--data", default=None, help="sample CSV; estimator backend")
     p.add_argument("--trace", default=None, help="write per-step objectives as TSV")
     p.set_defaults(func=cmd_order)

@@ -7,14 +7,12 @@ measures are in nats with the convention 0*ln(0) = 0.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 import numpy as np
 
+from .relevance import mass_total
 from .xreal import XReal, xdiv, xmin
-
-MASS_TOLERANCE = 1e-9
 
 
 class JointTable:
@@ -24,31 +22,16 @@ class JointTable:
         arr = np.array(probs, dtype=float)
         if arr.ndim == 0:
             raise ValueError("a joint table needs at least one variable")
-        if np.any(arr < 0.0):
-            raise ValueError("negative probability mass")
-        total = float(arr.sum())
-        if not np.isfinite(total):
-            raise ValueError(f"total mass {total} is not finite")
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise ValueError(f"total mass {total} not within {MASS_TOLERANCE} of 1")
-        arr /= total
+        arr /= mass_total(arr)
         arr.setflags(write=False)
         self.probs = arr
-
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return self.probs.shape
-
-    @property
-    def nvars(self) -> int:
-        return self.probs.ndim
 
     def marginal(self, variables: Sequence[int]) -> np.ndarray:
         """Marginal mass array over ``variables``, axes in the given order."""
         variables = self._check_vars(variables)
-        drop = tuple(ax for ax in range(self.nvars) if ax not in variables)
+        drop = tuple(ax for ax in range(self.probs.ndim) if ax not in variables)
         marg = self.probs.sum(axis=drop) if drop else self.probs
-        kept = [ax for ax in range(self.nvars) if ax in variables]
+        kept = [ax for ax in range(self.probs.ndim) if ax in variables]
         order = [kept.index(v) for v in variables]
         return np.transpose(marg, order)
 
@@ -57,34 +40,11 @@ class JointTable:
         if not variables:
             raise ValueError("empty variable subset")
         for v in variables:
-            if not 0 <= v < self.nvars:
+            if not 0 <= v < self.probs.ndim:
                 raise ValueError(f"variable index {v} out of range")
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable in {variables}")
         return variables
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"arities": list(self.arities), "probs": self.probs.ravel().tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointTable":
-        return cls.from_doc(json.loads(text))
-
-    @classmethod
-    def from_doc(cls, doc: object) -> "JointTable":
-        """Build from a parsed ``{"arities": [...], "probs": [...]}`` object."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        try:
-            arities = [int(a) for a in doc["arities"]]
-            flat = np.asarray(doc["probs"], dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"malformed joint table: {exc}") from exc
-        if any(a < 1 for a in arities):
-            raise ValueError(f"arities must be positive, got {arities}")
-        return cls(flat.reshape(arities))
 
 
 def plugin_entropy(counts: np.ndarray, total: float = 1.0) -> float:

@@ -108,6 +108,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.k < 1.0:
             raise ValueError(f"class slope k must lie in (0,1), got {self.k}")
+        for name in ("delta", "a", "b", "d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
         if self.a == 0.0:

@@ -7,9 +7,10 @@ sets; features partition into strongly relevant / weakly relevant /
 irrelevant, and Markov blanket filtering extracts one relevance-optimal
 set by backward elimination.
 
-Checks run on the nonzero support atoms of the joint, held as one
-integer array of cell indices and one mass vector, so desk-scale tables
-with millions of cells but a few hundred atoms stay fast.  Projecting
+A joint is only its nonzero support atoms: one integer array of cell
+indices and one mass vector, which ``from_json`` takes straight from the
+document's flat mass list with no dense table in between, so desk-scale
+tables with millions of cells but a few hundred atoms stay fast.  Projecting
 the atoms on a variable subset gives each atom a mixed-radix code;
 ``np.unique`` turns the codes into dense group ids and ``np.bincount``
 sums the group masses in atom order.  Each subset's grouping is computed
@@ -22,16 +23,29 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .infotheory import JointTable
 from .oracle import ScenarioSpec, class_labels, feature_matrix
 
 PROB_TOLERANCE = 1e-9
+MASS_TOLERANCE = 1e-9
 MAX_SEARCH_FEATURES = 12
+
+
+def mass_total(probs: np.ndarray) -> float:
+    """Total of a mass array; ValueError unless non-negative, finite and near 1."""
+    if np.any(probs < 0.0):
+        raise ValueError("negative probability mass")
+    total = float(probs.sum())
+    if not np.isfinite(total):
+        raise ValueError(f"total mass {total} is not finite")
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise ValueError(f"total mass {total} not within {MASS_TOLERANCE} of 1")
+    return total
 
 
 class RelevanceClass(Enum):
@@ -43,28 +57,39 @@ class RelevanceClass(Enum):
 
 
 class LabeledJoint:
-    """A joint table with one variable designated as the class."""
+    """The support atoms of a joint, one variable designated as the class.
 
-    def __init__(self, table: JointTable, class_index: int | None = None):
+    ``atoms`` holds the cell index of each nonzero cell, one row per atom
+    in row-major order, and ``mass`` their normalised probabilities.
+    """
+
+    def __init__(self, arities: Sequence[int], atoms: np.ndarray, mass: np.ndarray,
+                 class_index: int | None = None):
+        nvars = len(arities)
         if class_index is None:
-            class_index = table.nvars - 1
-        if not 0 <= class_index < table.nvars:
-            raise ValueError(f"class index {class_index} out of range")
-        if table.nvars < 2:
+            class_index = nvars - 1
+        if type(class_index) is not int or not 0 <= class_index < nvars:
+            raise ValueError(f"class index must be an integer in [0, {nvars}), got {class_index!r}")
+        if nvars < 2:
             raise ValueError("need at least one feature besides the class")
-        self.table = table
-        self.class_index = class_index
-        self.features: tuple[int, ...] = tuple(
-            v for v in range(table.nvars) if v != class_index
-        )
-        class_mass = table.marginal((class_index,))
-        if np.count_nonzero(class_mass) < 2:
+        if len(np.unique(atoms[:, class_index])) < 2:
             raise ValueError("class variable must have at least two states")
-        # support atoms: cell indices (n_atoms, nvars) and masses, row-major
-        self._atoms = np.argwhere(table.probs > 0.0)
-        self._mass = table.probs[tuple(self._atoms.T)]
+        self.arities = tuple(arities)
+        self.atoms = atoms
+        self.mass = mass
+        self.class_index = class_index
+        self.features: tuple[int, ...] = tuple(v for v in range(nvars) if v != class_index)
         self._groupings: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._classes: dict[int, RelevanceClass] = {}
+
+    @classmethod
+    def from_dense(cls, probs: np.ndarray, class_index: int | None = None) -> "LabeledJoint":
+        """The joint of a dense mass array; each mass is its cell / the checked total."""
+        probs = np.asarray(probs, dtype=float)
+        flat = probs.ravel()
+        cells = np.flatnonzero(flat)
+        atoms = np.column_stack(np.unravel_index(cells, probs.shape))
+        return cls(probs.shape, atoms, flat[cells] / mass_total(flat), class_index)
 
     # -- conditional machinery ---------------------------------------------
 
@@ -77,11 +102,11 @@ class LabeledJoint:
         key = tuple(sorted(set(variables)))
         cached = self._groupings.get(key)
         if cached is None:
-            codes = np.zeros(len(self._mass), dtype=np.int64)
+            codes = np.zeros(len(self.mass), dtype=np.int64)
             for v in key:
-                codes = codes * self.table.arities[v] + self._atoms[:, v]
+                codes = codes * self.arities[v] + self.atoms[:, v]
             _, ids = np.unique(codes, return_inverse=True)
-            cached = (ids, np.bincount(ids, weights=self._mass))
+            cached = (ids, np.bincount(ids, weights=self.mass))
             self._groupings[key] = cached
         return cached
 
@@ -224,22 +249,32 @@ class LabeledJoint:
         for f in subset:
             if f == self.class_index:
                 raise ValueError("the class variable is not a feature")
-            if not 0 <= f < self.table.nvars:
+            if not 0 <= f < len(self.arities):
                 raise ValueError(f"feature index {f} out of range")
 
     def to_json(self) -> str:
-        doc = json.loads(self.table.to_json())
-        doc["class_index"] = self.class_index
-        return json.dumps(doc)
+        """The dense document ``from_json`` reads, zero cells included."""
+        probs = np.zeros(self.arities)
+        probs[tuple(self.atoms.T)] = self.mass
+        return json.dumps({"arities": list(self.arities), "probs": probs.ravel().tolist(),
+                           "class_index": self.class_index})
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledJoint":
+        """Parse ``{"arities": [...], "probs": [...flat row-major...], "class_index": ...}``."""
         doc = json.loads(text)
-        table = JointTable.from_doc(doc)
-        class_index = doc.get("class_index")
-        if class_index is not None and type(class_index) is not int:
-            raise ValueError(f"class_index must be an integer, got {class_index!r}")
-        return cls(table, class_index)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        arities = doc.get("arities")
+        if not (isinstance(arities, list) and arities
+                and all(type(a) is int and a > 0 for a in arities)):
+            raise ValueError(f"arities must be one or more positive integers, got {arities!r}")
+        # a dtype check, not a loop over a million cells: strings, nulls, nested
+        # or all-boolean lists give another dtype or ndim; a ragged nest raises
+        flat = np.asarray(doc.get("probs"))
+        if flat.ndim != 1 or flat.dtype.kind not in "iuf" or len(flat) != math.prod(arities):
+            raise ValueError(f"probs must be a flat list of {math.prod(arities)} numbers")
+        return cls.from_dense(flat.reshape(arities), doc.get("class_index"))
 
 
 def _coarser(fine_ids: np.ndarray, n_fine: int, coarse_ids: np.ndarray) -> np.ndarray:
@@ -253,12 +288,12 @@ def _coarser(fine_ids: np.ndarray, n_fine: int, coarse_ids: np.ndarray) -> np.nd
 # Fixture builders
 # ---------------------------------------------------------------------------
 
-def _table_from_columns(columns: list[np.ndarray], mass: np.ndarray) -> JointTable:
-    supports = [np.unique(col) for col in columns]
-    probs = np.zeros([len(s) for s in supports])
-    coded = [np.searchsorted(s, col) for s, col in zip(supports, columns)]
-    np.add.at(probs, tuple(coded), mass)
-    return JointTable(probs)
+def _equal_mass_joint(columns: list[np.ndarray]) -> LabeledJoint:
+    """Each row has mass 1/rows; a variable's states are its sorted distinct values."""
+    codes = np.column_stack([np.unique(c, return_inverse=True)[1] for c in columns])
+    atoms, counts = np.unique(codes, axis=0, return_counts=True)
+    arities = [int(c.max()) + 1 for c in codes.T]
+    return LabeledJoint(arities, atoms, counts / len(codes))
 
 
 def duplicated_features_example() -> LabeledJoint:
@@ -275,8 +310,7 @@ def duplicated_features_example() -> LabeledJoint:
     v3 = 3.0 * v2 + 1.0
     v5 = v4 * v4
     cls = (v1 + 0.5 * v2 >= 0.0).astype(float)
-    mass = np.full(v1.size, 1.0 / v1.size)
-    return LabeledJoint(_table_from_columns([v1, v2, v3, v4, v5, cls], mass))
+    return _equal_mass_joint([v1, v2, v3, v4, v5, cls])
 
 
 def grid_scenario_joint(
@@ -296,6 +330,4 @@ def grid_scenario_joint(
     if np.any(x + spec.k * y == 0.0):
         raise ValueError("grid places atoms exactly on the class boundary")
     cls = class_labels(x, y, spec).astype(float)
-    columns = [feats[:, i] for i in range(feats.shape[1])] + [cls]
-    mass = np.full(x.size, 1.0 / x.size)
-    return LabeledJoint(_table_from_columns(columns, mass))
+    return _equal_mass_joint([feats[:, i] for i in range(feats.shape[1])] + [cls])

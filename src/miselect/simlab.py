@@ -42,7 +42,9 @@ def generate_sample(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> Sam
     else:
         draws = rng.standard_normal(size=(4, n))
     x, y, z, w = draws
-    return Sample(feature_matrix(x, y, z, w, spec), class_labels(x, y, spec))
+    with np.errstate(over="ignore"):  # Sample reports a feature that overflowed to inf
+        features = feature_matrix(x, y, z, w, spec)
+    return Sample(features, class_labels(x, y, spec))
 
 
 def optimal_pair_hit(trace: SelectionTrace) -> bool:

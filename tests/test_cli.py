@@ -3,7 +3,6 @@ import pytest
 
 from miselect.cli import main, parse_config_file
 from miselect.oracle import Scenario, ScenarioSpec
-from miselect.infotheory import JointTable
 from miselect.relevance import LabeledJoint, duplicated_features_example
 from miselect.simlab import generate_sample
 
@@ -62,7 +61,31 @@ def test_oracle_rejects_endpoint_k(capsys):
     pytest.param(("oracle", "--k", "0.2", "--delta", "1e-200"),
                  "the oracle does not cover these parameters: math domain error",
                  id="oracle-delta-underflow"),
+    pytest.param(("order", "--method", "mrmr", "--k", "abc"),
+                 "k: could not convert string to float: 'abc'", id="order-k-text"),
+    pytest.param(("order", "--method", "mrmr", "--scenario", "III"),
+                 "scenario: scenario must be I or II, got 'III'", id="order-scenario-text"),
+    pytest.param(("order", "--method", "mifs", "--beta", "x"),
+                 "beta: could not convert string to float: 'x'", id="order-beta-text"),
+    pytest.param(("oracle", "--k", "abc"),
+                 "k: could not convert string to float: 'abc'", id="oracle-k-text"),
+    pytest.param(("simulate", "--delta", "nan"), "delta must be finite, got nan",
+                 id="simulate-delta-nan"),
+    pytest.param(("simulate", "--a", "inf"), "a must be finite, got inf",
+                 id="simulate-a-inf"),
+    pytest.param(("simulate", "--b", "inf"), "b must be finite, got inf",
+                 id="simulate-b-inf"),
+    pytest.param(("simulate", "--d", "nan"), "d must be finite, got nan",
+                 id="simulate-d-nan"),
+    pytest.param(("order", "--method", "mrmr", "--b", "nan"), "b must be finite, got nan",
+                 id="order-b-nan"),
+    pytest.param(("oracle", "--k", "0.2", "--b", "inf"), "b must be finite, got inf",
+                 id="oracle-b-inf"),
+    pytest.param(("simulate", "--delta", "1e200", "--n", "50", "--replicates", "2"),
+                 "simulated sample: non-finite value inf in row 1, column v3",
+                 id="simulate-delta-overflow"),
 ])
+@pytest.mark.filterwarnings("error")  # the error line is the only report
 def test_bad_parameters_end_in_one_error_line(tmp_path, monkeypatch, capsys, argv,
                                              message):
     monkeypatch.chdir(tmp_path)  # simulate would write experiment.csv here
@@ -256,7 +279,22 @@ def test_relevance_bad_file(tmp_path, capsys):
         "float-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1.0}',
         "bool-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":true}',
         "top-level-list": "[1, 2]",
+        "top-level-probs-list": "[0.5, 0.5]",
+        "top-level-string": '"table"',
         "malformed-arities": '{"arities":2,"probs":[0.5,0.5]}',
+        "negative-arity": '{"arities":[-1,2],"probs":[0.25,0.25,0.25,0.25]}',
+        "float-arity": '{"arities":[2.5,2],"probs":[0.25,0.25,0.25,0.25]}',
+        "bool-arity": '{"arities":[true,2,2],"probs":[0.25,0.25,0.25,0.25]}',
+        "text-arity": '{"arities":["2",2],"probs":[0.25,0.25,0.25,0.25]}',
+        "empty-arities": '{"arities":[],"probs":[1.0]}',
+        "missing-probs": '{"arities":[2,2]}',
+        "nested-probs": '{"arities":[2,2],"probs":[[0.25,0.25],[0.25,0.25]]}',
+        "ragged-probs": '{"arities":[2,2],"probs":[[0.25,0.25],[0.5]]}',
+        "text-prob": '{"arities":[2,2],"probs":[0.25,"0.25",0.25,0.25]}',
+        "null-prob": '{"arities":[2,2],"probs":[0.25,null,0.25,0.25]}',
+        "bool-probs": '{"arities":[2,2],"probs":[true,false,false,true]}',
+        "short-probs": '{"arities":[2,2],"probs":[0.5,0.5]}',
+        "long-probs": '{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}',
     }
     for label, text in cases.items():
         path = tmp_path / f"{label}.json"
@@ -274,7 +312,7 @@ def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypat
     for name in ("markov_blanket_filter", "partition", "relevance_optimal_sets"):
         monkeypatch.setattr(LabeledJoint, name, analysis)
     path = tmp_path / "wide.json"
-    path.write_text(LabeledJoint(JointTable(np.full((2,) * 14, 2.0**-14))).to_json())
+    path.write_text(LabeledJoint.from_dense(np.full((2,) * 14, 2.0**-14)).to_json())
     line = run_error(capsys, "relevance", "--joint", str(path))
     assert line == (
         f"error: joint {path}: 13 features exceed the exhaustive-search bound of 12"

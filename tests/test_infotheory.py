@@ -71,7 +71,9 @@ def test_mi_examples():
 
 def test_mi_on_grid_class_table_agrees_with_direct_sum():
     joint = grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.2))
-    t = joint.table
+    probs = np.zeros(joint.arities)
+    probs[tuple(joint.atoms.T)] = joint.mass
+    t = JointTable(probs)
     c = joint.class_index
     for feature in (0, 3, 6):
         assert mi(t, (c,), (feature,)) == pytest.approx(
@@ -136,21 +138,6 @@ def test_normalized_mi_zero_over_zero_is_indeterminate():
     # the reference orderings show as blocked
     out = normalized_mi(finite(0.0), finite(0.0), finite(0.5))
     assert out.is_indet and out.indet_kind is IndetKind.ZERO_OVER_ZERO
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(1)
-    t = random_table(rng)
-    back = JointTable.from_json(t.to_json())
-    assert back.arities == t.arities
-    np.testing.assert_allclose(back.probs, t.probs, atol=1e-15)
-
-
-def test_from_json_rejects_malformed_documents():
-    for text in ("[0.5, 0.5]", '"table"', '{"arities": 2, "probs": [0.5, 0.5]}',
-                 '{"arities": [-1, 2], "probs": [0.25, 0.25, 0.25, 0.25]}'):
-        with pytest.raises(ValueError):
-            JointTable.from_json(text)
 
 
 def test_marginal_orders_axes_as_requested():

@@ -1,10 +1,11 @@
 """The benchmark's pinned outputs, replayed through ``cli.main``.
 
 ``perfbench/pins.json`` holds the sha256 of each pooled command's output.
-This replays the 56 reference ``order --trace`` rows and pool entry 0 of
-both simulate workloads, building the commands with ``perfbench/workloads.py``,
-so a change that moves an objective, a trace TSV, a CSV or a traces JSON
-fails here too.  It only reads ``perfbench/``.
+This replays the 56 reference ``order --trace`` rows, pool entry 0 of
+both simulate workloads and the 8 ``relevance`` reports on the scaled grid
+joints, building the commands and inputs with ``perfbench/workloads.py``,
+so a change that moves an objective, a trace TSV, a CSV, a traces JSON or
+a relevance report fails here too.  It only reads ``perfbench/``.
 """
 
 import contextlib
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 from miselect import cli
+from miselect.oracle import Scenario, ScenarioSpec
+from miselect.relevance import grid_scenario_joint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,7 +35,14 @@ def test_pinned_commands_reproduce_their_digests(tmp_path, monkeypatch):
         work.mkdir()
         (work / "sim-0.cfg").write_text(workloads.sim_config(workload, 0))
         commands.append(workloads.sim_command(workload, 0, work))
-    assert len(commands) == 58
+    joints = [workloads.grid_joint_json(scale) for scale in workloads.GRID_SCALES]
+    # as pin.py checks: at scale 1 the benchmark's input is the package's document
+    expected = grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.2)).to_json()
+    assert joints[workloads.GRID_SCALES.index(1.0)] == expected
+    for index, text in enumerate(joints):
+        (tmp_path / f"joint-{index}.json").write_text(text)
+        commands.append(workloads.relevance_command(index, tmp_path))
+    assert len(commands) == 66
 
     mismatched = []
     for cmd in commands:
@@ -42,3 +52,4 @@ def test_pinned_commands_reproduce_their_digests(tmp_path, monkeypatch):
         if cmd.digest(stdout.getvalue())[0] != pins[cmd.key]:
             mismatched.append(cmd.key)
     assert mismatched == []
+

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from miselect.infotheory import JointTable
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import (
+    MASS_TOLERANCE,
     PROB_TOLERANCE,
     LabeledJoint,
     RelevanceClass,
     duplicated_features_example,
     grid_scenario_joint,
 )
+from miselect.verify import random_table
 
 # feature positions in the duplication example: V1..V5 = 0..4
 V1, V2, V3, V4, V5 = range(5)
@@ -124,7 +127,7 @@ def test_class_independent_of_features_gives_empty_set():
     # two features, class independent of both
     feat = np.array([0.25, 0.25, 0.25, 0.25]).reshape(2, 2)
     probs = feat[:, :, None] * np.array([0.5, 0.5])[None, None, :]
-    joint = LabeledJoint(JointTable(probs))
+    joint = LabeledJoint.from_dense(probs)
     assert joint.relevance_optimal_sets() == [()]
     assert all(
         joint.classify_feature(f) is RelevanceClass.IRRELEVANT for f in joint.features
@@ -132,8 +135,7 @@ def test_class_independent_of_features_gives_empty_set():
 
 
 def test_validation():
-    table = JointTable(np.full((2, 2), 0.25))
-    joint = LabeledJoint(table)
+    joint = LabeledJoint.from_dense(np.full((2, 2), 0.25))
     with pytest.raises(ValueError):
         joint.is_maximally_informative((1,))  # class is not a feature
     with pytest.raises(ValueError):
@@ -141,16 +143,53 @@ def test_validation():
     degenerate = np.zeros((2, 2))
     degenerate[:, 1] = 0.5
     with pytest.raises(ValueError):
-        LabeledJoint(JointTable(degenerate))  # single-state class
+        LabeledJoint.from_dense(degenerate)  # single-state class
     with pytest.raises(ValueError):
-        big = JointTable(np.full((2,) * 14, 1.0 / 2**14))
-        LabeledJoint(big).relevance_optimal_sets()
+        LabeledJoint.from_dense(np.full((2,) * 14, 1.0 / 2**14)).relevance_optimal_sets()
 
 
 def test_json_round_trip(example):
     back = LabeledJoint.from_json(example.to_json())
     assert back.class_index == example.class_index
+    assert np.array_equal(back.atoms, example.atoms)  # the example's atoms are row-major
+    assert np.array_equal(back.mass, example.mass)
     assert back.relevance_optimal_sets() == example.relevance_optimal_sets()
+    # a random table with empty cells, the class in the middle
+    probs = random_table(np.random.default_rng(1)).probs
+    joint = LabeledJoint.from_dense(probs, class_index=1)
+    back = LabeledJoint.from_json(joint.to_json())
+    assert back.arities == joint.arities == probs.shape
+    assert back.class_index == 1
+    assert np.array_equal(back.atoms, np.argwhere(probs > 0.0))
+    np.testing.assert_allclose(back.mass, probs[probs > 0.0], atol=1e-15)
+
+
+@st.composite
+def dense_joints(draw):
+    """Dense tables with empty, tiny and ordinary cells, the class the last axis.
+
+    The total is off 1 by up to MASS_TOLERANCE, so dividing by it moves masses.
+    """
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)) + [draw(st.integers(2, 3))]
+    cells = draw(st.lists(st.sampled_from((0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0)),
+                          min_size=int(np.prod(arities)), max_size=int(np.prod(arities))))
+    probs = np.asarray(cells).reshape(arities)
+    probs[(0,) * (len(arities) - 1) + (0,)] += 1.0  # two class states carry mass
+    probs[(0,) * (len(arities) - 1) + (1,)] += 1.0
+    off = draw(st.sampled_from((0.0, 0.5, 0.999, -0.5, -0.999)))
+    return probs / probs.sum() * (1.0 + off * MASS_TOLERANCE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_joints())
+def test_loaded_atoms_are_the_dense_tables_nonzero_cells(probs):
+    table = JointTable(probs)
+    cells = np.argwhere(table.probs > 0.0)
+    document = json.dumps({"arities": list(probs.shape), "probs": probs.ravel().tolist()})
+    for joint in (LabeledJoint.from_json(document), LabeledJoint.from_dense(probs)):
+        assert joint.arities == probs.shape
+        assert np.array_equal(joint.atoms, cells)
+        assert np.array_equal(joint.mass, table.probs[tuple(cells.T)])
 
 
 def test_grid_rejects_boundary_atoms():
@@ -158,8 +197,8 @@ def test_grid_rejects_boundary_atoms():
         grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.5), grid=(-0.2, 0.1, -0.1, 0.2))
 
 
-def test_classification_is_memoised(example, monkeypatch):
-    joint = LabeledJoint(example.table)
+def test_classification_is_memoised(monkeypatch):
+    joint = duplicated_features_example()
     first = [joint.classify_feature(f) for f in joint.features]
 
     def fail(*args):
@@ -176,11 +215,15 @@ def test_classification_is_memoised(example, monkeypatch):
 
 
 class DictJoint(LabeledJoint):
-    """LabeledJoint whose conditioning test builds Python dicts per call."""
+    """LabeledJoint whose conditioning test builds Python dicts per call.
 
-    def __init__(self, table, class_index=None):
-        super().__init__(table, class_index)
+    Its atoms come from the normalised dense table, not from the loader.
+    """
+
+    def __init__(self, probs, class_index=None):
+        table = JointTable(probs)
         idx = np.argwhere(table.probs > 0.0)
+        super().__init__(table.probs.shape, idx, table.probs[tuple(idx.T)], class_index)
         self.ref_atoms = [tuple(int(v) for v in row) for row in idx]
         self.ref_mass = [float(table.probs[a]) for a in self.ref_atoms]
 
@@ -252,10 +295,10 @@ def labeled_joints(draw):
                 code = code * driver_arities[d] + cell[d]
             point.append(values[code])
         probs[tuple(point)] += w
-    return JointTable(probs / probs.sum()), class_index
+    return probs / probs.sum(), class_index
 
 
-def absent_value_joint(rare: float) -> tuple[JointTable, int]:
+def absent_value_joint(rare: float) -> tuple[np.ndarray, int]:
     """Feature E and a three-valued class C, where C=2 is absent under E=0.
 
     Under E=1 the class value 2 has probability ``rare``.  Every value
@@ -267,7 +310,7 @@ def absent_value_joint(rare: float) -> tuple[JointTable, int]:
     under_e0 = [0.5, 0.5, 0.0]
     under_e1 = [0.5 - rare / 2, 0.5 - rare / 2, rare]
     probs = np.array([[(1 - p_e1) * p for p in under_e0], [p_e1 * p for p in under_e1]])
-    return JointTable(probs / probs.sum()), 1
+    return probs / probs.sum(), 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,12 +318,12 @@ def absent_value_joint(rare: float) -> tuple[JointTable, int]:
 @explicit_example(absent_value_joint(1.5e-9))
 @explicit_example(absent_value_joint(0.5e-9))
 def test_coded_atoms_agree_with_dict_reference(drawn):
-    table, class_index = drawn
+    probs, class_index = drawn
     try:
-        joint = LabeledJoint(table, class_index)
+        joint = LabeledJoint.from_dense(probs, class_index)
     except ValueError:  # the class has a single state
         return
-    ref = DictJoint(table, class_index)
+    ref = DictJoint(probs, class_index)
     features = joint.features
     for size in range(len(features) + 1):
         for subset in itertools.combinations(features, size):
@@ -297,5 +340,5 @@ def test_coded_atoms_agree_with_dict_reference(drawn):
 
 @pytest.mark.parametrize("rare, invariant", [(1.5e-9, False), (0.5e-9, True)])
 def test_value_absent_under_wide_key_counts_as_zero(rare, invariant):
-    joint = LabeledJoint(*absent_value_joint(rare))
+    joint = LabeledJoint.from_dense(*absent_value_joint(rare))
     assert joint.is_maximally_informative(()) is invariant
