@@ -13,7 +13,7 @@ from miselect.infotheory import (
     tmi,
 )
 from miselect.oracle import Scenario, ScenarioSpec
-from miselect.relevance import grid_scenario_joint
+from miselect.relevance import LabeledJoint, grid_scenario_joint
 from miselect.verify import mi_direct, random_table
 from miselect.xreal import NEG_INF, POS_INF, IndetKind, finite
 
@@ -138,6 +138,26 @@ def test_normalized_mi_zero_over_zero_is_indeterminate():
     # the reference orderings show as blocked
     out = normalized_mi(finite(0.0), finite(0.0), finite(0.5))
     assert out.is_indet and out.indet_kind is IndetKind.ZERO_OVER_ZERO
+
+
+def test_json_round_trip():
+    # the joint document is read and written by LabeledJoint; the class is in the middle
+    rng = np.random.default_rng(1)
+    t = random_table(rng)
+    back = LabeledJoint.from_json(LabeledJoint.from_dense(t.probs, class_index=1).to_json())
+    assert back.arities == t.probs.shape
+    assert back.class_index == 1
+    assert np.array_equal(back.atoms, np.argwhere(t.probs > 0.0))
+    probs = np.zeros(back.arities)
+    probs[tuple(back.atoms.T)] = back.mass
+    np.testing.assert_allclose(JointTable(probs).probs, t.probs, atol=1e-15)
+
+
+def test_from_json_rejects_malformed_documents():
+    for text in ("[0.5, 0.5]", '"table"', '{"arities": 2, "probs": [0.5, 0.5]}',
+                 '{"arities": [-1, 2], "probs": [0.25, 0.25, 0.25, 0.25]}'):
+        with pytest.raises(ValueError):
+            LabeledJoint.from_json(text)
 
 
 def test_marginal_orders_axes_as_requested():

@@ -17,7 +17,6 @@ from miselect.relevance import (
     duplicated_features_example,
     grid_scenario_joint,
 )
-from miselect.verify import random_table
 
 # feature positions in the duplication example: V1..V5 = 0..4
 V1, V2, V3, V4, V5 = range(5)
@@ -154,14 +153,6 @@ def test_json_round_trip(example):
     assert np.array_equal(back.atoms, example.atoms)  # the example's atoms are row-major
     assert np.array_equal(back.mass, example.mass)
     assert back.relevance_optimal_sets() == example.relevance_optimal_sets()
-    # a random table with empty cells, the class in the middle
-    probs = random_table(np.random.default_rng(1)).probs
-    joint = LabeledJoint.from_dense(probs, class_index=1)
-    back = LabeledJoint.from_json(joint.to_json())
-    assert back.arities == joint.arities == probs.shape
-    assert back.class_index == 1
-    assert np.array_equal(back.atoms, np.argwhere(probs > 0.0))
-    np.testing.assert_allclose(back.mass, probs[probs > 0.0], atol=1e-15)
 
 
 @st.composite
