@@ -77,7 +77,7 @@ def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
 def _oracle_tables(spec: ScenarioSpec) -> MITables:
     try:
         return oracle_provider(spec)
-    except (ValueError, OverflowError) as exc:  # e.g. a delta whose entropies overflow
+    except (ValueError, OverflowError) as exc:  # OverflowError: a**2 of a huge --a in II
         raise CliError(f"the oracle does not cover these parameters: {exc}")
 
 
@@ -193,10 +193,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.traces:
         _write_traces_json(result, args.traces)
     for c in result.cells:
+        degenerate = f", {c.degenerate} degenerate" if c.degenerate else ""
         print(
             f"{c.scenario.value} k={c.k:g} n={c.n} {c.method.label()}: "
             f"frequency {c.frequency:.4f} (se {c.stderr():.4f}, "
-            f"{c.replicates} replicates)"
+            f"{c.replicates} replicates{degenerate})"
         )
     print(f"wrote {out} in {result.runtime:.1f}s")
     return 0

@@ -10,6 +10,7 @@ instead of sample estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -20,6 +21,7 @@ import numpy as np
 from .xreal import POS_INF, XReal, finite
 
 LN2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015329
 
@@ -161,9 +163,18 @@ def class_labels(x: np.ndarray, y: np.ndarray, spec: ScenarioSpec) -> np.ndarray
 # Entropies
 # ---------------------------------------------------------------------------
 
+# The uniform closed forms take log(2 * delta**2); inside this range the
+# square neither overflows nor leaves the normal floats.
+UNIFORM_DELTA_RANGE = (1e-150, 1e150)
+
+
 def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
     """Differential entropy of a feature, from the closed forms."""
     if spec.scenario is Scenario.UNIFORM:
+        lo, hi = UNIFORM_DELTA_RANGE
+        if not lo <= spec.delta <= hi:
+            raise ValueError(f"delta {spec.delta:g} is outside [{lo:g}, {hi:g}], "
+                             "the range the uniform closed forms cover")
         base = math.log(2.0 * spec.delta)
         square = math.log(2.0 * spec.delta**2) - 1.0
         table = {
@@ -198,35 +209,99 @@ def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
 
 
 # ---------------------------------------------------------------------------
+# Quadrature and the normal CDF
+# ---------------------------------------------------------------------------
+
+_PANEL_NODES = 16
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_PANEL_NODES)
+
+
+def _gauss_legendre(edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: nodes and weights of every panel between
+    consecutive ``edges``, ``_PANEL_NODES`` points per panel."""
+    x, w = _legendre_rule()
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, x.tolist()), float, len(x))
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-d array."""
+    return 0.5 * _erfc(-x / _SQRT2)
+
+
+# Abramowitz & Stegun 26.2.12: Phi(x) = phi(x)/(-x) * sum_n (-1)^n (2n-1)!! / x^(2n),
+# highest power first for np.polyval; at x <= -20 the first term left out is below 1e-19.
+_MILLS_SERIES = [(-1.0) ** n * math.prod(range(1, 2 * n, 2)) for n in range(11, -1, -1)]
+_MILLS_BELOW = -20.0
+
+
+def _log_ndtr(x: np.ndarray) -> np.ndarray:
+    """log Phi(x) of a 1-d array, finite far into the lower tail.
+
+    Above -20 it is the log of the erfc form (``log1p`` on the upper half,
+    where Phi is near 1); below, the Mills-ratio asymptotic series.
+    """
+    out = np.empty(len(x))
+    tail = x < _MILLS_BELOW
+    body = x[~tail]
+    half_erfc = 0.5 * _erfc(np.abs(body) / _SQRT2)
+    with np.errstate(divide="ignore"):  # log(0) in the branch that is not taken
+        out[~tail] = np.where(body >= 0.0, np.log1p(-half_erfc), np.log(half_erfc))
+    t = x[tail]
+    out[tail] = (-0.5 * t * t - np.log(-t) - math.log(_SQRT_2PI)
+                 + np.log(np.polyval(_MILLS_SERIES, 1.0 / (t * t))))
+    return out
+
+
+def _norm_pdf(t: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * t * t) / _SQRT_2PI
+
+
+# ---------------------------------------------------------------------------
 # MI with the class
 # ---------------------------------------------------------------------------
+
+# Beyond this slope Phi(alpha t) is a step at t = 0 to within 2**-60 in t,
+# which moves the MI by less than the last bit of ln 2.
+_MAX_SKEW = 2.0**60
+
+
+def _skew_edges(alpha: float) -> list[float]:
+    """Symmetric panel edges on [-8, 8]: unit panels, plus panels doubling
+    from 1/alpha up to 1 where Phi(alpha t) steps faster than phi(t) varies."""
+    edges = [0.0]
+    t = 1.0 / alpha
+    while t < 1.0:
+        edges.append(t)
+        t *= 2.0
+    edges += [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    return [-e for e in reversed(edges[1:])] + edges
+
 
 def _skew_pair_mi(alpha: float) -> float:
     """MI between C and a feature whose class conditionals are SN(0,1,+-alpha).
 
-    Evaluates the mixed discrete-continuous MI integral with the exact
-    standard-normal marginal; the integrand is written through the
-    normal log-CDF so it underflows to zero instead of NaN in the tails.
+    Evaluates the mixed discrete-continuous MI integral
+    sum over a = +-alpha of 1/2 * int 2 phi(t) Phi(a t) ln(2 Phi(a t)) dt on
+    [-8, 8] with the exact standard-normal marginal.  The -alpha integral is
+    the mirror image (t -> -t) of the +alpha one, so on the symmetric rule
+    one sign gives the sum.  The integrand is written through log Phi, so it
+    underflows to zero instead of NaN in the tails.
     """
-    # imported here: scipy takes longer to import than the rest of the package,
-    # and only the Gaussian oracle and the zero-MI check use it
-    from scipy.integrate import quad
-    from scipy.special import log_ndtr
-
-    def integrand(t: float, a: float) -> float:
-        lc = log_ndtr(a * t)
-        return 2.0 * _norm_pdf(t) * math.exp(lc) * (LN2 + lc)
-
-    total = 0.0
-    for a in (alpha, -alpha):
-        v, _ = quad(integrand, -8.0, 8.0, args=(a,), epsabs=1e-10, epsrel=1e-10,
-                    limit=200)
-        total += 0.5 * v
-    return total
-
-
-def _norm_pdf(t: float) -> float:
-    return math.exp(-0.5 * t * t) / _SQRT_2PI
+    alpha = min(alpha, _MAX_SKEW)
+    t, w = _gauss_legendre(_skew_edges(alpha))
+    lc = _log_ndtr(alpha * t)
+    return float(np.dot(w, 2.0 * _norm_pdf(t) * np.exp(lc) * (LN2 + lc)))
 
 
 # Reference values for MI(C_k, X-Y) in the Gaussian scenario at the two
@@ -333,50 +408,38 @@ def mi_class_squared_feature(
     result is genuine numerical evidence.  ``base`` is "uniform" (with
     half-width ``delta``) or "normal".
     """
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
     if not 0.0 < k < 1.0:
         raise ValueError(f"class slope k must lie in (0,1), got {k}")
     if base == "uniform":
         if delta <= 0.0:
             raise ValueError("delta must be positive")
 
-        def pdf(t: float) -> float:
-            return 1.0 / (2.0 * delta) if abs(t) <= delta else 0.0
+        def pdf(t: np.ndarray) -> np.ndarray:
+            return np.where(np.abs(t) <= delta, 1.0 / (2.0 * delta), 0.0)
 
-        def cdf(t: float) -> float:
-            return min(1.0, max(0.0, (t + delta) / (2.0 * delta)))
+        def cdf(t: np.ndarray) -> np.ndarray:
+            return np.clip((t + delta) / (2.0 * delta), 0.0, 1.0)
 
-        top = delta
+        # the densities below are piecewise linear: cdf(t/k) kinks at t = k*delta
+        edges = [0.0, k * delta, delta]
     elif base == "normal":
         pdf = _norm_pdf
-        cdf = ndtr
-        top = 8.0
+        cdf = _ndtr
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     else:
         raise ValueError(f"unknown base distribution {base!r}")
 
     # t = sqrt(u) substitution removes the 1/sqrt(u) singularity at zero:
-    # joint_c(t) is the density of (|X|, C=c) on t >= 0.
-    def joint(t: float, sign: int) -> float:
-        return pdf(t) * cdf(-sign * t / k) + pdf(-t) * cdf(sign * t / k)
-
-    p_class = {
-        s: quad(lambda t: joint(t, s), 0.0, top, epsabs=1e-12, limit=200)[0]
-        for s in (1, -1)
-    }
+    # joint is the density of (|X|, C=c) on t >= 0, one class c per sign.
+    t, w = _gauss_legendre(edges)
+    marginal = pdf(t) + pdf(-t)
     total = 0.0
-    for s in (1, -1):
-
-        def integrand(t: float, s: int = s) -> float:
-            j = joint(t, s)
-            m = pdf(t) + pdf(-t)
-            if j <= 0.0 or m <= 0.0:
-                return 0.0
-            return j * math.log(j / (p_class[s] * m))
-
-        v, _ = quad(integrand, 0.0, top, epsabs=1e-12, limit=200)
-        total += v
+    for sign in (1, -1):
+        joint = pdf(t) * cdf(-sign * t / k) + pdf(-t) * cdf(sign * t / k)
+        p_class = np.dot(w, joint)
+        keep = (joint > 0.0) & (marginal > 0.0)
+        ratio = joint[keep] / (p_class * marginal[keep])
+        total += float(np.dot(w[keep], joint[keep] * np.log(ratio)))
     return total
 
 

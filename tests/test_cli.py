@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import miselect
+from miselect import simlab
 from miselect.cli import main, parse_config_file
+from miselect.estimation import Sample
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import LabeledJoint, duplicated_features_example
 from miselect.simlab import generate_sample
@@ -59,7 +67,8 @@ def test_oracle_rejects_endpoint_k(capsys):
     pytest.param(("simulate", "--methods", "mifs:abc"),
                  "methods: beta must be a number, got 'abc'", id="simulate-methods-beta"),
     pytest.param(("oracle", "--k", "0.2", "--delta", "1e-200"),
-                 "the oracle does not cover these parameters: math domain error",
+                 "the oracle does not cover these parameters: delta 1e-200 is outside "
+                 "[1e-150, 1e+150], the range the uniform closed forms cover",
                  id="oracle-delta-underflow"),
     pytest.param(("order", "--method", "mrmr", "--k", "abc"),
                  "k: could not convert string to float: 'abc'", id="order-k-text"),
@@ -114,9 +123,33 @@ def test_order_answers_any_delta_in_scenario_i(capsys):
 
 
 def test_oracle_overflow_is_one_error_line(capsys):
-    # delta**2 overflows in the square's entropy; the reason text is the platform's
-    line = run_error(capsys, "order", "--method", "mrmr", "--delta", "1e200")
+    # delta**2 in the square's entropy would overflow or underflow
+    for delta in ("1e200", "1e-200"):
+        line = run_error(capsys, "order", "--method", "mrmr", "--delta", delta)
+        assert line == (
+            f"error: the oracle does not cover these parameters: delta {float(delta):g} "
+            "is outside [1e-150, 1e+150], the range the uniform closed forms cover")
+    # a**2 overflows in scenario II's entropy of aX + b; the reason text is the platform's
+    line = run_error(capsys, "oracle", "--scenario", "II", "--k", "0.2", "--a", "1e200")
     assert line.startswith("error: the oracle does not cover these parameters: ")
+
+
+def test_oracle_commands_leave_scipy_unimported(tmp_path):
+    script = (
+        "import sys\n"
+        "from miselect.cli import main\n"
+        "for argv in (['order', '--scenario', 'II', '--k', '0.2', '--method', 'mrmr'],\n"
+        "             ['oracle', '--scenario', 'II', '--k', '0.8'], ['verify']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(miselect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_order_nmifs(capsys):
@@ -258,6 +291,31 @@ def test_simulate_traces_json(tmp_path, capsys):
     cell = doc["cells"][0]
     assert cell["method"] == "mrmr" and len(cell["replicates"]) == 3
     assert all(r["selected"][0] for r in cell["replicates"])
+
+
+def test_simulate_summary_counts_degenerate_replicates(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("simulate", "--k", "0.2", "--n", "50", "--replicates", "4",
+            "--methods", "mifs:1,mrmr")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0].endswith(" 4 replicates)")
+
+    def every_other_constant(spec, n, rng):
+        sample = generate_sample(spec, n, rng)
+        every_other_constant.calls += 1
+        if every_other_constant.calls % 2:
+            features = sample.features.copy()
+            features[:, 2] = 1.0
+            return Sample(features, sample.labels)
+        return sample
+
+    every_other_constant.calls = 0
+    monkeypatch.setattr(simlab, "generate_sample", every_other_constant)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    summary = out.splitlines()[:2]
+    assert all(line.endswith(" 4 replicates, 2 degenerate)") for line in summary), summary
 
 
 def test_relevance_report(tmp_path, capsys):

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
-from scipy.special import log_ndtr
+from scipy.integrate import quad, trapezoid
+from scipy.special import log_ndtr, ndtr
 
 from conftest import random_provider
 from miselect.estimation import estimated_provider
@@ -20,6 +20,9 @@ from miselect.oracle import (
     oracle_provider,
     pairwise_mi,
     mi_class_squared_feature,
+    _log_ndtr,
+    _ndtr,
+    _skew_pair_mi,
 )
 from miselect.simlab import generate_sample
 
@@ -95,6 +98,40 @@ def test_quadrature_stability():
         assert abs(class_mi(spec_ii(0.3), f) - dense) < 1e-9  # quad asks for 1e-10
 
 
+def test_log_ndtr_matches_scipy():
+    # both sides of the switch to the Mills-ratio series at -20
+    x = np.linspace(-45.0, 8.0, 53_001)
+    assert np.max(np.abs(_log_ndtr(x) - log_ndtr(x))) <= 1e-12
+
+
+def test_ndtr_matches_scipy():
+    # down to where Phi is still a normal float
+    x = np.linspace(-37.0, 8.0, 45_001)
+    assert np.max(np.abs(_ndtr(x) / ndtr(x) - 1.0)) <= 1e-12
+
+
+def quad_skew_pair_mi(alpha):
+    """The class-MI integral by adaptive quadrature, the integrand summed over both signs."""
+    def integrand(t, a):
+        lc = log_ndtr(a * t)
+        return 2.0 * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * math.exp(lc) * (LN2 + lc)
+
+    # break points where Phi(a t) turns over, which quad alone misses at large alpha
+    steps = [s * m / alpha for m in (1.0, 4.0, 16.0) for s in (-1.0, 1.0) if m / alpha < 8.0]
+    return sum(0.5 * quad(integrand, -8.0, 8.0, args=(a,), points=[0.0] + steps,
+                          epsabs=1e-14, epsrel=1e-14, limit=500)[0]
+               for a in (alpha, -alpha))
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.01, 0.05, 0.2, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
+def test_gaussian_class_mi_matches_adaptive_quadrature(k):
+    # V1 and V7 are these integrals; V4's is one too, pinned at k = 0.2 and 0.8
+    assert class_mi(spec_ii(k), V.V1) == _skew_pair_mi(1.0 / k)
+    assert class_mi(spec_ii(k), V.V7) == _skew_pair_mi(k)
+    for alpha in (1.0 / k, k, (1.0 - k) / (1.0 + k)):
+        assert abs(_skew_pair_mi(alpha) - quad_skew_pair_mi(alpha)) <= 1e-12
+
+
 def test_affine_invariance_is_exact():
     for spec in (spec_i(0.2), spec_i(0.8), spec_ii(0.2), spec_ii(0.8)):
         p = oracle_provider(spec)
@@ -140,6 +177,46 @@ def test_squared_feature_zero_mi():
         mi_class_squared_feature(1.2, "uniform")
     with pytest.raises(ValueError):
         mi_class_squared_feature(0.5, "cauchy")
+
+
+def quad_mi_class_squared_feature(k, base, delta):
+    """MI(C_k, X^2) by adaptive quadrature of the joint density of (|X|, C)."""
+    if base == "uniform":
+        def pdf(t):
+            return 1.0 / (2.0 * delta) if abs(t) <= delta else 0.0
+
+        def cdf(t):
+            return min(1.0, max(0.0, (t + delta) / (2.0 * delta)))
+
+        top = delta
+    else:
+        def pdf(t):
+            return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+        cdf = ndtr
+        top = 8.0
+
+    def joint(t, sign):
+        return pdf(t) * cdf(-sign * t / k) + pdf(-t) * cdf(sign * t / k)
+
+    total = 0.0
+    for sign in (1, -1):
+        p_class = quad(joint, 0.0, top, args=(sign,), epsabs=1e-12, limit=200)[0]
+
+        def integrand(t):
+            j, m = joint(t, sign), pdf(t) + pdf(-t)
+            return j * math.log(j / (p_class * m)) if j > 0.0 and m > 0.0 else 0.0
+
+        total += quad(integrand, 0.0, top, epsabs=1e-12, limit=200)[0]
+    return total
+
+
+def test_squared_feature_matches_adaptive_quadrature():
+    # the six cases of `miselect verify`
+    for k in (0.2, 0.8):
+        for base, delta in (("uniform", 0.5), ("uniform", 1.0), ("normal", 0.5)):
+            got = mi_class_squared_feature(k, base, delta)
+            assert abs(got - quad_mi_class_squared_feature(k, base, delta)) <= 1e-12
 
 
 def test_provider_examples():
