@@ -77,7 +77,7 @@ def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
 def _oracle_tables(spec: ScenarioSpec) -> MITables:
     try:
         return oracle_provider(spec)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a**2 of a huge --a in II
+    except ValueError as exc:
         raise CliError(f"the oracle does not cover these parameters: {exc}")
 
 

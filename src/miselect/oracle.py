@@ -163,9 +163,11 @@ def class_labels(x: np.ndarray, y: np.ndarray, spec: ScenarioSpec) -> np.ndarray
 # Entropies
 # ---------------------------------------------------------------------------
 
-# The uniform closed forms take log(2 * delta**2); inside this range the
-# square neither overflows nor leaves the normal floats.
+# The uniform closed forms take log(2 * delta**2), the Gaussian ones
+# log(2 pi e * a**2); inside these ranges (of delta, of |a|) the square
+# neither overflows nor leaves the normal floats.
 UNIFORM_DELTA_RANGE = (1e-150, 1e150)
+GAUSSIAN_A_RANGE = (1e-150, 1e150)
 
 
 def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
@@ -190,6 +192,10 @@ def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
             FeatureId.V10: 0.5 + base,
         }
     else:
+        lo, hi = GAUSSIAN_A_RANGE
+        if not lo <= abs(spec.a) <= hi:
+            raise ValueError(f"|a| {abs(spec.a):g} is outside [{lo:g}, {hi:g}], "
+                             "the range the Gaussian closed forms cover")
         base = 0.5 * math.log(2.0 * math.pi * math.e)
         chisq = 0.5 * (1.0 + math.log(math.pi) - EULER_GAMMA)
         diff = 0.5 * math.log(4.0 * math.pi * math.e)

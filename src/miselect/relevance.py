@@ -10,12 +10,20 @@ set by backward elimination.
 A joint is only its nonzero support atoms: one integer array of cell
 indices and one mass vector, which ``from_json`` takes straight from the
 document's flat mass list with no dense table in between, so desk-scale
-tables with millions of cells but a few hundred atoms stay fast.  Projecting
-the atoms on a variable subset gives each atom a mixed-radix code;
-``np.unique`` turns the codes into dense group ids and ``np.bincount``
-sums the group masses in atom order.  Each subset's grouping is computed
-once per joint, and every conditional probability is the quotient of two
-group masses.  Relevance-optimal sets come from an exhaustive search
+tables with millions of cells but a few hundred atoms stay fast.
+
+Projecting the atoms on a sorted variable subset groups them, and the
+groupings form a lattice: a subset's grouping is built from its cached
+parent, the subset less its last variable, by one multiply-add of the
+parent ids with that variable and a dense relabel of the codes present,
+so groups are numbered in code order.  Group masses are summed in atom
+order, so a conditional probability is the same float whichever grouping
+it comes from.  Conditioning invariance compares two conditional tables,
+P(over | wide key) and P(over | narrow key), with 0 for a value absent
+under a key: for the class, one cached dense table per key, the narrow
+one indexed by each wide group's narrow group; for a wide ``over``, one
+row per (narrow key, over) value present and one column per value of the
+extra feature.  Relevance-optimal sets come from an exhaustive search
 over feature subsets, which is bounded at ``MAX_SEARCH_FEATURES``.
 """
 
@@ -79,7 +87,10 @@ class LabeledJoint:
         self.mass = mass
         self.class_index = class_index
         self.features: tuple[int, ...] = tuple(v for v in range(nvars) if v != class_index)
-        self._groupings: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        one_group = np.zeros(len(mass), dtype=np.intp)
+        self._groupings: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
+            (): (one_group, np.bincount(one_group, weights=mass))}
+        self._class_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._classes: dict[int, RelevanceClass] = {}
 
     @classmethod
@@ -96,41 +107,73 @@ class LabeledJoint:
     def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Group id of each atom by its projection on ``variables``, and group masses.
 
-        Each group's mass is summed in atom order, so a conditional
+        Groups are numbered in the order of the projection's mixed-radix code.
+        A sorted key's grouping is built from its parent's, ``key[:-1]``: the
+        parent id times the last variable's arity plus the atom's value is a
+        code below ``n_parent * arity``, relabelled densely through the codes
+        present.  Each group's mass is summed in atom order, so a conditional
         probability is the same float whichever grouping it comes from.
         """
         key = tuple(sorted(set(variables)))
-        cached = self._groupings.get(key)
+        end = len(key)
+        while key[:end] not in self._groupings:  # the empty key is always there
+            end -= 1
+        ids, mass = self._groupings[key[:end]]
+        for end in range(end + 1, len(key) + 1):
+            v = key[end - 1]
+            codes = ids * self.arities[v] + self.atoms[:, v]
+            present = np.zeros(len(mass) * self.arities[v], dtype=bool)
+            present[codes] = True
+            ids = np.cumsum(present)[codes] - 1
+            mass = np.bincount(ids, weights=self.mass)
+            self._groupings[key[:end]] = (ids, mass)
+        return ids, mass
+
+    def _class_table(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Group ids of ``variables`` and P(class | group), 0 for an absent class value."""
+        key = tuple(sorted(set(variables)))
+        cached = self._class_tables.get(key)
         if cached is None:
-            codes = np.zeros(len(self.mass), dtype=np.int64)
-            for v in key:
-                codes = codes * self.arities[v] + self.atoms[:, v]
-            _, ids = np.unique(codes, return_inverse=True)
-            cached = (ids, np.bincount(ids, weights=self.mass))
-            self._groupings[key] = cached
+            ids, mass = self._grouping(key)
+            class_ids, class_mass = self._grouping((self.class_index,))
+            n_class = len(class_mass)
+            joint = np.bincount(ids * n_class + class_ids, weights=self.mass,
+                                minlength=len(mass) * n_class)
+            cached = (ids, joint.reshape(-1, n_class) / mass[:, None])
+            self._class_tables[key] = cached
         return cached
 
     def _conditioning_invariant(
         self, extra: Sequence[int], base: Sequence[int], over: Sequence[int]
     ) -> bool:
-        """True iff P(over | base, extra) == P(over | base) on all atoms.
+        """True iff P(over | base, extra) == P(over | base) for every value of ``over``.
 
-        A value of ``over`` seen under a base key but under none of the
-        atoms of one of its (base, extra) keys has probability 0 there.
+        A value of ``over`` absent under a key has probability 0 there.
         """
+        if tuple(over) == (self.class_index,):
+            # one cached table per key: each wide group against its base group
+            w_ids, wide = self._class_table((*base, *extra))
+            n_ids, narrow = self._class_table(base)
+            parent = np.empty(len(wide), dtype=n_ids.dtype)
+            parent[w_ids] = n_ids
+            return not np.abs(wide - narrow[parent]).max() > PROB_TOLERANCE
+        # A wide ``over`` can have as many values as there are atoms, so no
+        # dense table over it: one row per (base, over) value present, one
+        # column per value of ``extra``, a single feature in has_markov_blanket.
         n_ids, n_mass = self._grouping(base)
-        w_ids, w_mass = self._grouping((*base, *extra))
-        no_ids, no_mass = self._grouping((*base, *over))
-        wo_ids, wo_mass = self._grouping((*base, *extra, *over))
-        p_narrow = no_mass[no_ids] / n_mass[n_ids]
-        if np.any(np.abs(wo_mass[wo_ids] / w_mass[w_ids] - p_narrow) > PROB_TOLERANCE):
-            return False
-        # a value is absent under some wide key when fewer wide keys carry
-        # it than there are wide keys under its base key
-        keys_with_value = np.bincount(_coarser(wo_ids, len(wo_mass), no_ids))[no_ids]
-        keys_in_base = np.bincount(_coarser(w_ids, len(w_mass), n_ids))[n_ids]
-        absent = keys_with_value < keys_in_base
-        return not np.any(absent & (p_narrow > PROB_TOLERANCE))
+        x_ids, x_mass = self._grouping(extra)
+        o_ids, o_mass = self._grouping(over)
+        n_x = len(x_mass)
+        cells, cell_ids = np.unique(n_ids * len(o_mass) + o_ids, return_inverse=True)
+        cell_base = cells // len(o_mass)
+        narrow = np.bincount(cell_ids, weights=self.mass) / n_mass[cell_base]
+        wide_mass = np.bincount(n_ids * n_x + x_ids, weights=self.mass,
+                                minlength=len(n_mass) * n_x).reshape(-1, n_x)[cell_base]
+        cell_mass = np.bincount(cell_ids * n_x + x_ids, weights=self.mass,
+                                minlength=len(cells) * n_x).reshape(-1, n_x)
+        rows, cols = np.nonzero(wide_mass)  # the (base, extra) keys present
+        wide = cell_mass[rows, cols] / wide_mass[rows, cols]
+        return not np.abs(wide - narrow[rows]).max() > PROB_TOLERANCE
 
     # -- definitions ---------------------------------------------------------
 
@@ -271,17 +314,14 @@ class LabeledJoint:
             raise ValueError(f"arities must be one or more positive integers, got {arities!r}")
         # a dtype check, not a loop over a million cells: strings, nulls, nested
         # or all-boolean lists give another dtype or ndim; a ragged nest raises
-        flat = np.asarray(doc.get("probs"))
-        if flat.ndim != 1 or flat.dtype.kind not in "iuf" or len(flat) != math.prod(arities):
+        probs = doc.get("probs")
+        flat = np.asarray(probs)
+        if (flat.ndim != 1 or flat.dtype.kind not in "iuf" or len(flat) != math.prod(arities)
+                # a true or false among numbers reads as 1 or 0; only a text holding the
+                # "u" of true or the "f" of false, which no finite number holds, can have one
+                or (("u" in text or "f" in text) and any(type(p) is bool for p in probs))):
             raise ValueError(f"probs must be a flat list of {math.prod(arities)} numbers")
         return cls.from_dense(flat.reshape(arities), doc.get("class_index"))
-
-
-def _coarser(fine_ids: np.ndarray, n_fine: int, coarse_ids: np.ndarray) -> np.ndarray:
-    """Coarse group of each fine group, for a grouping refined by another."""
-    out = np.empty(n_fine, dtype=coarse_ids.dtype)
-    out[fine_ids] = coarse_ids
-    return out
 
 
 # ---------------------------------------------------------------------------

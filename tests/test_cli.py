@@ -70,6 +70,14 @@ def test_oracle_rejects_endpoint_k(capsys):
                  "the oracle does not cover these parameters: delta 1e-200 is outside "
                  "[1e-150, 1e+150], the range the uniform closed forms cover",
                  id="oracle-delta-underflow"),
+    pytest.param(("oracle", "--scenario", "II", "--k", "0.2", "--a", "1e200"),
+                 "the oracle does not cover these parameters: |a| 1e+200 is outside "
+                 "[1e-150, 1e+150], the range the Gaussian closed forms cover",
+                 id="oracle-a-overflow"),
+    pytest.param(("oracle", "--scenario", "II", "--k", "0.2", "--a", "1e-200"),
+                 "the oracle does not cover these parameters: |a| 1e-200 is outside "
+                 "[1e-150, 1e+150], the range the Gaussian closed forms cover",
+                 id="oracle-a-underflow"),
     pytest.param(("order", "--method", "mrmr", "--k", "abc"),
                  "k: could not convert string to float: 'abc'", id="order-k-text"),
     pytest.param(("order", "--method", "mrmr", "--scenario", "III"),
@@ -129,9 +137,12 @@ def test_oracle_overflow_is_one_error_line(capsys):
         assert line == (
             f"error: the oracle does not cover these parameters: delta {float(delta):g} "
             "is outside [1e-150, 1e+150], the range the uniform closed forms cover")
-    # a**2 overflows in scenario II's entropy of aX + b; the reason text is the platform's
-    line = run_error(capsys, "oracle", "--scenario", "II", "--k", "0.2", "--a", "1e200")
-    assert line.startswith("error: the oracle does not cover these parameters: ")
+    # a**2 in scenario II's entropy of aX + b would overflow or underflow
+    for a in ("1e200", "1e-200"):
+        line = run_error(capsys, "oracle", "--scenario", "II", "--k", "0.2", "--a", a)
+        assert line == (
+            f"error: the oracle does not cover these parameters: |a| {float(a):g} "
+            "is outside [1e-150, 1e+150], the range the Gaussian closed forms cover")
 
 
 def test_oracle_commands_leave_scipy_unimported(tmp_path):
@@ -351,6 +362,7 @@ def test_relevance_bad_file(tmp_path, capsys):
         "text-prob": '{"arities":[2,2],"probs":[0.25,"0.25",0.25,0.25]}',
         "null-prob": '{"arities":[2,2],"probs":[0.25,null,0.25,0.25]}',
         "bool-probs": '{"arities":[2,2],"probs":[true,false,false,true]}',
+        "bool-mixed-probs": '{"arities":[2,2],"probs":[0.5,false,false,0.5]}',
         "short-probs": '{"arities":[2,2],"probs":[0.5,0.5]}',
         "long-probs": '{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}',
     }

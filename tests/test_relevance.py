@@ -304,10 +304,27 @@ def absent_value_joint(rare: float) -> tuple[np.ndarray, int]:
     return probs / probs.sum(), 1
 
 
+def absent_pair_joint(rare: float) -> tuple[np.ndarray, int]:
+    """Features E, R and a class C, where the (C, R) value (1, 1) is absent under E=0.
+
+    Under E=1 that value has probability ``rare``.  The (C, R) values present
+    under both keys move by at most 0.3 * ``rare``, so only the absent value
+    can make {} fail as a Markov blanket of E, and does when ``rare`` is large
+    enough.
+    """
+    p_e1 = 0.9
+    under_e0 = [[1 / 3, 1 / 3], [1 / 3, 0.0]]  # [R][C]
+    under_e1 = [[1 / 3 - rare / 3, 1 / 3 - rare / 3], [1 / 3 - rare / 3, rare]]
+    probs = np.array([np.multiply(1 - p_e1, under_e0), np.multiply(p_e1, under_e1)])
+    return probs / probs.sum(), 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(labeled_joints())
 @explicit_example(absent_value_joint(1.5e-9))
 @explicit_example(absent_value_joint(0.5e-9))
+@explicit_example(absent_pair_joint(2e-9))
+@explicit_example(absent_pair_joint(1e-9))
 def test_coded_atoms_agree_with_dict_reference(drawn):
     probs, class_index = drawn
     try:
@@ -333,3 +350,45 @@ def test_coded_atoms_agree_with_dict_reference(drawn):
 def test_value_absent_under_wide_key_counts_as_zero(rare, invariant):
     joint = LabeledJoint.from_dense(*absent_value_joint(rare))
     assert joint.is_maximally_informative(()) is invariant
+
+
+@pytest.mark.parametrize("rare, blanket", [(2e-9, False), (1e-9, True)])
+def test_pair_absent_under_wide_key_counts_as_zero(rare, blanket):
+    joint = LabeledJoint.from_dense(*absent_pair_joint(rare))
+    assert joint.has_markov_blanket(0, ()) is blanket
+
+
+def unique_grouping(joint, variables):
+    """Group ids and masses from each atom's mixed-radix code, sorted by np.unique."""
+    codes = np.zeros(len(joint.mass), dtype=np.int64)
+    for v in sorted(variables):
+        codes = codes * joint.arities[v] + joint.atoms[:, v]
+    _, ids = np.unique(codes, return_inverse=True)
+    return ids, np.bincount(ids, weights=joint.mass)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_joints())
+def test_lattice_groupings_match_unique_codes(drawn):
+    probs, class_index = drawn
+    try:
+        joint = LabeledJoint.from_dense(probs, class_index)
+    except ValueError:  # the class has a single state
+        return
+    variables = range(len(joint.arities))
+    subsets = [s for size in range(len(variables) + 1)
+               for s in itertools.combinations(variables, size)]
+    # largest first, so that most groupings are built along a chain of parents
+    for subset in reversed(subsets):
+        ids, mass = joint._grouping(reversed(subset))
+        ref_ids, ref_mass = unique_grouping(joint, subset)
+        # both number the groups in code order, so the same partition has the same ids
+        assert np.array_equal(ids, ref_ids)
+        assert np.array_equal(mass, ref_mass)  # bit-equal: summed in atom order
+
+
+def test_letters_of_true_and_false_outside_probs_load():
+    # the loader looks at each probability only when the text holds a "u" or an "f"
+    doc = '{"arities":[2,2],"probs":[0.5,0,0,0.5],"source":"uniform, fixed"}'
+    joint = LabeledJoint.from_json(doc)
+    assert np.array_equal(joint.mass, [0.5, 0.5])
