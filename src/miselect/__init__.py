@@ -1,10 +1,12 @@
 """Mutual-information feature selection lab.
 
-Eight sequential forward selection criteria, evaluated in extended-real
-arithmetic (with tagged indeterminate forms) on one kind of value,
-:class:`MITables`: entropies, class MIs and a symmetric pairwise-MI
+Eight sequential forward selection criteria run on one kind of value,
+:class:`MITables`: float entropies, class MIs and a symmetric pairwise-MI
 matrix.  The tables come from an analytic oracle with exact values,
-including symbolic +inf, or from a histogram estimator over a sample.
+including +inf for fully associated features, or from a histogram
+estimator over a sample.  The objectives are evaluated in extended-real
+arithmetic, and a trace reports each one as an :class:`XReal`: finite,
++inf, -inf or a tagged indeterminate form.
 """
 
 from .estimation import Sample, estimated_provider

@@ -85,8 +85,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     tables = _oracle_tables(spec)
     for f in FEATURES:
-        h = tables.entropy(f).value
-        m = tables.class_mi(f).value
+        h = tables.entropy(f)
+        m = tables.class_mi(f)
         print(f"{feature_label(f, spec)}\t{h:.4f}\t{m:.4f}")
     return 0
 

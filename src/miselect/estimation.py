@@ -30,7 +30,6 @@ import numpy as np
 
 from .infotheory import plugin_entropy
 from .oracle import FEATURES, FeatureId, MITables
-from .xreal import XReal, finite
 
 CSV_HEADER = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
 COLUMNS = CSV_HEADER.split(",")
@@ -292,12 +291,12 @@ def estimated_provider(sample: Sample) -> MITables:
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"column {name}: {exc}") from None
 
-    def pairwise(i: FeatureId, j: FeatureId) -> XReal:
+    def pairwise(i: FeatureId, j: FeatureId) -> float:
         bi, bj = coarse[i - 1], coarse[j - 1]
-        return finite(bi.entropy if i == j else estimate_mi_features(bi, bj))
+        return bi.entropy if i == j else estimate_mi_features(bi, bj)
 
     return MITables(
-        [finite(estimate_entropy_1d(b)) for b in fine],
-        [finite(estimate_mi_class(b, labels)) for b in fine],
+        [estimate_entropy_1d(b) for b in fine],
+        [estimate_mi_class(b, labels) for b in fine],
         pairwise,
     )

@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from .relevance import mass_total
-from .xreal import XReal, xdiv, xmin
 
 
 class JointTable:
@@ -112,12 +111,3 @@ def tmi(
     """Triple mutual information MI(X,Y) - MI(X,Y|Z); may be negative."""
     return mi(t, x_vars, y_vars) - cond_mi(t, x_vars, y_vars, z_vars)
 
-
-def normalized_mi(mi_xy: XReal, h_x: XReal, h_y: XReal) -> XReal:
-    """MI divided by the smaller entropy, under extended-real semantics.
-
-    Bounded in [0,1] only for discrete variables; with differential
-    entropies the quotient can be negative, infinite, or indeterminate,
-    which is exactly what the selection objectives must see.
-    """
-    return xdiv(mi_xy, xmin((h_x, h_y)))

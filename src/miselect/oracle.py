@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-
-from .xreal import POS_INF, XReal, finite
 
 LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -57,7 +56,7 @@ CLASS_INDEPENDENT = frozenset(
 
 @dataclass(frozen=True, init=False)
 class MITables:
-    """Entropies and mutual informations of the ten features.
+    """Entropies and mutual informations of the ten features, as floats.
 
     Selection reads nothing else, so the same criteria run on the exact
     tables (:func:`oracle_provider`) and on estimated ones
@@ -65,35 +64,47 @@ class MITables:
     are in feature order.  ``pairwise(i, j)`` is called once for each
     i <= j and its value is stored at (i, j) and at (j, i), so the matrix
     is symmetric by construction; the diagonal holds the self-MI.
+
+    No entry is indeterminate: entropies and class MIs are finite, and a
+    pairwise MI is finite or +inf (fully associated features).  Any other
+    value is refused with ``ValueError``; -0.0 is stored as 0.0.
     """
 
     feature_order: ClassVar[tuple[FeatureId, ...]] = FEATURES
-    entropies: tuple[XReal, ...]
-    class_mis: tuple[XReal, ...]
-    matrix: tuple[tuple[XReal, ...], ...]
+    entropies: tuple[float, ...]
+    class_mis: tuple[float, ...]
+    matrix: tuple[tuple[float, ...], ...]
 
     def __init__(
         self,
-        entropies: Sequence[XReal],
-        class_mis: Sequence[XReal],
-        pairwise: Callable[[FeatureId, FeatureId], XReal],
+        entropies: Sequence[float],
+        class_mis: Sequence[float],
+        pairwise: Callable[[FeatureId, FeatureId], float],
     ):
         rows: list[list] = [[None] * len(FEATURES) for _ in FEATURES]
         for a, i in enumerate(FEATURES):
             for b in range(a, len(FEATURES)):
-                rows[a][b] = rows[b][a] = pairwise(i, FEATURES[b])
-        object.__setattr__(self, "entropies", tuple(entropies))
-        object.__setattr__(self, "class_mis", tuple(class_mis))
+                rows[a][b] = rows[b][a] = _entry(pairwise(i, FEATURES[b]), allow_inf=True)
+        object.__setattr__(self, "entropies", tuple(map(_entry, entropies)))
+        object.__setattr__(self, "class_mis", tuple(map(_entry, class_mis)))
         object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
 
-    def entropy(self, f: FeatureId) -> XReal:
+    def entropy(self, f: FeatureId) -> float:
         return self.entropies[f - 1]
 
-    def class_mi(self, f: FeatureId) -> XReal:
+    def class_mi(self, f: FeatureId) -> float:
         return self.class_mis[f - 1]
 
-    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> XReal:
+    def pairwise_mi(self, i: FeatureId, j: FeatureId) -> float:
         return self.matrix[i - 1][j - 1]
+
+
+def _entry(value: float, allow_inf: bool = False) -> float:
+    """A table entry: a finite float, or +inf where ``allow_inf``."""
+    value = float(value)
+    if not (math.isfinite(value) or (allow_inf and value == math.inf)):
+        raise ValueError(f"not a finite real: {value!r}")
+    return value or 0.0  # -0.0 is stored as 0.0
 
 
 @dataclass(frozen=True)
@@ -170,18 +181,22 @@ UNIFORM_DELTA_RANGE = (1e-150, 1e150)
 GAUSSIAN_A_RANGE = (1e-150, 1e150)
 
 
-def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
+def entropy_of(spec: ScenarioSpec, f: FeatureId) -> float:
     """Differential entropy of a feature, from the closed forms."""
     if spec.scenario is Scenario.UNIFORM:
         lo, hi = UNIFORM_DELTA_RANGE
         if not lo <= spec.delta <= hi:
             raise ValueError(f"delta {spec.delta:g} is outside [{lo:g}, {hi:g}], "
                              "the range the uniform closed forms cover")
+        width = 2.0 * abs(spec.a) * spec.delta  # the support width of aX + b
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"|a| {abs(spec.a):g} and delta {spec.delta:g}: 2|a|delta, "
+                             f"computed in floats, falls outside (0, {sys.float_info.max:g}]")
         base = math.log(2.0 * spec.delta)
         square = math.log(2.0 * spec.delta**2) - 1.0
         table = {
             FeatureId.V1: base,
-            FeatureId.V2: math.log(2.0 * abs(spec.a) * spec.delta),
+            FeatureId.V2: math.log(width),
             FeatureId.V3: square,
             FeatureId.V4: 0.5 + base,
             FeatureId.V5: base,
@@ -211,7 +226,7 @@ def entropy_of(spec: ScenarioSpec, f: FeatureId) -> XReal:
             FeatureId.V9: base,
             FeatureId.V10: diff,
         }
-    return finite(table[f])
+    return table[f]
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +380,22 @@ _SQUARE_DIFF_PAIRS = frozenset(
 MI_SQUARE_DIFF_GAUSSIAN = 0.1078
 
 
-def pairwise_mi(spec: ScenarioSpec, i: FeatureId, j: FeatureId) -> XReal:
-    """MI between two features; +inf entries are symbolic, never floats."""
+def pairwise_mi(spec: ScenarioSpec, i: FeatureId, j: FeatureId) -> float:
+    """MI between two features; +inf is exact (a feature is a function of the other)."""
     if i == j:
-        return POS_INF
+        return math.inf
     pair = frozenset((i, j))
     if pair in _FUNCTIONAL_PAIRS:
-        return POS_INF
+        return math.inf
     if pair in _DIFF_PAIRS:
         if spec.scenario is Scenario.UNIFORM:
-            return finite(0.5)
-        return finite(LN2 / 2.0)
+            return 0.5
+        return LN2 / 2.0
     if pair in _SQUARE_DIFF_PAIRS:
         if spec.scenario is Scenario.UNIFORM:
-            return finite((1.0 - LN2) / 2.0)
-        return finite(MI_SQUARE_DIFF_GAUSSIAN)
-    return finite(0.0)
+            return (1.0 - LN2) / 2.0
+        return MI_SQUARE_DIFF_GAUSSIAN
+    return 0.0
 
 
 def mi_y2_xy_gaussian(nodes: int = 120) -> float:
@@ -454,11 +469,11 @@ def mi_class_squared_feature(
 # ---------------------------------------------------------------------------
 
 def oracle_provider(spec: ScenarioSpec) -> MITables:
-    """The analytic tables of a scenario; +inf pairwise entries are symbolic."""
+    """The analytic tables of a scenario; +inf pairwise entries are exact."""
     mi_x = class_mi(spec, FeatureId.V1)  # V2 = aX + b shares it exactly
     return MITables(
         [entropy_of(spec, f) for f in FEATURES],
-        [finite(mi_x if f in (FeatureId.V1, FeatureId.V2) else class_mi(spec, f))
+        [mi_x if f in (FeatureId.V1, FeatureId.V2) else class_mi(spec, f)
          for f in FEATURES],
         lambda i, j: pairwise_mi(spec, i, j),
     )

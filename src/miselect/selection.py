@@ -1,6 +1,8 @@
 """Sequential forward selection with the eight MI-based objective functions.
 
-Every objective is evaluated in extended-real arithmetic.  A candidate
+The tables are plain floats (finite, or +inf for a pairwise MI), but
+every objective is evaluated in extended-real arithmetic, because the
+criteria combine them into -inf and indeterminate forms.  A candidate
 whose objective is indeterminate is inadmissible for that step only;
 -inf objectives remain admissible (fully redundant features are picked
 last, not skipped).  Selection halts when no admissible candidate is
@@ -17,15 +19,15 @@ mMIFS-U) and NI_is = I_is / min(h_i, h_s) (NMIFS, MICC).  QMIFS is
 rel_i - sum_k [phi_ik - 1/2 sum_{j in S, j != k} phi_ij phi_jk] * I_ck with
 phi_lm = I_lm / h_m.
 
-The search reads the tables once and keeps, for every remaining
-candidate, the running aggregate as a float pair (``xreal.XPair``),
-extended with the new pick's term once per step: a step costs O(d) for
-d features (O(d * |S|) for QMIFS, which keeps one inner sum per candidate
-and selected k and refolds the outer sum).  The sums are left folds from
-0.0 in selection order and the pair operations are the XReal rules, so
-every objective is the same IEEE result, indeterminate kind included,
-as evaluating the formula above from scratch in XReal arithmetic; each
-step's objectives are boxed into XReal values for the trace.
+The search reads the tables once, as (value, None) float pairs
+(``xreal.XPair``), and keeps, for every remaining candidate, the running
+aggregate as a pair, extended with the new pick's term once per step: a
+step costs O(d) for d features (O(d * |S|) for QMIFS, which keeps one
+inner sum per candidate and selected k and refolds the outer sum).  The
+sums are left folds from 0.0 in selection order, so every objective is
+the same IEEE result, indeterminate kind included, as evaluating the
+formula above from scratch with the pair operations.  Only each step's
+objectives are boxed into XReal values, for the trace.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import inf
 from typing import Mapping
 
 from .oracle import FeatureId, MITables
-from .xreal import XPair, XReal, box, fadd, fdiv, fmax, fmin, fmul, fsub, unbox
+from .xreal import XPair, XReal, box, fadd, fdiv, fmax, fmin, fmul, fsub
 
 HALF: XPair = (0.5, None)
 
@@ -197,32 +199,26 @@ def _best(values, positions) -> int | None:
     return best
 
 
-def _first(rel: list[XPair]) -> int:
-    first = _best(rel, range(len(rel)))
-    if first is None:
-        raise ValueError("every class MI is indeterminate")
-    return first
-
-
 def first_feature(p: MITables) -> FeatureId:
     """Most class-informative feature; ties go to the earliest feature."""
-    return p.feature_order[_first([unbox(p.class_mi(f)) for f in p.feature_order])]
+    order = p.feature_order
+    return order[_best([(p.class_mi(f), None) for f in order], range(len(order)))]
 
 
 def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     """Run the forward search to exhaustion or until nothing is admissible."""
     order = p.feature_order
-    relevance = [p.class_mi(f) for f in order]
-    rel = [unbox(v) for v in relevance]
-    h = [unbox(p.entropy(f)) for f in order]
-    mi = [[unbox(p.pairwise_mi(i, j)) for j in order] for i in order]
+    rel: list[XPair] = [(p.class_mi(f), None) for f in order]
+    h: list[XPair] = [(p.entropy(f), None) for f in order]
+    mi = [[(p.pairwise_mi(i, j), None) for j in order] for i in order]
     if m.method is Method.QMIFS:
         engine = _QMIFS(rel, h, mi)
     else:
         engine = _RunningAggregate(m, rel, h, mi)
 
-    picked = [_first(rel)]
-    steps = [SelectionStep(order[picked[0]], dict(zip(order, relevance)))]
+    # the class MIs are finite, so the first step has a winner
+    picked = [_best(rel, range(len(order)))]
+    steps = [SelectionStep(order[picked[0]], {f: box(v) for f, v in zip(order, rel)})]
     remaining = [a for a in range(len(order)) if a != picked[0]]
     halt = HaltReason.ALL_SELECTED
     while remaining:

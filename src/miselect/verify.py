@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import infotheory, xreal
+from . import infotheory
 from .infotheory import JointTable
 from .oracle import (
     FEATURES,
@@ -33,7 +33,7 @@ from .reference import (
     expected_positions,
 )
 from .selection import HaltReason, select_all
-from .xreal import NEG_INF, POS_INF, IndetKind, finite, indeterminate
+from .xreal import IndetKind, XPair, box, fadd, fdiv, fmul, fsub, indeterminate, unbox
 
 
 @dataclass(frozen=True)
@@ -43,36 +43,38 @@ class CheckResult:
     detail: str
 
 
-def _sample_values() -> list[xreal.XReal]:
-    finites = [finite(v) for v in (-2.5, -2.0, -1.0, 0.0, 0.5, 0.7, 3.0)]
-    indets = [indeterminate(k) for k in IndetKind]
-    return finites + [POS_INF, NEG_INF] + indets
+def _sample_values() -> list[XPair]:
+    finites = [(v, None) for v in (-2.5, -2.0, -1.0, 0.0, 0.5, 0.7, 3.0)]
+    indets = [unbox(indeterminate(k)) for k in IndetKind]
+    return finites + [(math.inf, None), (-math.inf, None)] + indets
 
 
 def check_xreal_algebra() -> CheckResult:
+    """The laws of the pair operations that selection runs, on a value grid."""
     values = _sample_values()
-    ops: list[Callable] = [xreal.xadd, xreal.xsub, xreal.xmul, xreal.xdiv]
+    ops: list[Callable] = [fadd, fsub, fmul, fdiv]
+    zero: XPair = (0.0, None)
     cases = 0
     for op, a, b in itertools.product(ops, values, values):
         cases += 1
         r1 = op(a, b)
         # absorption
-        if (a.is_indet or b.is_indet) and not r1.is_indet:
-            return CheckResult("xreal-algebra", False, f"{op.__name__}({a},{b}) = {r1}")
+        if (a[1] is not None or b[1] is not None) and r1[1] is None:
+            return CheckResult(
+                "xreal-algebra", False, f"{op.__name__}({box(a)},{box(b)}) = {box(r1)}"
+            )
         # commutativity of add/mul up to indeterminate-ness
-        if op in (xreal.xadd, xreal.xmul):
+        if op in (fadd, fmul):
             r2 = op(b, a)
-            if r1.is_indet != r2.is_indet:
+            if (r1[1] is None) != (r2[1] is None) or (r1[1] is None and r1[0] != r2[0]):
                 return CheckResult(
-                    "xreal-algebra", False, f"{op.__name__} not commutative on {a},{b}"
-                )
-            if not r1.is_indet and xreal.compare(r1, r2) != 0:
-                return CheckResult(
-                    "xreal-algebra", False, f"{op.__name__} not commutative on {a},{b}"
+                    "xreal-algebra", False,
+                    f"{op.__name__} not commutative on {box(a)},{box(b)}",
                 )
     for v in values:
-        if not v.is_indet and xreal.compare(xreal.xneg(xreal.xneg(v)), v) != 0:
-            return CheckResult("xreal-algebra", False, f"negation not involutive on {v}")
+        # negation is subtraction from zero
+        if v[1] is None and fsub(zero, fsub(zero, v))[0] != v[0]:
+            return CheckResult("xreal-algebra", False, f"negation not involutive on {box(v)}")
     return CheckResult("xreal-algebra", True, f"{cases} operator cases")
 
 
@@ -123,11 +125,11 @@ def check_oracle_tables(tol: float = 1e-3) -> CheckResult:
     for scenario, entries in ENTROPY_TABLE.items():
         tables = oracle_provider(ScenarioSpec(scenario, 0.2))
         for f, want in entries.items():
-            worst = max(worst, abs(tables.entropy(f).value - want))
+            worst = max(worst, abs(tables.entropy(f) - want))
     for (scenario, k), entries in CLASS_MI_TABLE.items():
         tables = oracle_provider(ScenarioSpec(scenario, k))
         for f, want in entries.items():
-            got = tables.class_mi(f).value
+            got = tables.class_mi(f)
             if want == 0.0 and got != 0.0:
                 return CheckResult(
                     "oracle-tables", False, f"{scenario.value} k={k} {f.name}: expected exact 0"
@@ -163,14 +165,14 @@ def check_pairwise_tables(tol: float = 2e-3) -> CheckResult:
             v = tables.pairwise_mi(i, j)
             pair = frozenset((i, j))
             if i == j or pair in _INF_PAIRS:
-                ok = v.is_pos_inf
+                ok = v == math.inf
             elif pair in _HALF_PAIRS:
-                ok = v.is_finite and abs(v.value - half) <= tol
+                ok = abs(v - half) <= tol
             elif pair in _SQUARE_PAIRS:
-                ok = v.is_finite and abs(v.value - square) <= tol
+                ok = abs(v - square) <= tol
             else:
-                ok = v.is_finite and v.value == 0.0
-            if not ok or tables.pairwise_mi(j, i) is not v:
+                ok = v == 0.0
+            if not ok or tables.pairwise_mi(j, i) != v:
                 return CheckResult(
                     "pairwise-tables", False, f"{scenario.value} {i.name},{j.name} = {v}"
                 )

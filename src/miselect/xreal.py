@@ -13,9 +13,10 @@ operation: IEEE 754 infinity arithmetic gives the extended-real result
 and signals each indeterminate form as NaN, which becomes the tag of
 the operation's form.  A finite result that overflows is +inf or -inf.
 Only division by zero has a rule of its own (0/0, else the sign of the
-numerator).  The rules are written once, on (value, kind) float pairs;
-the XReal operations box their results, and code that folds many values
-(the selection engine) runs on the pairs and boxes only what it reports.
+numerator).  The rules are written once, as operations on (value, kind)
+float pairs.  The MI tables are plain floats; the selection engine folds
+them as pairs and boxes into :class:`XReal` only the objectives a trace
+reports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, isfinite, nan
-from typing import Iterable
 
 
 class IndetKind(Enum):
@@ -35,19 +35,15 @@ class IndetKind(Enum):
     INF_OVER_INF = "inf/inf"
 
 
-class IndeterminateComparison(ValueError):
-    """Raised when an indeterminate value reaches an order comparison."""
-
-
 @dataclass(frozen=True)
 class XReal:
     """Extended-real value: finite, +inf, -inf, or a tagged indeterminate.
 
     ``value`` is a finite float or an IEEE infinity, and NaN exactly when
     ``indet_kind`` names the indeterminate form.  Construct through
-    :func:`finite`, :func:`indeterminate` or the module constants
-    ``ZERO`` / ``POS_INF`` / ``NEG_INF``; the raw constructor does not
-    validate.  Operations return the infinities and the four
+    :func:`finite`, :func:`indeterminate`, :func:`box` or the module
+    constants ``ZERO`` / ``POS_INF`` / ``NEG_INF``; the raw constructor
+    does not validate.  :func:`box` returns the infinities and the four
     indeterminates as singletons, so ``==`` and ``is`` both hold for them.
     """
 
@@ -107,8 +103,9 @@ def indeterminate(kind: IndetKind) -> XReal:
 # ``value`` is NaN and ``kind`` names the indeterminate form.  The pair
 # operations neither collapse -0.0 nor allocate an XReal, so a running fold
 # stays a plain float.  The sign of a zero changes nothing but the sign of a
-# zero result (x/0 takes the sign of x, not of the zero), so boxing once at
-# the end of a fold gives the same XReal as boxing every step.
+# zero result (x/0 takes the sign of x, not of the zero), so collapsing -0.0
+# once, when a fold's result is boxed, gives the same XReal as collapsing it
+# at every step.
 # ---------------------------------------------------------------------------
 
 XPair = tuple[float, IndetKind | None]
@@ -185,70 +182,3 @@ def fmin(a: XPair, b: XPair) -> XPair:
     if b[1] is not None:
         return b
     return b if b[0] < a[0] else a
-
-
-# ---------------------------------------------------------------------------
-# XReal operations: the pair operations, boxed
-# ---------------------------------------------------------------------------
-
-def xneg(a: XReal) -> XReal:
-    return xsub(ZERO, a)  # 0 - x is -x up to the sign of a zero, which box collapses
-
-
-def xadd(a: XReal, b: XReal) -> XReal:
-    return box(fadd(unbox(a), unbox(b)))
-
-
-def xsub(a: XReal, b: XReal) -> XReal:
-    return box(fsub(unbox(a), unbox(b)))
-
-
-def xmul(a: XReal, b: XReal) -> XReal:
-    return box(fmul(unbox(a), unbox(b)))
-
-
-def xdiv(a: XReal, b: XReal) -> XReal:
-    return box(fdiv(unbox(a), unbox(b)))
-
-
-def xsum(values: Iterable[XReal]) -> XReal:
-    """Left fold of :func:`fadd` from 0.0; the empty sum is finite zero."""
-    total: XPair = (0.0, None)
-    for v in values:
-        total = fadd(total, unbox(v))
-    return box(total)
-
-
-def compare(a: XReal, b: XReal) -> int:
-    """Order two non-indeterminate values: -inf < finite < +inf.
-
-    Returns -1, 0 or 1.  Indeterminate operands signal a programming
-    error: callers must filter them out before ranking.
-    """
-    for v in (a, b):
-        if v.indet_kind is not None:
-            raise IndeterminateComparison(f"cannot order {v}")
-    return (a.value > b.value) - (a.value < b.value)
-
-
-def xmax(values: Iterable[XReal]) -> XReal:
-    """Maximum under the extended order; an indeterminate operand absorbs."""
-    return _extremum(values, fmax)
-
-
-def xmin(values: Iterable[XReal]) -> XReal:
-    """Minimum under the extended order; an indeterminate operand absorbs."""
-    return _extremum(values, fmin)
-
-
-def _extremum(values: Iterable[XReal], pick) -> XReal:
-    """The element a left fold of ``pick`` keeps: the element itself, not a copy."""
-    best: XReal | None = None
-    best_pair: XPair = (nan, None)
-    for v in values:
-        pair = unbox(v)
-        if best is None or pick(best_pair, pair) is pair:
-            best, best_pair = v, pair
-    if best is None:
-        raise ValueError("extremum of an empty sequence")
-    return best

@@ -1,22 +1,20 @@
 from itertools import combinations
+from math import inf
 
 import numpy as np
 import pytest
 
 from miselect.oracle import FEATURES, MITables, Scenario, ScenarioSpec, oracle_provider
-from miselect.xreal import POS_INF, finite
 
 
 def random_provider(rng: np.random.Generator, inf_prob: float = 0.15) -> MITables:
-    entropies = [finite(rng.uniform(-2.0, 3.0)) for _ in FEATURES]
-    class_mis = [finite(rng.uniform(0.0, 1.0)) for _ in FEATURES]
+    entropies = [rng.uniform(-2.0, 3.0) for _ in FEATURES]
+    class_mis = [rng.uniform(0.0, 1.0) for _ in FEATURES]
     pairwise = {
-        (i, j): POS_INF if rng.random() < inf_prob else finite(rng.uniform(0.0, 1.2))
+        (i, j): inf if rng.random() < inf_prob else rng.uniform(0.0, 1.2)
         for i, j in combinations(FEATURES, 2)
     }
-    return MITables(
-        entropies, class_mis, lambda i, j: POS_INF if i == j else pairwise[i, j]
-    )
+    return MITables(entropies, class_mis, lambda i, j: inf if i == j else pairwise[i, j])
 
 
 @pytest.fixture(scope="session")

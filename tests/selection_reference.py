@@ -1,17 +1,18 @@
 """The scalar selection code that ``miselect.selection`` replaced: the reference.
 
 ``objective`` evaluates one candidate from scratch, folding its redundancy
-over the whole selected set in boxed ``XReal`` arithmetic, and
-``reference_select_all`` is the forward search built on it.  The
-incremental engine must reproduce both exactly: the same objectives by
-``==``, indeterminate kind and rendering, the same winners and halts.
+over the whole selected set with the extended-real pair operations and
+boxing the result, and ``reference_select_all`` is the forward search built
+on it.  The incremental engine must reproduce both exactly: the same
+objectives by ``==``, indeterminate kind and rendering, the same winners
+and halts.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import reduce
+from typing import Iterable, Sequence
 
-from miselect.infotheory import normalized_mi
 from miselect.oracle import FeatureId, MITables
 from miselect.selection import (
     HaltReason,
@@ -20,82 +21,106 @@ from miselect.selection import (
     SelectionStep,
     SelectionTrace,
 )
-from miselect.xreal import XReal, compare, finite, xdiv, xmax, xmul, xsub, xsum
+from miselect.xreal import XPair, XReal, box, fadd, fdiv, fmax, fmin, fmul, fsub
 
-HALF = finite(0.5)
+HALF: XPair = (0.5, None)
 
 
 def objective(
     m: MethodSpec, candidate: FeatureId, selected: Sequence[FeatureId], p: MITables
 ) -> XReal:
     """Objective value of one candidate given the already selected set."""
-    rel = p.class_mi(candidate)
+    return box(_objective(m, candidate, selected, p))
+
+
+def _objective(
+    m: MethodSpec, candidate: FeatureId, selected: Sequence[FeatureId], p: MITables
+) -> XPair:
+    rel = (p.class_mi(candidate), None)
     if not selected:
         return rel
     method = m.method
 
     if method is Method.MIFS:
-        redundancy = xmul(finite(m.beta), _mi_sum(candidate, selected, p))
+        redundancy = fmul((float(m.beta), None), _mi_sum(candidate, selected, p))
     elif method is Method.MRMR:
-        redundancy = xmul(
-            finite(1.0 / len(selected)), _mi_sum(candidate, selected, p)
-        )
+        redundancy = fmul((1.0 / len(selected), None), _mi_sum(candidate, selected, p))
     elif method is Method.MAX_MIFS:
-        redundancy = xmax(p.pairwise_mi(candidate, s) for s in selected)
+        redundancy = _max((p.pairwise_mi(candidate, s), None) for s in selected)
     elif method is Method.MIFS_U:
-        redundancy = xmul(
-            finite(m.beta),
-            xsum(_class_ratio_term(candidate, s, p) for s in selected),
+        redundancy = fmul(
+            (float(m.beta), None),
+            _sum(_class_ratio_term(candidate, s, p) for s in selected),
         )
     elif method is Method.MMIFS_U:
-        redundancy = xmax(_class_ratio_term(candidate, s, p) for s in selected)
+        redundancy = _max(_class_ratio_term(candidate, s, p) for s in selected)
     elif method is Method.NMIFS:
-        redundancy = xmul(
-            finite(1.0 / len(selected)),
-            xsum(_ni(candidate, s, p) for s in selected),
+        redundancy = fmul(
+            (1.0 / len(selected), None),
+            _sum(_ni(candidate, s, p) for s in selected),
         )
     elif method is Method.MICC:
-        mean_ni = xmul(
-            finite(1.0 / len(selected)),
-            xsum(_ni(candidate, s, p) for s in selected),
+        mean_ni = fmul(
+            (1.0 / len(selected), None),
+            _sum(_ni(candidate, s, p) for s in selected),
         )
-        return xsub(xdiv(rel, mean_ni), rel)
+        return fsub(fdiv(rel, mean_ni), rel)
     elif method is Method.QMIFS:
         return _qmifs(rel, candidate, selected, p)
     else:  # pragma: no cover
         raise AssertionError(method)
-    return xsub(rel, redundancy)
+    return fsub(rel, redundancy)
 
 
-def _mi_sum(i: FeatureId, selected: Sequence[FeatureId], p: MITables) -> XReal:
-    return xsum(p.pairwise_mi(i, s) for s in selected)
+def _sum(values: Iterable[XPair]) -> XPair:
+    """Left fold of fadd from 0.0; the empty sum is 0."""
+    return reduce(fadd, values, (0.0, None))
 
 
-def _class_ratio_term(i: FeatureId, s: FeatureId, p: MITables) -> XReal:
+def _max(values: Iterable[XPair]) -> XPair:
+    """Left fold of fmax over a nonempty sequence."""
+    return reduce(fmax, values)
+
+
+def _mi_sum(i: FeatureId, selected: Sequence[FeatureId], p: MITables) -> XPair:
+    return _sum((p.pairwise_mi(i, s), None) for s in selected)
+
+
+def _class_ratio_term(i: FeatureId, s: FeatureId, p: MITables) -> XPair:
     # MI(C,Vs)/h(Vs) * MI(Vi,Vs); the quotient is where 0/0 and inf/0 arise
-    ratio = xdiv(p.class_mi(s), p.entropy(s))
-    return xmul(ratio, p.pairwise_mi(i, s))
+    ratio = fdiv((p.class_mi(s), None), (p.entropy(s), None))
+    return fmul(ratio, (p.pairwise_mi(i, s), None))
 
 
-def _ni(i: FeatureId, s: FeatureId, p: MITables) -> XReal:
-    return normalized_mi(p.pairwise_mi(i, s), p.entropy(i), p.entropy(s))
+def ni(mi_xy: float, h_x: float, h_y: float) -> XPair:
+    """The normalised MI of NMIFS and MICC: MI over the smaller entropy.
+
+    Bounded in [0,1] only for discrete variables; with differential
+    entropies the quotient can be negative, infinite, or indeterminate,
+    which is exactly what the selection objectives must see.
+    """
+    return fdiv((mi_xy, None), fmin((h_x, None), (h_y, None)))
 
 
-def _phi(l: FeatureId, m_: FeatureId, p: MITables) -> XReal:
-    return xdiv(p.pairwise_mi(l, m_), p.entropy(m_))
+def _ni(i: FeatureId, s: FeatureId, p: MITables) -> XPair:
+    return ni(p.pairwise_mi(i, s), p.entropy(i), p.entropy(s))
+
+
+def _phi(l: FeatureId, m_: FeatureId, p: MITables) -> XPair:
+    return fdiv((p.pairwise_mi(l, m_), None), (p.entropy(m_), None))
 
 
 def _qmifs(
-    rel: XReal, i: FeatureId, selected: Sequence[FeatureId], p: MITables
-) -> XReal:
+    rel: XPair, i: FeatureId, selected: Sequence[FeatureId], p: MITables
+) -> XPair:
     # rel - sum_k [phi_ik - 1/2 sum_{j != k} phi_ij phi_jk] * MI(C,Vk)
     total = rel
     for k in selected:
-        pair_term = xsum(
-            xmul(_phi(i, j, p), _phi(j, k, p)) for j in selected if j != k
+        pair_term = _sum(
+            fmul(_phi(i, j, p), _phi(j, k, p)) for j in selected if j != k
         )
-        bracket = xsub(_phi(i, k, p), xmul(HALF, pair_term))
-        total = xsub(total, xmul(bracket, p.class_mi(k)))
+        bracket = fsub(_phi(i, k, p), fmul(HALF, pair_term))
+        total = fsub(total, fmul(bracket, (p.class_mi(k), None)))
     return total
 
 
@@ -115,11 +140,9 @@ def reference_select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
             v = objectives.get(f)
             if v is None or v.is_indet:
                 continue
-            if winner_val is None or compare(v, winner_val) > 0:
+            if winner_val is None or v.value > winner_val.value:
                 winner, winner_val = f, v
         if winner is None:
-            if not selected:
-                raise ValueError("every class MI is indeterminate")
             steps.append(SelectionStep(None, objectives))
             halt = HaltReason.NO_ADMISSIBLE_CANDIDATE
             break

@@ -48,6 +48,76 @@ def test_oracle_table_gaussian(capsys):
     assert row == "Y\t1.4189\t0.1434"
 
 
+# The whole stdout of `oracle`, byte for byte: a changed digit or a -0.0000 fails
+ORACLE_OUTPUTS = [
+    pytest.param(("--scenario", "I", "--k", "0.2"), (
+        "X\t0.0000\t0.5931\n"
+        "3X+1\t1.0986\t0.5931\n"
+        "Y2\t-1.6931\t0.0000\n"
+        "X-Y\t0.5000\t0.1785\n"
+        "Z\t0.0000\t0.0000\n"
+        "Z2\t-1.6931\t0.0000\n"
+        "Y\t0.0000\t0.0067\n"
+        "X2\t-1.6931\t0.0000\n"
+        "W+2\t0.0000\t0.0000\n"
+        "Z+W\t0.5000\t0.0000\n"
+    ), id="I-0.2"),
+    pytest.param(("--scenario", "I", "--k", "0.8"), (
+        "X\t0.0000\t0.2931\n"
+        "3X+1\t1.0986\t0.2931\n"
+        "Y2\t-1.6931\t0.0000\n"
+        "X-Y\t0.5000\t0.0201\n"
+        "Z\t0.0000\t0.0000\n"
+        "Z2\t-1.6931\t0.0000\n"
+        "Y\t0.0000\t0.1153\n"
+        "X2\t-1.6931\t0.0000\n"
+        "W+2\t0.0000\t0.0000\n"
+        "Z+W\t0.5000\t0.0000\n"
+    ), id="I-0.8"),
+    pytest.param(("--scenario", "II", "--k", "0.2"), (
+        "X\t1.4189\t0.5520\n"
+        "3X+1\t2.5176\t0.5520\n"
+        "Y2\t0.7838\t0.0000\n"
+        "X-Y\t1.7655\t0.0947\n"
+        "Z\t1.4189\t0.0000\n"
+        "Z2\t0.7838\t0.0000\n"
+        "Y\t1.4189\t0.0124\n"
+        "X2\t0.7838\t0.0000\n"
+        "W+2\t1.4189\t0.0000\n"
+        "Z+W\t1.7655\t0.0000\n"
+    ), id="II-0.2"),
+    pytest.param(("--scenario", "II", "--k", "0.8"), (
+        "X\t1.4189\t0.2495\n"
+        "3X+1\t2.5176\t0.2495\n"
+        "Y2\t0.7838\t0.0000\n"
+        "X-Y\t1.7655\t0.0032\n"
+        "Z\t1.4189\t0.0000\n"
+        "Z2\t0.7838\t0.0000\n"
+        "Y\t1.4189\t0.1434\n"
+        "X2\t0.7838\t0.0000\n"
+        "W+2\t1.4189\t0.0000\n"
+        "Z+W\t1.7655\t0.0000\n"
+    ), id="II-0.8"),
+    pytest.param(("--k", "0.2", "--a", "1e200"), (
+        "X\t0.0000\t0.5931\n"
+        "1e+200X+1\t460.5170\t0.5931\n"
+        "Y2\t-1.6931\t0.0000\n"
+        "X-Y\t0.5000\t0.1785\n"
+        "Z\t0.0000\t0.0000\n"
+        "Z2\t-1.6931\t0.0000\n"
+        "Y\t0.0000\t0.0067\n"
+        "X2\t-1.6931\t0.0000\n"
+        "W+2\t0.0000\t0.0000\n"
+        "Z+W\t0.5000\t0.0000\n"
+    ), id="I-0.2-a-1e200"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ORACLE_OUTPUTS)
+def test_oracle_output_is_pinned(capsys, argv, expected):
+    assert run(capsys, "oracle", *argv) == (0, expected)
+
+
 def test_oracle_rejects_endpoint_k(capsys):
     line = run_error(capsys, "oracle", "--scenario", "I", "--k", "1.0")
     assert line == "error: class slope k must lie in (0,1), got 1.0"
@@ -78,6 +148,14 @@ def test_oracle_rejects_endpoint_k(capsys):
                  "the oracle does not cover these parameters: |a| 1e-200 is outside "
                  "[1e-150, 1e+150], the range the Gaussian closed forms cover",
                  id="oracle-a-underflow"),
+    pytest.param(("oracle", "--k", "0.2", "--a", "1e308", "--delta", "1e10"),
+                 "the oracle does not cover these parameters: |a| 1e+308 and delta 1e+10: "
+                 "2|a|delta, computed in floats, falls outside (0, 1.79769e+308]",
+                 id="oracle-a-width-overflow"),
+    pytest.param(("oracle", "--k", "0.2", "--a", "1e-300", "--delta", "1e-150"),
+                 "the oracle does not cover these parameters: |a| 1e-300 and delta 1e-150: "
+                 "2|a|delta, computed in floats, falls outside (0, 1.79769e+308]",
+                 id="oracle-a-width-underflow"),
     pytest.param(("order", "--method", "mrmr", "--k", "abc"),
                  "k: could not convert string to float: 'abc'", id="order-k-text"),
     pytest.param(("order", "--method", "mrmr", "--scenario", "III"),

@@ -9,13 +9,11 @@ from miselect.infotheory import (
     cond_mi,
     entropy,
     mi,
-    normalized_mi,
     tmi,
 )
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import LabeledJoint, grid_scenario_joint
 from miselect.verify import mi_direct, random_table
-from miselect.xreal import NEG_INF, POS_INF, IndetKind, finite
 
 LN2 = math.log(2.0)
 
@@ -124,20 +122,6 @@ def test_mi_symmetry_and_nonnegativity():
         t = random_table(rng, nvars=2)
         assert mi(t, (0,), (1,)) == mi(t, (1,), (0,))
         assert mi(t, (0,), (1,)) >= -1e-12
-
-
-def test_normalized_mi_examples():
-    assert normalized_mi(finite(0.5), finite(0.5), finite(0.0)) is POS_INF
-    assert normalized_mi(POS_INF, finite(1.0986), finite(-1.6932)) is NEG_INF
-    assert normalized_mi(finite(0.3), finite(1.0), finite(2.0)) == finite(0.3)
-
-
-def test_normalized_mi_zero_over_zero_is_indeterminate():
-    # zero MI over a zero minimum entropy cannot be assigned a value:
-    # treating it as 0 would let independent features through steps that
-    # the reference orderings show as blocked
-    out = normalized_mi(finite(0.0), finite(0.0), finite(0.5))
-    assert out.is_indet and out.indet_kind is IndetKind.ZERO_OVER_ZERO
 
 
 def test_json_round_trip():

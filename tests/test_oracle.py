@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from miselect.oracle import (
     FEATURES,
     CLASS_INDEPENDENT,
     FeatureId,
+    MITables,
     Scenario,
     ScenarioSpec,
     class_mi,
@@ -50,12 +52,12 @@ def test_spec_validation():
 
 
 def test_entropy_examples():
-    assert entropy_of(spec_i(), V.V1).value == pytest.approx(0.0)
-    assert entropy_of(spec_i(), V.V3).value == pytest.approx(math.log(0.5) - 1, abs=1e-12)
-    assert entropy_of(spec_ii(), V.V1).value == pytest.approx(1.4189, abs=5e-5)
-    assert entropy_of(spec_i(delta=0.4), V.V1).value == pytest.approx(math.log(0.8))
-    assert entropy_of(spec_i(), V.V2).value == pytest.approx(math.log(3.0))
-    assert entropy_of(spec_ii(), V.V4).value == pytest.approx(1.7655, abs=5e-5)
+    assert entropy_of(spec_i(), V.V1) == pytest.approx(0.0)
+    assert entropy_of(spec_i(), V.V3) == pytest.approx(math.log(0.5) - 1, abs=1e-12)
+    assert entropy_of(spec_ii(), V.V1) == pytest.approx(1.4189, abs=5e-5)
+    assert entropy_of(spec_i(delta=0.4), V.V1) == pytest.approx(math.log(0.8))
+    assert entropy_of(spec_i(), V.V2) == pytest.approx(math.log(3.0))
+    assert entropy_of(spec_ii(), V.V4) == pytest.approx(1.7655, abs=5e-5)
 
 
 def test_class_mi_closed_forms():
@@ -145,18 +147,18 @@ def test_class_independent_features_are_exactly_zero():
 
 
 def test_pairwise_examples():
-    assert pairwise_mi(spec_i(), V.V1, V.V2).is_pos_inf
-    assert pairwise_mi(spec_i(), V.V1, V.V4).value == 0.5
-    assert pairwise_mi(spec_ii(), V.V3, V.V4).value == pytest.approx(0.1078)
-    assert pairwise_mi(spec_i(), V.V5, V.V9).value == 0.0
-    assert pairwise_mi(spec_i(), V.V3, V.V4).value == pytest.approx((1 - LN2) / 2)
-    assert pairwise_mi(spec_ii(), V.V1, V.V4).value == pytest.approx(LN2 / 2)
+    assert pairwise_mi(spec_i(), V.V1, V.V2) == math.inf
+    assert pairwise_mi(spec_i(), V.V1, V.V4) == 0.5
+    assert pairwise_mi(spec_ii(), V.V3, V.V4) == pytest.approx(0.1078)
+    assert pairwise_mi(spec_i(), V.V5, V.V9) == 0.0
+    assert pairwise_mi(spec_i(), V.V3, V.V4) == pytest.approx((1 - LN2) / 2)
+    assert pairwise_mi(spec_ii(), V.V1, V.V4) == pytest.approx(LN2 / 2)
 
 
 def test_pairwise_symmetry_and_diagonal():
     for spec in (spec_i(), spec_ii()):
         for i in FEATURES:
-            assert pairwise_mi(spec, i, i).is_pos_inf
+            assert pairwise_mi(spec, i, i) == math.inf
             for j in FEATURES:
                 a = pairwise_mi(spec, i, j)
                 b = pairwise_mi(spec, j, i)
@@ -221,11 +223,33 @@ def test_squared_feature_matches_adaptive_quadrature():
 
 def test_provider_examples():
     p = oracle_provider(spec_i(0.2))
-    assert p.class_mi(V.V1).value == pytest.approx(0.5932, abs=1e-4)
-    assert p.pairwise_mi(V.V1, V.V1).is_pos_inf
-    assert oracle_provider(spec_ii()).entropy(V.V4).value == pytest.approx(
+    assert p.class_mi(V.V1) == pytest.approx(0.5932, abs=1e-4)
+    assert p.pairwise_mi(V.V1, V.V1) == math.inf
+    assert oracle_provider(spec_ii()).entropy(V.V4) == pytest.approx(
         1.7655, abs=5e-5
     )
+
+
+def test_tables_hold_finite_floats_and_infinite_pairwise_mis():
+    def tables(entropy=1.0, class_mi=0.5, pairwise=0.25):
+        # the entry under test is the first entropy, class MI or pairwise MI
+        return MITables([entropy] + [1.0] * 9, [class_mi] + [0.5] * 9,
+                        lambda i, j: pairwise if (i, j) == (V.V1, V.V2) else 0.25)
+
+    nan, inf = math.nan, math.inf
+    refused = [{"entropy": v} for v in (nan, inf, -inf)]
+    refused += [{"class_mi": v} for v in (nan, inf, -inf)]
+    refused += [{"pairwise": v} for v in (nan, -inf)]
+    for entry in refused:
+        (value,) = entry.values()
+        with pytest.raises(ValueError, match=re.escape(f"not a finite real: {value!r}")):
+            tables(**entry)
+    assert tables(pairwise=inf).pairwise_mi(V.V2, V.V1) == inf
+    t = tables(entropy=-0.0, class_mi=-0.0, pairwise=-0.0)
+    for v in (t.entropy(V.V1), t.class_mi(V.V1), t.pairwise_mi(V.V2, V.V1)):
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0  # -0.0 reads back as +0.0
+    t = tables(np.float64(0.5), np.float64(0.25), np.float64(0.125))
+    assert {type(t.entropy(V.V1)), type(t.class_mi(V.V1)), type(t.pairwise_mi(V.V1, V.V2))} == {float}
 
 
 def test_pairwise_matrix_holds_one_object_per_pair():

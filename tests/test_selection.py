@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_provider
@@ -24,16 +24,8 @@ from miselect.selection import (
     select_all,
 )
 from miselect.simlab import generate_sample
-from miselect.xreal import (
-    NEG_INF,
-    POS_INF,
-    ZERO,
-    IndetKind,
-    compare,
-    finite,
-    indeterminate,
-)
-from selection_reference import objective, reference_select_all
+from miselect.xreal import NEG_INF, POS_INF, IndetKind, box, finite
+from selection_reference import ni, objective, reference_select_all
 
 V = FeatureId
 
@@ -77,9 +69,9 @@ def test_first_feature(oracle_i_02, oracle_ii_08):
     assert first_feature(oracle_i_02) is V.V1
     assert first_feature(oracle_ii_08) is V.V1
     zero = MITables(
-        [finite(1.0)] * len(FEATURES),
-        [finite(0.0)] * len(FEATURES),
-        lambda i, j: POS_INF if i == j else finite(0.0),
+        [1.0] * len(FEATURES),
+        [0.0] * len(FEATURES),
+        lambda i, j: math.inf if i == j else 0.0,
     )
     assert first_feature(zero) is V.V1
 
@@ -163,7 +155,7 @@ def test_mifs_beta_zero_is_pure_relevance_when_finite():
     p = random_provider(rng, inf_prob=0.0)
     trace = select_all(MethodSpec(Method.MIFS, 0.0), p)
     ranked = sorted(
-        FEATURES, key=lambda f: (-p.class_mi(f).value, int(f))
+        FEATURES, key=lambda f: (-p.class_mi(f), int(f))
     )
     assert trace.selected == tuple(ranked)
     assert trace.halt is HaltReason.ALL_SELECTED
@@ -215,9 +207,8 @@ def test_every_step_winner_is_maximal_and_admissible():
             for f, v in step.objectives.items():
                 if v.is_indet:
                     continue
-                c = compare(v, win)
-                assert c <= 0
-                if c == 0:
+                assert v.value <= win.value
+                if v.value == win.value:
                     assert step.winner <= f  # smallest index wins ties
 
 
@@ -229,29 +220,65 @@ ALL_SPECS = [MethodSpec(m, beta) for m in (Method.MIFS, Method.MIFS_U)
              for beta in (0.0, 0.4, 0.7, 1.0)]
 ALL_SPECS += [MethodSpec(m) for m in Method if m not in (Method.MIFS, Method.MIFS_U)]
 
-# +inf, -inf, zero and the indeterminates; a few values that tie; any float
-ENTRY = st.one_of(
-    st.sampled_from([POS_INF, NEG_INF, ZERO] + [indeterminate(k) for k in IndetKind]),
-    st.sampled_from([finite(v) for v in (-1.0, -0.5, 0.5, 1.0, 2.0)]),
-    st.floats(-3.0, 3.0).map(finite),
+# The domain of a table entry.  Entropies and class MIs are finite: zero, a
+# few values that tie, negatives, any float.  A pairwise MI is that or +inf.
+# With finite entropies and class MIs no objective meets inf/inf: every
+# divisor is finite, or is MICC's mean whose numerator is finite.
+FINITE = st.one_of(
+    st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+    st.floats(-3.0, 3.0),
 )
+PAIRWISE = st.one_of(st.just(math.inf), FINITE)
 
 
 @st.composite
 def mi_tables(draw) -> MITables:
-    entropies = draw(st.lists(ENTRY, min_size=10, max_size=10))
-    class_mis = draw(st.lists(ENTRY, min_size=10, max_size=10))
-    pairs = iter(draw(st.lists(ENTRY, min_size=55, max_size=55)))  # i <= j
+    entropies = draw(st.lists(FINITE, min_size=10, max_size=10))
+    class_mis = draw(st.lists(FINITE, min_size=10, max_size=10))
+    pairs = iter(draw(st.lists(PAIRWISE, min_size=55, max_size=55)))  # i <= j
     return MITables(entropies, class_mis, lambda i, j: next(pairs))
 
 
+# Tables on which some search halts, blocked by the form named
+BLOCKING_TABLES = {
+    # MIFS with beta 0: 0 * inf against the first pick
+    IndetKind.ZERO_TIMES_INF: MITables(
+        [1.0] * 10, [1.0] + [0.5] * 9, lambda i, j: math.inf),
+    # NMIFS: NI is -inf against the first pick, whose entropy is negative,
+    # and +inf against the second
+    IndetKind.INF_MINUS_INF: MITables(
+        [-1.0] + [1.0] * 9, [1.0] + [0.5] * 9, lambda i, j: math.inf),
+    # MIFS-U and NMIFS: zero class MI and zero MI over zero entropy
+    IndetKind.ZERO_OVER_ZERO: MITables([0.0] * 10, [0.0] * 10, lambda i, j: 0.0),
+}
+
+
+def test_example_tables_block_on_their_form():
+    for kind, p in BLOCKING_TABLES.items():
+        blocking = set()
+        for m in ALL_SPECS:
+            trace = select_all(m, p)
+            if trace.halt is HaltReason.NO_ADMISSIBLE_CANDIDATE:
+                blocking |= {v.indet_kind for v in trace.steps[-1].objectives.values()}
+        assert kind in blocking, kind
+
+
+def test_ni_examples():
+    assert box(ni(0.5, 0.5, 0.0)) is POS_INF
+    assert box(ni(math.inf, 1.0986, -1.6932)) is NEG_INF
+    assert box(ni(0.3, 1.0, 2.0)) == finite(0.3)
+
+
+def test_ni_zero_over_zero_is_indeterminate():
+    # zero MI over a zero minimum entropy cannot be assigned a value:
+    # treating it as 0 would let independent features through steps that
+    # the reference orderings show as blocked
+    out = box(ni(0.0, 0.0, 0.5))
+    assert out.is_indet and out.indet_kind is IndetKind.ZERO_OVER_ZERO
+
+
 def assert_same_search(m: MethodSpec, p: MITables) -> None:
-    try:
-        want = reference_select_all(m, p)
-    except ValueError:
-        with pytest.raises(ValueError, match="every class MI is indeterminate"):
-            select_all(m, p)
-        return
+    want = reference_select_all(m, p)
     got = select_all(m, p)
     label = m.label()
     assert got.selected == want.selected, label
@@ -268,6 +295,9 @@ def assert_same_search(m: MethodSpec, p: MITables) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(mi_tables())
+@example(BLOCKING_TABLES[IndetKind.ZERO_TIMES_INF])
+@example(BLOCKING_TABLES[IndetKind.INF_MINUS_INF])
+@example(BLOCKING_TABLES[IndetKind.ZERO_OVER_ZERO])
 def test_engine_equals_the_reference_on_generated_tables(p):
     for m in ALL_SPECS:
         assert_same_search(m, p)

@@ -1,7 +1,7 @@
-import functools
 import itertools
 import math
 import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,22 +13,30 @@ from miselect.xreal import (
     POS_INF,
     ZERO,
     IndetKind,
-    IndeterminateComparison,
-    compare,
+    box,
+    fadd,
+    fdiv,
     finite,
+    fmax,
+    fmin,
+    fmul,
+    fsub,
     indeterminate,
-    xadd,
-    xdiv,
-    xmax,
-    xmin,
-    xmul,
-    xneg,
-    xsub,
-    xsum,
+    unbox,
 )
 
 ALL_INDETS = [indeterminate(k) for k in IndetKind]
 SAMPLE = [finite(v) for v in (-3.0, -0.5, 0.0, 0.25, 2.0)] + [POS_INF, NEG_INF] + ALL_INDETS
+
+
+def boxed(op, a, b):
+    """A pair operation applied to two XReals, its result boxed."""
+    return box(op(unbox(a), unbox(b)))
+
+
+def fold(op, values, *start):
+    """Left fold of a pair operation over XReals, boxed once at the end."""
+    return box(reduce(op, [unbox(v) for v in values], *map(unbox, start)))
 
 
 def test_finite_rejects_nan_and_inf():
@@ -44,56 +52,59 @@ def test_negative_zero_collapses():
 
 
 def test_add_examples():
-    assert xadd(POS_INF, NEG_INF).indet_kind is IndetKind.INF_MINUS_INF
-    assert xadd(finite(2), finite(3)) == finite(5)
-    assert xadd(NEG_INF, finite(0.5)) is NEG_INF
+    assert boxed(fadd, POS_INF, NEG_INF).indet_kind is IndetKind.INF_MINUS_INF
+    assert boxed(fadd, finite(2), finite(3)) == finite(5)
+    assert boxed(fadd, NEG_INF, finite(0.5)) is NEG_INF
 
 
 def test_mul_examples():
-    assert xmul(finite(0), POS_INF).indet_kind is IndetKind.ZERO_TIMES_INF
-    assert xmul(finite(-2), POS_INF) is NEG_INF
-    assert xmul(finite(0.4), finite(0.5)) == finite(0.2)
-    assert xmul(NEG_INF, NEG_INF) is POS_INF
+    assert boxed(fmul, finite(0), POS_INF).indet_kind is IndetKind.ZERO_TIMES_INF
+    assert boxed(fmul, finite(-2), POS_INF) is NEG_INF
+    assert boxed(fmul, finite(0.4), finite(0.5)) == finite(0.2)
+    assert boxed(fmul, NEG_INF, NEG_INF) is POS_INF
 
 
 def test_div_examples():
-    assert xdiv(finite(0), finite(0)).indet_kind is IndetKind.ZERO_OVER_ZERO
-    assert xdiv(finite(0.5), finite(0)) is POS_INF
-    assert xdiv(finite(-0.5), finite(0)) is NEG_INF
-    assert xdiv(finite(3), NEG_INF) == ZERO
-    assert xdiv(POS_INF, NEG_INF).indet_kind is IndetKind.INF_OVER_INF
-    assert xdiv(POS_INF, finite(0)) is POS_INF
-    assert xdiv(NEG_INF, finite(0)) is NEG_INF
-    assert xdiv(NEG_INF, finite(-2)) is POS_INF
+    assert boxed(fdiv, finite(0), finite(0)).indet_kind is IndetKind.ZERO_OVER_ZERO
+    assert boxed(fdiv, finite(0.5), finite(0)) is POS_INF
+    assert boxed(fdiv, finite(-0.5), finite(0)) is NEG_INF
+    assert boxed(fdiv, finite(3), NEG_INF) == ZERO
+    assert boxed(fdiv, POS_INF, NEG_INF).indet_kind is IndetKind.INF_OVER_INF
+    assert boxed(fdiv, POS_INF, finite(0)) is POS_INF
+    assert boxed(fdiv, NEG_INF, finite(0)) is NEG_INF
+    assert boxed(fdiv, NEG_INF, finite(-2)) is POS_INF
 
 
 def test_sum_is_left_fold():
-    assert xsum([POS_INF, finite(1), NEG_INF]).indet_kind is IndetKind.INF_MINUS_INF
-    assert xsum([]) == ZERO
-    assert xsum([finite(0.5), finite(0.25)]) == finite(0.75)
+    total = fold(fadd, [POS_INF, finite(1), NEG_INF], ZERO)
+    assert total.indet_kind is IndetKind.INF_MINUS_INF
+    assert fold(fadd, [], ZERO) == ZERO
+    assert fold(fadd, [finite(0.5), finite(0.25)], ZERO) == finite(0.75)
 
 
 def test_neg_examples():
-    assert xneg(NEG_INF) is POS_INF
-    assert xneg(finite(2.5)) == finite(-2.5)
-    assert xneg(ALL_INDETS[0]) is ALL_INDETS[0]
+    # negation is subtraction from zero
+    assert boxed(fsub, ZERO, NEG_INF) is POS_INF
+    assert boxed(fsub, ZERO, finite(2.5)) == finite(-2.5)
+    assert boxed(fsub, ZERO, ALL_INDETS[0]) is ALL_INDETS[0]
 
 
 def test_ordering():
-    assert compare(NEG_INF, finite(-1e9)) < 0
-    assert compare(finite(-1e9), finite(0)) < 0
-    assert compare(finite(0), POS_INF) < 0
-    assert compare(POS_INF, POS_INF) == 0
-    with pytest.raises(IndeterminateComparison):
-        compare(ALL_INDETS[0], finite(0))
+    # fmax and fmin order -inf < finite < +inf and keep the first operand on a tie
+    assert boxed(fmax, NEG_INF, finite(-1e9)) == finite(-1e9)
+    assert boxed(fmin, finite(-1e9), finite(0)) == finite(-1e9)
+    assert boxed(fmax, finite(0), POS_INF) is POS_INF
+    a, b = unbox(POS_INF), unbox(POS_INF)
+    assert fmax(a, b) is a and fmin(a, b) is a
+    # an indeterminate operand is not ordered: it absorbs
+    assert boxed(fmax, ALL_INDETS[0], finite(0)) is ALL_INDETS[0]
+    assert boxed(fmin, finite(0), ALL_INDETS[0]) is ALL_INDETS[0]
 
 
 def test_extrema():
-    assert xmax([NEG_INF, finite(1), finite(3)]) == finite(3)
-    assert xmin([finite(1), NEG_INF]) is NEG_INF
-    assert xmax([finite(1), ALL_INDETS[2]]).is_indet
-    with pytest.raises(ValueError):
-        xmax([])
+    assert fold(fmax, [NEG_INF, finite(1), finite(3)]) == finite(3)
+    assert fold(fmin, [finite(1), NEG_INF]) is NEG_INF
+    assert fold(fmax, [finite(1), ALL_INDETS[2]]).is_indet
 
 
 def test_rendering():
@@ -105,44 +116,44 @@ def test_rendering():
 
 
 def test_absorption_property():
-    for op in (xadd, xsub, xmul, xdiv):
+    for op in (fadd, fsub, fmul, fdiv):
         for ind, other in itertools.product(ALL_INDETS, SAMPLE):
-            assert op(ind, other).is_indet
-            assert op(other, ind).is_indet
+            assert boxed(op, ind, other).is_indet
+            assert boxed(op, other, ind).is_indet
 
 
 def test_finite_closure_matches_float_arithmetic():
     rng = np.random.default_rng(7)
     for _ in range(500):
         a, b = rng.uniform(-50, 50, size=2)
-        assert xadd(finite(a), finite(b)).value == a + b
-        assert xmul(finite(a), finite(b)).value == a * b
+        assert boxed(fadd, finite(a), finite(b)).value == a + b
+        assert boxed(fmul, finite(a), finite(b)).value == a * b
         if b != 0.0:
-            assert xdiv(finite(a), finite(b)).value == a / b
+            assert boxed(fdiv, finite(a), finite(b)).value == a / b
 
 
 def test_negation_involution():
     for v in SAMPLE:
         if v.is_indet:
             continue
-        assert xneg(xneg(v)) == v
+        assert boxed(fsub, ZERO, boxed(fsub, ZERO, v)) == v
 
 
 def test_commutativity_up_to_indeterminate():
-    for op in (xadd, xmul):
+    for op in (fadd, fmul):
         for a, b in itertools.product(SAMPLE, repeat=2):
-            r1, r2 = op(a, b), op(b, a)
+            r1, r2 = boxed(op, a, b), boxed(op, b, a)
             assert r1.is_indet == r2.is_indet
             if not r1.is_indet:
-                assert compare(r1, r2) == 0
+                assert r1.value == r2.value
 
 
 def test_every_indet_outcome_has_one_kind():
     outcomes = {
-        xmul(ZERO, POS_INF).indet_kind,
-        xadd(POS_INF, NEG_INF).indet_kind,
-        xdiv(ZERO, ZERO).indet_kind,
-        xdiv(NEG_INF, POS_INF).indet_kind,
+        boxed(fmul, ZERO, POS_INF).indet_kind,
+        boxed(fadd, POS_INF, NEG_INF).indet_kind,
+        boxed(fdiv, ZERO, ZERO).indet_kind,
+        boxed(fdiv, NEG_INF, POS_INF).indet_kind,
     }
     assert outcomes == set(IndetKind)
 
@@ -152,16 +163,17 @@ def test_finite_values_never_nan():
     rng = np.random.default_rng(3)
     vals = [finite(v) for v in rng.uniform(-5, 5, size=30)]
     for a, b in itertools.product(vals, repeat=2):
-        for op in (xadd, xsub, xmul):
-            r = op(a, b)
+        for op in (fadd, fsub, fmul):
+            r = boxed(op, a, b)
             assert r.is_finite and not math.isnan(r.value)
 
 
 # ---------------------------------------------------------------------------
 # Reference: the case analysis xreal used while +inf and -inf were kinds of
-# their own, written against the public predicates.  The float arithmetic
-# must reproduce it, except that a finite result which overflows raises
-# here (finite() rejects inf) and is +inf or -inf in xreal.
+# their own, written against the public predicates of XReal.  The pair
+# operations, on unboxed operands and with their results boxed, must
+# reproduce it, except that a finite result which overflows raises here
+# (finite() rejects inf) and is +inf or -inf in xreal.
 # ---------------------------------------------------------------------------
 
 def ref_xneg(a):
@@ -238,9 +250,7 @@ def ref_order_class(v):
 
 
 def ref_compare(a, b):
-    for v in (a, b):
-        if v.is_indet:
-            raise IndeterminateComparison(f"cannot order {v}")
+    """-1, 0 or 1 for two determinate values under -inf < finite < +inf."""
     ka, kb = ref_order_class(a), ref_order_class(b)
     if ka != kb:
         return -1 if ka < kb else 1
@@ -276,8 +286,8 @@ XREALS = st.one_of(
     st.sampled_from(EDGE_FLOATS).map(finite),
     st.floats(allow_nan=False, allow_infinity=False).map(finite),  # subnormals too
 )
-BINARY = [(xadd, ref_xadd, operator.add), (xsub, ref_xsub, operator.sub),
-          (xmul, ref_xmul, operator.mul), (xdiv, ref_xdiv, operator.truediv)]
+BINARY = [(fadd, ref_xadd, operator.add), (fsub, ref_xsub, operator.sub),
+          (fmul, ref_xmul, operator.mul), (fdiv, ref_xdiv, operator.truediv)]
 
 
 def assert_same(got, want):
@@ -293,9 +303,9 @@ def assert_same(got, want):
 @example(finite(1.7976931348623157e308), finite(1.7976931348623157e308))
 @example(finite(-0.0), finite(0.0))
 def test_operations_equal_the_case_analysis(a, b):
-    assert_same(xneg(a), ref_xneg(a))
+    assert_same(boxed(fsub, ZERO, a), ref_xneg(a))
     for op, ref, host in BINARY:
-        got = op(a, b)
+        got = boxed(op, a, b)
         try:
             want = ref(a, b)
         except ValueError:  # a finite result overflowed: xreal gives +-inf
@@ -304,53 +314,58 @@ def test_operations_equal_the_case_analysis(a, b):
             assert got is (POS_INF if raw > 0.0 else NEG_INF)
             continue
         assert_same(got, want)
-    try:
-        want_order = ref_compare(a, b)
-    except IndeterminateComparison:
-        with pytest.raises(IndeterminateComparison):
-            compare(a, b)
+    # the order fmax and fmin keep; an indeterminate operand absorbs
+    pa, pb = unbox(a), unbox(b)
+    if a.is_indet or b.is_indet:
+        first = pa if a.is_indet else pb
+        assert fmax(pa, pb) is first and fmin(pa, pb) is first
     else:
-        assert compare(a, b) == want_order
+        order = ref_compare(a, b)
+        assert fmax(pa, pb) is (pb if order < 0 else pa)
+        assert fmin(pa, pb) is (pb if order > 0 else pa)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(XREALS, min_size=1, max_size=6))
 def test_extrema_equal_the_case_analysis(values):
-    assert xmax(values) is ref_extremum(values, 1)
-    assert xmin(values) is ref_extremum(values, -1)
+    assert_same(fold(fmax, values), ref_extremum(values, 1))
+    assert_same(fold(fmin, values), ref_extremum(values, -1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(XREALS, XREALS)
 def test_add_and_mul_commute_unless_both_operands_are_indeterminate(a, b):
-    for op in (xadd, xmul):
+    for op in (fadd, fmul):
         if a.is_indet and b.is_indet:
-            assert op(a, b) is a and op(b, a) is b
+            assert boxed(op, a, b) is a and boxed(op, b, a) is b
         else:
-            assert_same(op(a, b), op(b, a))
+            assert_same(boxed(op, a, b), boxed(op, b, a))
 
 
 @given(st.sampled_from(ALL_INDETS), st.sampled_from(ALL_INDETS))
 def test_first_indeterminate_operand_wins(a, b):
-    for op in (xadd, xsub, xmul, xdiv):
-        assert op(a, b) is a
-    assert xsum([finite(1.0), a, POS_INF, b]) is a
-    assert xmax([finite(1.0), a, b]) is a
-    assert xmin([b, NEG_INF, a]) is b
+    for op in (fadd, fsub, fmul, fdiv):
+        assert boxed(op, a, b) is a
+    assert fold(fadd, [finite(1.0), a, POS_INF, b], ZERO) is a
+    assert fold(fmax, [finite(1.0), a, b]) is a
+    assert fold(fmin, [b, NEG_INF, a]) is b
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(XREALS, max_size=8))
 def test_sum_is_the_left_fold_of_add(values):
-    assert_same(xsum(values), functools.reduce(xadd, values, ZERO))
+    # the fold selection runs (on pairs, boxed once at the end) equals
+    # boxing after every step
+    assert_same(fold(fadd, values, ZERO),
+                reduce(lambda acc, v: boxed(fadd, acc, v), values, ZERO))
 
 
 def test_finite_overflow_gives_an_infinity():
     big = finite(1.7976931348623157e308)
-    assert xadd(big, big) is POS_INF
-    assert xsub(xneg(big), big) is NEG_INF
-    assert xmul(big, finite(-2.0)) is NEG_INF
-    assert xdiv(big, finite(0.5)) is POS_INF
-    assert xdiv(finite(-1e300), finite(1e-300)) is NEG_INF
+    assert boxed(fadd, big, big) is POS_INF
+    assert boxed(fsub, boxed(fsub, ZERO, big), big) is NEG_INF
+    assert boxed(fmul, big, finite(-2.0)) is NEG_INF
+    assert boxed(fdiv, big, finite(0.5)) is POS_INF
+    assert boxed(fdiv, finite(-1e300), finite(1e-300)) is NEG_INF
     # and the infinity then follows the extended-real rules
-    assert xsub(xadd(big, big), POS_INF).indet_kind is IndetKind.INF_MINUS_INF
+    assert boxed(fsub, boxed(fadd, big, big), POS_INF).indet_kind is IndetKind.INF_MINUS_INF
