@@ -249,7 +249,8 @@ def test_tables_hold_finite_floats_and_infinite_pairwise_mis():
     for v in (t.entropy(V.V1), t.class_mi(V.V1), t.pairwise_mi(V.V2, V.V1)):
         assert v == 0.0 and math.copysign(1.0, v) == 1.0  # -0.0 reads back as +0.0
     t = tables(np.float64(0.5), np.float64(0.25), np.float64(0.125))
-    assert {type(t.entropy(V.V1)), type(t.class_mi(V.V1)), type(t.pairwise_mi(V.V1, V.V2))} == {float}
+    for v in (t.entropy(V.V1), t.class_mi(V.V1), t.pairwise_mi(V.V1, V.V2)):
+        assert type(v) is float
 
 
 def test_pairwise_matrix_holds_one_object_per_pair():

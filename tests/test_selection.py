@@ -20,6 +20,7 @@ from miselect.selection import (
     HaltReason,
     Method,
     MethodSpec,
+    SelectionTrace,
     first_feature,
     select_all,
 )
@@ -277,7 +278,7 @@ def test_ni_zero_over_zero_is_indeterminate():
     assert out.is_indet and out.indet_kind is IndetKind.ZERO_OVER_ZERO
 
 
-def assert_same_search(m: MethodSpec, p: MITables) -> None:
+def assert_same_search(m: MethodSpec, p: MITables) -> SelectionTrace:
     want = reference_select_all(m, p)
     got = select_all(m, p)
     label = m.label()
@@ -291,6 +292,7 @@ def assert_same_search(m: MethodSpec, p: MITables) -> None:
             u = g.objectives[f]
             assert u == v and u.indet_kind is v.indet_kind and str(u) == str(v), (
                 label, step, f, u, v)
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,7 +302,9 @@ def assert_same_search(m: MethodSpec, p: MITables) -> None:
 @example(BLOCKING_TABLES[IndetKind.ZERO_OVER_ZERO])
 def test_engine_equals_the_reference_on_generated_tables(p):
     for m in ALL_SPECS:
-        assert_same_search(m, p)
+        trace = assert_same_search(m, p)
+        kinds = {v.indet_kind for step in trace.steps for v in step.objectives.values()}
+        assert IndetKind.INF_OVER_INF not in kinds
 
 
 def test_engine_equals_the_reference_on_oracle_and_estimated_tables():
