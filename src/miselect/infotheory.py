@@ -1,49 +1,92 @@
 """Exact entropy and mutual-information computations on finite discrete joints.
 
-A :class:`JointTable` is a dense probability mass array over a product
-support, small enough for exact marginalization.  All information
-measures are in nats with the convention 0*ln(0) = 0.
+A :class:`Joint` is only its nonzero support atoms: one integer array of
+cell indices and one mass vector, so desk-scale tables with millions of
+cells but a few hundred atoms stay fast.  All information measures are in
+nats with the convention 0*ln(0) = 0.
+
+Projecting the atoms on a sorted variable subset groups them, and the
+groupings form a lattice: a subset's grouping is built from its cached
+parent, the subset less its last variable, by one multiply-add of the
+parent ids with that variable and a dense relabel of the codes present,
+so groups are numbered in code order.  Group masses are summed in atom
+order, so a conditional probability is the same float whichever grouping
+it comes from, and an entropy is the same float in any variable order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .relevance import mass_total
+MASS_TOLERANCE = 1e-9
 
 
-class JointTable:
-    """Immutable joint distribution of several finite discrete variables."""
+def mass_total(probs: np.ndarray) -> float:
+    """Total of a mass array; ValueError unless non-negative, finite and near 1."""
+    if np.any(probs < 0.0):
+        raise ValueError("negative probability mass")
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        total = float(probs.sum())
+    if not np.isfinite(total):
+        raise ValueError(f"total mass {total} is not finite")
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise ValueError(f"total mass {total} not within {MASS_TOLERANCE} of 1")
+    return total
 
-    def __init__(self, probs: np.ndarray):
-        arr = np.array(probs, dtype=float)
-        if arr.ndim == 0:
-            raise ValueError("a joint table needs at least one variable")
-        arr /= mass_total(arr)
-        arr.setflags(write=False)
-        self.probs = arr
 
-    def marginal(self, variables: Sequence[int]) -> np.ndarray:
-        """Marginal mass array over ``variables``, axes in the given order."""
-        variables = self._check_vars(variables)
-        drop = tuple(ax for ax in range(self.probs.ndim) if ax not in variables)
-        marg = self.probs.sum(axis=drop) if drop else self.probs
-        kept = [ax for ax in range(self.probs.ndim) if ax in variables]
-        order = [kept.index(v) for v in variables]
-        return np.transpose(marg, order)
+class Joint:
+    """The support atoms of a joint of several finite discrete variables.
 
-    def _check_vars(self, variables: Sequence[int]) -> tuple[int, ...]:
-        variables = tuple(variables)
-        if not variables:
-            raise ValueError("empty variable subset")
-        for v in variables:
-            if not 0 <= v < self.probs.ndim:
-                raise ValueError(f"variable index {v} out of range")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable in {variables}")
-        return variables
+    ``atoms`` holds the cell index of each nonzero cell, one row per atom
+    in row-major order, and ``mass`` their normalised probabilities.
+    """
+
+    def __init__(self, arities: Sequence[int], atoms: np.ndarray, mass: np.ndarray):
+        self.arities = tuple(arities)
+        self.atoms = atoms
+        self.mass = mass
+        one_group = np.zeros(len(mass), dtype=np.intp)
+        self._groupings: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
+            (): (one_group, np.bincount(one_group, weights=mass))}
+
+    @classmethod
+    def from_dense(cls, probs: np.ndarray, *args, **kwargs) -> "Joint":
+        """The joint of a dense mass array; each mass is its cell / the checked total.
+
+        Further arguments go to the constructor.
+        """
+        probs = np.asarray(probs, dtype=float)
+        flat = probs.ravel()
+        cells = np.flatnonzero(flat)
+        atoms = np.column_stack(np.unravel_index(cells, probs.shape))
+        return cls(probs.shape, atoms, flat[cells] / mass_total(flat), *args, **kwargs)
+
+    def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Group id of each atom by its projection on ``variables``, and group masses.
+
+        Groups are numbered in the order of the projection's mixed-radix code.
+        A sorted key's grouping is built from its parent's, ``key[:-1]``: the
+        parent id times the last variable's arity plus the atom's value is a
+        code below ``n_parent * arity``, relabelled densely through the codes
+        present.  Each group's mass is summed in atom order, so a conditional
+        probability is the same float whichever grouping it comes from.
+        """
+        key = tuple(sorted(set(variables)))
+        end = len(key)
+        while key[:end] not in self._groupings:  # the empty key is always there
+            end -= 1
+        ids, mass = self._groupings[key[:end]]
+        for end in range(end + 1, len(key) + 1):
+            v = key[end - 1]
+            codes = ids * self.arities[v] + self.atoms[:, v]
+            present = np.zeros(len(mass) * self.arities[v], dtype=bool)
+            present[codes] = True
+            ids = np.cumsum(present)[codes] - 1
+            mass = np.bincount(ids, weights=self.mass)
+            self._groupings[key[:end]] = (ids, mass)
+        return ids, mass
 
 
 def plugin_entropy(counts: np.ndarray, total: float = 1.0) -> float:
@@ -58,9 +101,17 @@ def plugin_entropy(counts: np.ndarray, total: float = 1.0) -> float:
     return float(-terms.sum())
 
 
-def entropy(t: JointTable, variables: Sequence[int]) -> float:
+def entropy(t: Joint, variables: Sequence[int]) -> float:
     """Shannon entropy (nats) of the marginal over ``variables``."""
-    return plugin_entropy(t.marginal(variables))
+    variables = tuple(variables)
+    if not variables:
+        raise ValueError("empty variable subset")
+    for v in variables:
+        if not 0 <= v < len(t.arities):  # a negative index would wrap
+            raise ValueError(f"variable index {v} out of range")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable in {variables}")
+    return plugin_entropy(t._grouping(variables)[1])
 
 
 def _disjoint(*groups: Sequence[int]) -> None:
@@ -72,13 +123,13 @@ def _disjoint(*groups: Sequence[int]) -> None:
         seen |= s
 
 
-def cond_entropy(t: JointTable, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
+def cond_entropy(t: Joint, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
     """H(X|Y) = H(X,Y) - H(Y)."""
     _disjoint(x_vars, y_vars)
     return entropy(t, tuple(x_vars) + tuple(y_vars)) - entropy(t, y_vars)
 
 
-def mi(t: JointTable, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
+def mi(t: Joint, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
     """MI(X,Y) = H(X) + H(Y) - H(X,Y)."""
     _disjoint(x_vars, y_vars)
     return (
@@ -89,7 +140,7 @@ def mi(t: JointTable, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
 
 
 def cond_mi(
-    t: JointTable,
+    t: Joint,
     x_vars: Sequence[int],
     y_vars: Sequence[int],
     z_vars: Sequence[int],
@@ -103,11 +154,10 @@ def cond_mi(
 
 
 def tmi(
-    t: JointTable,
+    t: Joint,
     x_vars: Sequence[int],
     y_vars: Sequence[int],
     z_vars: Sequence[int],
 ) -> float:
     """Triple mutual information MI(X,Y) - MI(X,Y|Z); may be negative."""
     return mi(t, x_vars, y_vars) - cond_mi(t, x_vars, y_vars, z_vars)
-

@@ -7,24 +7,17 @@ sets; features partition into strongly relevant / weakly relevant /
 irrelevant, and Markov blanket filtering extracts one relevance-optimal
 set by backward elimination.
 
-A joint is only its nonzero support atoms: one integer array of cell
-indices and one mass vector, which ``from_json`` takes straight from the
-document's flat mass list with no dense table in between, so desk-scale
-tables with millions of cells but a few hundred atoms stay fast.
-
-Projecting the atoms on a sorted variable subset groups them, and the
-groupings form a lattice: a subset's grouping is built from its cached
-parent, the subset less its last variable, by one multiply-add of the
-parent ids with that variable and a dense relabel of the codes present,
-so groups are numbered in code order.  Group masses are summed in atom
-order, so a conditional probability is the same float whichever grouping
-it comes from.  Conditioning invariance compares two conditional tables,
-P(over | wide key) and P(over | narrow key), with 0 for a value absent
-under a key: for the class, one cached dense table per key, the narrow
-one indexed by each wide group's narrow group; for a wide ``over``, one
-row per (narrow key, over) value present and one column per value of the
-extra feature.  Relevance-optimal sets come from an exhaustive search
-over feature subsets, which is bounded at ``MAX_SEARCH_FEATURES``.
+A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
+support atoms and their subset lattice, with one variable designated as
+the class; ``from_json`` takes the atoms straight from the document's
+flat mass list with no dense table in between.  Conditioning invariance
+compares two conditional tables, P(over | wide key) and P(over | narrow
+key), with 0 for a value absent under a key: for the class, one cached
+dense table per key, the narrow one indexed by each wide group's narrow
+group; for a wide ``over``, one row per (narrow key, over) value present
+and one column per value of the extra feature.  Relevance-optimal sets
+come from an exhaustive search over feature subsets, which is bounded at
+``MAX_SEARCH_FEATURES``.
 """
 
 from __future__ import annotations
@@ -37,23 +30,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .infotheory import Joint
 from .oracle import ScenarioSpec, class_labels, feature_matrix
 
 PROB_TOLERANCE = 1e-9
-MASS_TOLERANCE = 1e-9
 MAX_SEARCH_FEATURES = 12
-
-
-def mass_total(probs: np.ndarray) -> float:
-    """Total of a mass array; ValueError unless non-negative, finite and near 1."""
-    if np.any(probs < 0.0):
-        raise ValueError("negative probability mass")
-    total = float(probs.sum())
-    if not np.isfinite(total):
-        raise ValueError(f"total mass {total} is not finite")
-    if abs(total - 1.0) > MASS_TOLERANCE:
-        raise ValueError(f"total mass {total} not within {MASS_TOLERANCE} of 1")
-    return total
 
 
 class RelevanceClass(Enum):
@@ -64,12 +45,8 @@ class RelevanceClass(Enum):
     IRRELEVANT = "irrelevant"
 
 
-class LabeledJoint:
-    """The support atoms of a joint, one variable designated as the class.
-
-    ``atoms`` holds the cell index of each nonzero cell, one row per atom
-    in row-major order, and ``mass`` their normalised probabilities.
-    """
+class LabeledJoint(Joint):
+    """A joint with one variable designated as the class."""
 
     def __init__(self, arities: Sequence[int], atoms: np.ndarray, mass: np.ndarray,
                  class_index: int | None = None):
@@ -82,52 +59,13 @@ class LabeledJoint:
             raise ValueError("need at least one feature besides the class")
         if len(np.unique(atoms[:, class_index])) < 2:
             raise ValueError("class variable must have at least two states")
-        self.arities = tuple(arities)
-        self.atoms = atoms
-        self.mass = mass
+        super().__init__(arities, atoms, mass)
         self.class_index = class_index
         self.features: tuple[int, ...] = tuple(v for v in range(nvars) if v != class_index)
-        one_group = np.zeros(len(mass), dtype=np.intp)
-        self._groupings: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
-            (): (one_group, np.bincount(one_group, weights=mass))}
         self._class_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._classes: dict[int, RelevanceClass] = {}
 
-    @classmethod
-    def from_dense(cls, probs: np.ndarray, class_index: int | None = None) -> "LabeledJoint":
-        """The joint of a dense mass array; each mass is its cell / the checked total."""
-        probs = np.asarray(probs, dtype=float)
-        flat = probs.ravel()
-        cells = np.flatnonzero(flat)
-        atoms = np.column_stack(np.unravel_index(cells, probs.shape))
-        return cls(probs.shape, atoms, flat[cells] / mass_total(flat), class_index)
-
     # -- conditional machinery ---------------------------------------------
-
-    def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Group id of each atom by its projection on ``variables``, and group masses.
-
-        Groups are numbered in the order of the projection's mixed-radix code.
-        A sorted key's grouping is built from its parent's, ``key[:-1]``: the
-        parent id times the last variable's arity plus the atom's value is a
-        code below ``n_parent * arity``, relabelled densely through the codes
-        present.  Each group's mass is summed in atom order, so a conditional
-        probability is the same float whichever grouping it comes from.
-        """
-        key = tuple(sorted(set(variables)))
-        end = len(key)
-        while key[:end] not in self._groupings:  # the empty key is always there
-            end -= 1
-        ids, mass = self._groupings[key[:end]]
-        for end in range(end + 1, len(key) + 1):
-            v = key[end - 1]
-            codes = ids * self.arities[v] + self.atoms[:, v]
-            present = np.zeros(len(mass) * self.arities[v], dtype=bool)
-            present[codes] = True
-            ids = np.cumsum(present)[codes] - 1
-            mass = np.bincount(ids, weights=self.mass)
-            self._groupings[key[:end]] = (ids, mass)
-        return ids, mass
 
     def _class_table(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Group ids of ``variables`` and P(class | group), 0 for an absent class value."""

@@ -73,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.k_values or not self.n_values or not self.methods:
             raise ValueError("k, n and method grids must be nonempty")
         # results and traces are keyed by (method, k, n): a repeat would merge

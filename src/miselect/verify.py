@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import infotheory
-from .infotheory import JointTable
+from .infotheory import Joint
 from .oracle import (
     FEATURES,
     FeatureId,
@@ -78,19 +78,20 @@ def check_xreal_algebra() -> CheckResult:
     return CheckResult("xreal-algebra", True, f"{cases} operator cases")
 
 
-def random_table(rng: np.random.Generator, nvars: int = 3, max_arity: int = 4) -> JointTable:
+def random_table(rng: np.random.Generator, nvars: int = 3, max_arity: int = 4) -> Joint:
     """A random joint of ``nvars`` variables, about a fifth of its cells empty."""
     arities = rng.integers(2, max_arity + 1, size=nvars)
     probs = rng.random(arities.prod()).reshape(arities)
     probs[rng.random(probs.shape) < 0.2] = 0.0  # exercise the 0*ln0 branch
     if probs.sum() == 0.0:
         probs.flat[0] = 1.0
-    return JointTable(probs / probs.sum())
+    return Joint.from_dense(probs / probs.sum())
 
 
-def mi_direct(t: JointTable, x: int, y: int) -> float:
+def mi_direct(t: Joint, x: int, y: int) -> float:
     """MI from its defining double sum, independent of the entropy route."""
-    pxy = t.marginal((x, y))
+    pxy = np.zeros((t.arities[x], t.arities[y]))
+    np.add.at(pxy, (t.atoms[:, x], t.atoms[:, y]), t.mass)
     px = pxy.sum(axis=1, keepdims=True)
     py = pxy.sum(axis=0, keepdims=True)
     mask = pxy > 0.0

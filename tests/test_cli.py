@@ -179,6 +179,8 @@ def test_oracle_rejects_endpoint_k(capsys):
     pytest.param(("simulate", "--delta", "1e200", "--n", "50", "--replicates", "2"),
                  "simulated sample: non-finite value inf in row 1, column v3",
                  id="simulate-delta-overflow"),
+    pytest.param(("simulate", "--seed", "-1"), "seed must be a non-negative integer, got -1",
+                 id="simulate-negative-seed"),
 ])
 @pytest.mark.filterwarnings("error")  # the error line is the only report
 def test_bad_parameters_end_in_one_error_line(tmp_path, monkeypatch, capsys, argv,
@@ -443,6 +445,7 @@ def test_relevance_bad_file(tmp_path, capsys):
         "bool-mixed-probs": '{"arities":[2,2],"probs":[0.5,false,false,0.5]}',
         "short-probs": '{"arities":[2,2],"probs":[0.5,0.5]}',
         "long-probs": '{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}',
+        "overflowing-mass": '{"arities":[2,2],"probs":[1e308,1e308,0,0]}',
     }
     for label, text in cases.items():
         path = tmp_path / f"{label}.json"

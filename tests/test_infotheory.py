@@ -1,14 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miselect.infotheory import (
-    JointTable,
+    Joint,
     cond_entropy,
     cond_mi,
     entropy,
+    mass_total,
     mi,
+    plugin_entropy,
     tmi,
 )
 from miselect.oracle import Scenario, ScenarioSpec
@@ -19,10 +24,10 @@ LN2 = math.log(2.0)
 
 
 def table(*shape, probs):
-    return JointTable(np.asarray(probs, dtype=float).reshape(shape))
+    return Joint.from_dense(np.asarray(probs, dtype=float).reshape(shape))
 
 
-def fair_bit_pair(correlated: bool) -> JointTable:
+def fair_bit_pair(correlated: bool) -> Joint:
     if correlated:
         return table(2, 2, probs=[0.5, 0.0, 0.0, 0.5])
     return table(2, 2, probs=[0.25, 0.25, 0.25, 0.25])
@@ -33,23 +38,26 @@ def fair_bit_pair(correlated: bool) -> JointTable:
 
 def test_construction_validates_mass():
     with pytest.raises(ValueError):
-        JointTable(np.array([0.5, 0.4]))  # mass 0.9
+        Joint.from_dense(np.array([0.5, 0.4]))  # mass 0.9
     with pytest.raises(ValueError):
-        JointTable(np.array([1.1, -0.1]))
+        Joint.from_dense(np.array([1.1, -0.1]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
-            JointTable(np.array([0.5, bad, 0.25, 0.25]))
+            Joint.from_dense(np.array([0.5, bad, 0.25, 0.25]))
+    with pytest.raises(ValueError, match="total mass inf is not finite"):
+        Joint.from_dense(np.array([1e308, 1e308]))  # the total overflows
     # within tolerance of 1 -> normalized
-    t = JointTable(np.array([0.5, 0.5 + 5e-10]))
-    assert abs(t.probs.sum() - 1.0) < 1e-12
+    t = Joint.from_dense(np.array([0.5, 0.5 + 5e-10]))
+    assert abs(t.mass.sum() - 1.0) < 1e-12
 
 
 def test_entropy_examples():
     assert entropy(table(2, probs=[0.5, 0.5]), (0,)) == pytest.approx(LN2)
     assert entropy(table(2, probs=[1.0, 0.0]), (0,)) == 0.0
     assert entropy(table(4, probs=[0.25] * 4), (0,)) == pytest.approx(math.log(4))
-    with pytest.raises(ValueError):
-        entropy(fair_bit_pair(False), ())
+    for bad in ((), (2,), (-1,), (0, 0)):  # empty, out of range, wrapping, duplicated
+        with pytest.raises(ValueError):
+            entropy(fair_bit_pair(False), bad)
 
 
 def test_cond_entropy_examples():
@@ -69,13 +77,10 @@ def test_mi_examples():
 
 def test_mi_on_grid_class_table_agrees_with_direct_sum():
     joint = grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.2))
-    probs = np.zeros(joint.arities)
-    probs[tuple(joint.atoms.T)] = joint.mass
-    t = JointTable(probs)
     c = joint.class_index
     for feature in (0, 3, 6):
-        assert mi(t, (c,), (feature,)) == pytest.approx(
-            mi_direct(t, c, feature), abs=1e-10
+        assert mi(joint, (c,), (feature,)) == pytest.approx(
+            mi_direct(joint, c, feature), abs=1e-10
         )
 
 
@@ -85,7 +90,7 @@ def test_tmi_examples():
     xy = rng.random((2, 2))
     xy /= xy.sum()
     z = np.array([0.3, 0.7])
-    t = JointTable(xy[:, :, None] * z[None, None, :])
+    t = Joint.from_dense(xy[:, :, None] * z[None, None, :])
     assert tmi(t, (0,), (1,), (2,)) == pytest.approx(0.0, abs=1e-12)
 
     # XOR triple: brute-force enumeration of C = X ^ Y over fair bits
@@ -93,7 +98,7 @@ def test_tmi_examples():
     for x in (0, 1):
         for y in (0, 1):
             probs[x, y, x ^ y] = 0.25
-    xor = JointTable(probs)
+    xor = Joint.from_dense(probs)
     assert tmi(xor, (0,), (1,), (2,)) == pytest.approx(-LN2)
 
 
@@ -128,13 +133,13 @@ def test_json_round_trip():
     # the joint document is read and written by LabeledJoint; the class is in the middle
     rng = np.random.default_rng(1)
     t = random_table(rng)
-    back = LabeledJoint.from_json(LabeledJoint.from_dense(t.probs, class_index=1).to_json())
-    assert back.arities == t.probs.shape
+    probs = np.zeros(t.arities)
+    probs[tuple(t.atoms.T)] = t.mass
+    back = LabeledJoint.from_json(LabeledJoint.from_dense(probs, class_index=1).to_json())
+    assert back.arities == t.arities
     assert back.class_index == 1
-    assert np.array_equal(back.atoms, np.argwhere(t.probs > 0.0))
-    probs = np.zeros(back.arities)
-    probs[tuple(back.atoms.T)] = back.mass
-    np.testing.assert_allclose(JointTable(probs).probs, t.probs, atol=1e-15)
+    assert np.array_equal(back.atoms, t.atoms)
+    np.testing.assert_allclose(back.mass, t.mass, atol=1e-15)
 
 
 def test_from_json_rejects_malformed_documents():
@@ -144,6 +149,55 @@ def test_from_json_rejects_malformed_documents():
             LabeledJoint.from_json(text)
 
 
-def test_marginal_orders_axes_as_requested():
-    t = fair_bit_pair(True)
-    np.testing.assert_allclose(t.marginal((1, 0)), t.marginal((0, 1)).T)
+# ---------------------------------------------------------------------------
+# Differential check of the atom-set entropy against dense marginalization.
+# ---------------------------------------------------------------------------
+
+
+def dense_marginal(probs: np.ndarray, variables) -> np.ndarray:
+    """Marginal mass array over ``variables``, axes in the given order."""
+    drop = tuple(ax for ax in range(probs.ndim) if ax not in variables)
+    marg = probs.sum(axis=drop) if drop else probs
+    kept = [ax for ax in range(probs.ndim) if ax in variables]
+    return np.transpose(marg, [kept.index(v) for v in variables])
+
+
+@st.composite
+def dense_tables(draw):
+    """Dense mass arrays of 1 to 4 variables of arity 1 to 4, with empty cells."""
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    size = int(np.prod(arities))
+    cells = draw(st.lists(st.sampled_from((0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0)),
+                          min_size=size, max_size=size))
+    probs = np.asarray(cells).reshape(arities)
+    probs[(0,) * len(arities)] += 1.0
+    return probs / probs.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_tables())
+def test_entropy_agrees_with_dense_marginal(probs):
+    t = Joint.from_dense(probs)
+    reference = probs / mass_total(probs)  # the masses from_dense divides by
+    for size in range(1, probs.ndim + 1):
+        for subset in itertools.combinations(range(probs.ndim), size):
+            h = entropy(t, subset)
+            for order in itertools.permutations(subset):
+                assert entropy(t, order) == h  # the same float in any order
+                assert abs(h - plugin_entropy(dense_marginal(reference, order))) <= 1e-12
+
+
+def test_single_present_state():
+    # V1 has three states but only state 1 carries mass
+    probs = np.zeros((2, 3, 2))
+    probs[:, 1, :] = [[0.125, 0.375], [0.25, 0.25]]
+    t = Joint.from_dense(probs)
+    with pytest.raises(ValueError, match="at least two states"):
+        LabeledJoint.from_dense(probs, class_index=1)
+    assert entropy(t, (1,)) == 0.0
+    forms = (
+        tmi(t, (0,), (1,), (2,)),
+        mi(t, (0,), (2,)) - cond_mi(t, (0,), (2,), (1,)),
+        mi(t, (1,), (2,)) - cond_mi(t, (1,), (2,), (0,)),
+    )
+    assert max(forms) - min(forms) < 1e-12

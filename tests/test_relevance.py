@@ -7,10 +7,9 @@ from hypothesis import example as explicit_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miselect.infotheory import JointTable
+from miselect.infotheory import MASS_TOLERANCE, mass_total
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import (
-    MASS_TOLERANCE,
     PROB_TOLERANCE,
     LabeledJoint,
     RelevanceClass,
@@ -174,13 +173,13 @@ def dense_joints(draw):
 @settings(max_examples=200, deadline=None)
 @given(dense_joints())
 def test_loaded_atoms_are_the_dense_tables_nonzero_cells(probs):
-    table = JointTable(probs)
-    cells = np.argwhere(table.probs > 0.0)
+    normalised = probs / mass_total(probs)
+    cells = np.argwhere(normalised > 0.0)
     document = json.dumps({"arities": list(probs.shape), "probs": probs.ravel().tolist()})
     for joint in (LabeledJoint.from_json(document), LabeledJoint.from_dense(probs)):
         assert joint.arities == probs.shape
         assert np.array_equal(joint.atoms, cells)
-        assert np.array_equal(joint.mass, table.probs[tuple(cells.T)])
+        assert np.array_equal(joint.mass, normalised[tuple(cells.T)])
 
 
 def test_grid_rejects_boundary_atoms():
@@ -212,11 +211,11 @@ class DictJoint(LabeledJoint):
     """
 
     def __init__(self, probs, class_index=None):
-        table = JointTable(probs)
-        idx = np.argwhere(table.probs > 0.0)
-        super().__init__(table.probs.shape, idx, table.probs[tuple(idx.T)], class_index)
+        normalised = probs / mass_total(probs)
+        idx = np.argwhere(normalised > 0.0)
+        super().__init__(probs.shape, idx, normalised[tuple(idx.T)], class_index)
         self.ref_atoms = [tuple(int(v) for v in row) for row in idx]
-        self.ref_mass = [float(table.probs[a]) for a in self.ref_atoms]
+        self.ref_mass = [float(normalised[a]) for a in self.ref_atoms]
 
     def _cond_dists(self, cond, over):
         """P(over-projection | given-projection) from the support atoms."""
