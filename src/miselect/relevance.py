@@ -9,8 +9,13 @@ set by backward elimination.
 
 A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
 support atoms and their subset lattice, with one variable designated as
-the class; ``from_json`` takes the atoms straight from the document's
-flat mass list with no dense table in between.  Conditioning invariance
+the class.  ``from_json`` reads the document's flat, row-major mass list
+into one dense float array and takes the atoms from it.  A plain
+document's list is scanned as bytes: each token that is the canonical
+zero (``0.0`` after ``, ``) is an empty cell, and only the other tokens
+go to ``json.loads``.  Any other document is parsed whole by
+``json.loads``, which words every refusal; both routes fill the same
+array, so the masses are bit-equal.  Conditioning invariance
 compares two conditional tables, P(over | wide key) and P(over | narrow
 key), with 0 for a value absent under a key: for the class, one cached
 dense table per key, the narrow one indexed by each wide group's narrow
@@ -25,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -242,24 +248,123 @@ class LabeledJoint(Joint):
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledJoint":
-        """Parse ``{"arities": [...], "probs": [...flat row-major...], "class_index": ...}``."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        arities = doc.get("arities")
-        if not (isinstance(arities, list) and arities
-                and all(type(a) is int and a > 0 for a in arities)):
-            raise ValueError(f"arities must be one or more positive integers, got {arities!r}")
-        # a dtype check, not a loop over a million cells: strings, nulls, nested
-        # or all-boolean lists give another dtype or ndim; a ragged nest raises
-        probs = doc.get("probs")
-        flat = np.asarray(probs)
-        if (flat.ndim != 1 or flat.dtype.kind not in "iuf" or len(flat) != math.prod(arities)
-                # a true or false among numbers reads as 1 or 0; only a text holding the
-                # "u" of true or the "f" of false, which no finite number holds, can have one
-                or (("u" in text or "f" in text) and any(type(p) is bool for p in probs))):
-            raise ValueError(f"probs must be a flat list of {math.prod(arities)} numbers")
-        return cls.from_dense(flat.reshape(arities), doc.get("class_index"))
+        """Parse ``{"arities": [...], "probs": [...flat row-major...], "class_index": ...}``.
+
+        A plain document is scanned (``_scanned_document``); any other is
+        parsed whole (``_parsed_document``), which words every refusal.
+        """
+        try:
+            try:
+                doc, flat = _scanned_document(text)
+            except ValueError:
+                doc, flat = _parsed_document(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
+
+
+# ---------------------------------------------------------------------------
+# The joint document
+# ---------------------------------------------------------------------------
+
+_PROBS_KEY = '"probs"'
+_LIST_OPENING = re.compile(r"\s*:\s*\[")
+_ZERO_TOKEN = b", 0.0"  # how json.dumps writes each empty cell after the first
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` refusing an object that repeats a key."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
+def _cell_count(doc: object) -> int:
+    """The number of cells the document's arities give; ValueError unless valid."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    arities = doc.get("arities")
+    if not (isinstance(arities, list) and arities
+            and all(type(a) is int and a > 0 for a in arities)):
+        raise ValueError(f"arities must be one or more positive integers, got {arities!r}")
+    return math.prod(arities)
+
+
+def _numbers(flat: np.ndarray, values: list) -> bool:
+    """True iff ``flat``, the array of ``values``, holds only numbers.
+
+    Strings, nulls and integers past uint64 give another dtype; a true or
+    false among numbers reads as 1 or 0, so it is looked for one by one.
+    """
+    return flat.dtype.kind in "iuf" and bool not in set(map(type, values))
+
+
+def _parsed_document(text: str) -> tuple[dict, np.ndarray]:
+    """The document and its flat mass array, by ``json.loads`` of the whole text."""
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
+    size = _cell_count(doc)
+    probs = doc.get("probs")
+    flat = np.asarray(probs)  # a ragged nest raises
+    if flat.ndim != 1 or len(flat) != size or not _numbers(flat, probs):
+        raise ValueError(f"probs must be a flat list of {size} numbers")
+    return doc, flat
+
+
+def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
+    """The same as ``_parsed_document`` for a plain, valid document, else ValueError.
+
+    Plain means one literal ``"probs"`` key, a list holding no ``[``, ``{``
+    or ``"``, and no escape elsewhere, so that no other key decodes to
+    ``probs``.  ``json.loads`` parses the rest of the text with the list
+    cut to ``[]``.  The list is scanned as bytes: a token that is exactly
+    ``0.0`` after ``, `` is an empty cell; every other token is cut out with
+    its comma, and one ``json.loads`` parses them all, so each value is
+    json's own.  They are scattered into one dense float array of zeros,
+    which ``from_dense`` sums as it sums the whole-document parse.  Every
+    refusal is left to ``_parsed_document``.
+    """
+    key = text.find(_PROBS_KEY)
+    opening = _LIST_OPENING.match(text, key + len(_PROBS_KEY)) if key >= 0 else None
+    if opening is None:
+        raise ValueError("no probs list")
+    start = opening.end()
+    end = text.find("]", start)
+    if end < 0 or any(text.find(c, start, end) >= 0 for c in '[{"'):
+        raise ValueError("probs is not a flat list")
+    rest = text[:start] + text[end:]  # the list holds no quote, so every key is here
+    if rest.count(_PROBS_KEY) > 1 or "\\" in rest:
+        raise ValueError("another key may be probs")
+    doc = json.loads(rest, object_pairs_hook=_unique_keys)
+    size = _cell_count(doc)
+    if doc.get("probs") != []:
+        raise ValueError("the top-level probs is not the list cut out")
+    body = np.frombuffer(text[start - 1:end + 1].encode(), dtype=np.uint8)  # [ through ]
+    starts = np.append(0, np.flatnonzero(body == ord(",")))
+    if len(starts) != size:
+        raise ValueError("not one token per cell")
+    # token k > 0 is its comma and the bytes up to the next comma; the first
+    # token starts at the [ and the last runs through the ], so the cut of
+    # the kept tokens is a JSON list
+    lengths = np.diff(starts, append=len(body))
+    zero = np.frombuffer(_ZERO_TOKEN, dtype=np.uint8)
+    spelled = np.zeros(len(body), dtype=bool)  # the bytes after p spell zero[1:]
+    tail = max(len(body) - len(zero) + 1, 0)
+    spelled[:tail] = body[1:tail + 1] == zero[1]
+    for i in range(2, len(zero)):
+        spelled[:tail] &= body[i:tail + i] == zero[i]
+    canonical = (lengths == len(zero)) & spelled[starts]
+    canonical[0] = False  # it holds the [, so it is always kept
+    values = json.loads(body[np.repeat(~canonical, lengths)].tobytes())
+    cells = np.flatnonzero(~canonical)
+    flat = np.asarray(values)
+    if len(values) != len(cells) or not _numbers(flat, values):  # an empty list has no token
+        raise ValueError("not one number per kept token")
+    dense = np.zeros(size)
+    dense[cells] = flat
+    return doc, dense
 
 
 # ---------------------------------------------------------------------------

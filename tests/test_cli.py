@@ -420,39 +420,85 @@ def test_relevance_report(tmp_path, capsys):
     assert "Markov blanket filter: {V1,V2}" in out
 
 
+FLAT_4 = "probs must be a flat list of 4 numbers"
+CLASS_INDEX = "class index must be an integer in [0, 2), got "
+ARITIES = "arities must be one or more positive integers, got "
+
+# label: (file text, the reason after "error: cannot load joint <path>: "),
+# each line as the whole-document parser worded it before the list scan
+BAD_JOINT_FILES = {
+    "missing": (None, "[Errno 2] No such file or directory: '{path}'"),
+    "nan-mass": ('{"arities":[2,2],"probs":[0.5,NaN,0.25,0.25],"class_index":1}',
+                 "total mass nan is not finite"),
+    "text-class-index": ('{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":"x"}',
+                         CLASS_INDEX + "'x'"),
+    "float-class-index": ('{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1.0}',
+                          CLASS_INDEX + "1.0"),
+    "bool-class-index": ('{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":true}',
+                         CLASS_INDEX + "True"),
+    "top-level-list": ("[1, 2]", "expected a JSON object, got list"),
+    "top-level-probs-list": ("[0.5, 0.5]", "expected a JSON object, got list"),
+    "top-level-string": ('"table"', "expected a JSON object, got str"),
+    "malformed-arities": ('{"arities":2,"probs":[0.5,0.5]}', ARITIES + "2"),
+    "negative-arity": ('{"arities":[-1,2],"probs":[0.25,0.25,0.25,0.25]}', ARITIES + "[-1, 2]"),
+    "float-arity": ('{"arities":[2.5,2],"probs":[0.25,0.25,0.25,0.25]}', ARITIES + "[2.5, 2]"),
+    "bool-arity": ('{"arities":[true,2,2],"probs":[0.25,0.25,0.25,0.25]}',
+                   ARITIES + "[True, 2, 2]"),
+    "text-arity": ('{"arities":["2",2],"probs":[0.25,0.25,0.25,0.25]}', ARITIES + "['2', 2]"),
+    "empty-arities": ('{"arities":[],"probs":[1.0]}', ARITIES + "[]"),
+    "missing-probs": ('{"arities":[2,2]}', FLAT_4),
+    "nested-probs": ('{"arities":[2,2],"probs":[[0.25,0.25],[0.25,0.25]]}', FLAT_4),
+    "ragged-probs": ('{"arities":[2,2],"probs":[[0.25,0.25],[0.5]]}',
+                     "setting an array element with a sequence. The requested array has an "
+                     "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + "
+                     "inhomogeneous part."),
+    "text-prob": ('{"arities":[2,2],"probs":[0.25,"0.25",0.25,0.25]}', FLAT_4),
+    "null-prob": ('{"arities":[2,2],"probs":[0.25,null,0.25,0.25]}', FLAT_4),
+    "bool-probs": ('{"arities":[2,2],"probs":[true,false,false,true]}', FLAT_4),
+    "bool-mixed-probs": ('{"arities":[2,2],"probs":[0.5,false,false,0.5]}', FLAT_4),
+    "short-probs": ('{"arities":[2,2],"probs":[0.5,0.5]}', FLAT_4),
+    "long-probs": ('{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}', FLAT_4),
+    "empty-probs": ('{"arities":[1,1],"probs":[]}', "probs must be a flat list of 1 numbers"),
+    "overflowing-mass": ('{"arities":[2,2],"probs":[1e308,1e308,0,0]}',
+                         "total mass inf is not finite"),
+    "trailing-comma": ('{"arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5,],"class_index":1}',
+                       "Expecting value: line 1 column 46 (char 45)"),
+    "missing-comma": ('{"arities":[2,2],"probs":[0.5, 0.5, 0.0 0.0],"class_index":1}',
+                      "Expecting ',' delimiter: line 1 column 41 (char 40)"),
+    "nan-prob": ('{"arities":[2,2],"probs":[0.5, 0.0, NaN, 0.5],"class_index":1}',
+                 "total mass nan is not finite"),
+    "infinite-prob": ('{"arities":[2,2],"probs":[0.5, 0.0, Infinity, 0.5],"class_index":1}',
+                      "total mass inf is not finite"),
+    "int-past-uint64": (  # numpy reads 2**64 as an object
+        '{"arities":[2,2],"probs":[0.5, 0.0, 18446744073709551616, 0.5],"class_index":1}',
+        FLAT_4),
+    "duplicate-key": (
+        '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1,"class_index":0}',
+        "duplicate key 'class_index' in a JSON object"),
+    "deep-nesting": ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+}
+
+
 def test_relevance_bad_file(tmp_path, capsys):
-    cases = {
-        "missing": None,
-        "nan-mass": '{"arities":[2,2],"probs":[0.5,NaN,0.25,0.25],"class_index":1}',
-        "text-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":"x"}',
-        "float-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1.0}',
-        "bool-class-index": '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":true}',
-        "top-level-list": "[1, 2]",
-        "top-level-probs-list": "[0.5, 0.5]",
-        "top-level-string": '"table"',
-        "malformed-arities": '{"arities":2,"probs":[0.5,0.5]}',
-        "negative-arity": '{"arities":[-1,2],"probs":[0.25,0.25,0.25,0.25]}',
-        "float-arity": '{"arities":[2.5,2],"probs":[0.25,0.25,0.25,0.25]}',
-        "bool-arity": '{"arities":[true,2,2],"probs":[0.25,0.25,0.25,0.25]}',
-        "text-arity": '{"arities":["2",2],"probs":[0.25,0.25,0.25,0.25]}',
-        "empty-arities": '{"arities":[],"probs":[1.0]}',
-        "missing-probs": '{"arities":[2,2]}',
-        "nested-probs": '{"arities":[2,2],"probs":[[0.25,0.25],[0.25,0.25]]}',
-        "ragged-probs": '{"arities":[2,2],"probs":[[0.25,0.25],[0.5]]}',
-        "text-prob": '{"arities":[2,2],"probs":[0.25,"0.25",0.25,0.25]}',
-        "null-prob": '{"arities":[2,2],"probs":[0.25,null,0.25,0.25]}',
-        "bool-probs": '{"arities":[2,2],"probs":[true,false,false,true]}',
-        "bool-mixed-probs": '{"arities":[2,2],"probs":[0.5,false,false,0.5]}',
-        "short-probs": '{"arities":[2,2],"probs":[0.5,0.5]}',
-        "long-probs": '{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}',
-        "overflowing-mass": '{"arities":[2,2],"probs":[1e308,1e308,0,0]}',
-    }
-    for label, text in cases.items():
+    for label, (text, reason) in BAD_JOINT_FILES.items():
         path = tmp_path / f"{label}.json"
         if text is not None:
             path.write_text(text)
         line = run_error(capsys, "relevance", "--joint", str(path))
-        assert line.startswith(f"error: cannot load joint {path}: "), label
+        assert line == f"error: cannot load joint {path}: {reason.format(path=path)}", label
+
+
+def test_python_m_miselect_runs_the_cli(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"arities":[2,2]}')
+    src = str(Path(miselect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "miselect", "relevance", "--joint", str(path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot load joint {path}: {FLAT_4}\n"
 
 
 def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch,

@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example as explicit_example
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miselect import relevance
 from miselect.infotheory import MASS_TOLERANCE, mass_total
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import (
@@ -387,7 +389,126 @@ def test_lattice_groupings_match_unique_codes(drawn):
 
 
 def test_letters_of_true_and_false_outside_probs_load():
-    # the loader looks at each probability only when the text holds a "u" or an "f"
+    # booleans are looked for among the parsed probabilities, not in the text
     doc = '{"arities":[2,2],"probs":[0.5,0,0,0.5],"source":"uniform, fixed"}'
     joint = LabeledJoint.from_json(doc)
     assert np.array_equal(joint.mass, [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# The joint document: the list scan against the whole-document parse
+# ---------------------------------------------------------------------------
+
+
+def load_outcome(text):
+    """A loaded joint's arities, atoms, mass bytes and class, or the refusal."""
+    try:
+        joint = LabeledJoint.from_json(text)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return joint.arities, joint.atoms.tolist(), joint.mass.tobytes(), joint.class_index
+
+
+def parsed_outcome(text):
+    """``load_outcome`` with the list scan refused, so json.loads reads the whole text."""
+    with mock.patch.object(relevance, "_scanned_document", side_effect=ValueError):
+        return load_outcome(text)
+
+
+@pytest.mark.parametrize("zero", ["0", "-0.0", "0e0", "0.00", "0.0"])
+@pytest.mark.parametrize("comma", [", ", ",", ",\t", ",\n"])
+def test_zero_spellings_load_the_same_atoms(zero, comma):
+    canonical = LabeledJoint.from_json('{"arities":[2,3],"probs":[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]}')
+    tokens = ["0.5", zero, "0.0", zero, zero, "0.5"]
+    joint = LabeledJoint.from_json('{"arities":[2,3],"probs":[' + comma.join(tokens) + "]}")
+    assert np.array_equal(joint.atoms, canonical.atoms)
+    assert joint.mass.tobytes() == canonical.mass.tobytes()
+
+
+def test_grid_document_is_scanned(grid):
+    text = grid.to_json()
+    with mock.patch.object(relevance, "_parsed_document", side_effect=AssertionError):
+        joint = LabeledJoint.from_json(text)
+    assert load_outcome(text) == parsed_outcome(text)
+    assert np.array_equal(joint.atoms, grid.atoms)
+    assert joint.mass.tobytes() == grid.mass.tobytes()
+
+
+ZERO_TOKENS = ("0.0",) * 6 + ("0", "-0.0", "0e0", "0.00", "0E+3")
+ODD_TOKENS = ("NaN", "Infinity", "-Infinity", "true", "false", "null", '"0.5"', "[0.5]",
+              "{}", "", "0.0 0.0", "-0.5", "1e400", "9223372036854775808",
+              "-9223372036854775809", "18446744073709551615", "18446744073709551616")
+SEPARATORS = (", ",) * 4 + (",", ",\t", ",\n", " , ")
+
+
+@st.composite
+def joint_documents(draw):
+    """Joint documents as a writer might spell them, most of them loadable.
+
+    Cells are zeros in any spelling or masses that total 1; a drawn share
+    of tokens is odd, the list a token short or long, keys in any order,
+    missing, duplicated, escaped, or nested under another key.
+    """
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)) + [draw(st.integers(2, 3))]
+    size = int(np.prod(arities))
+    present = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    present[-1] = present[-2] = True  # two class states carry mass
+    weights = [draw(st.sampled_from((1, 2, 3))) if p else 0 for p in present]
+    total = sum(weights)
+    tokens = []
+    for w in weights:
+        if w == 0:
+            tokens.append(draw(st.sampled_from(ZERO_TOKENS)))
+        else:
+            mass = w / total
+            tokens.append(draw(st.sampled_from((repr(mass), f"{mass:.17e}"))))
+    if draw(st.integers(0, 9)) == 0:
+        tokens = [str(w) for w in weights]  # integer masses, total off 1
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = draw(st.sampled_from(ODD_TOKENS))
+    resize = draw(st.sampled_from((0,) * 18 + (-1, 1)))
+    tokens = tokens[:len(tokens) + resize] if resize < 0 else tokens + ["0.0"] * resize
+    body = draw(st.sampled_from(("", "", " ", "\n"))) + tokens[0]
+    for token in tokens[1:]:
+        body += draw(st.sampled_from(SEPARATORS)) + token
+    body += draw(st.sampled_from(("", "", " ", "\n")))
+    class_index = draw(st.sampled_from((None, len(arities) - 1, 0)))
+    members = [('"arities"', json.dumps(arities, separators=draw(
+                   st.sampled_from(((", ", ": "), (",", ":"))))))]
+    if draw(st.integers(0, 9)):
+        key = draw(st.sampled_from(('"probs"',) * 9 + ('"prob\\u0073"',)))
+        members.append((key, "[" + body + "]"))
+    if class_index is not None:
+        members.append(('"class_index"', str(class_index)))
+    source = draw(st.sampled_from((None, None, '"uniform, fixed [0.0, 0.0]"',
+                                   '"uniform \\"probs\\" [0.0, 0.0]"')))
+    if source is not None:
+        members.append(('"source"', source))
+    if draw(st.integers(0, 7)) == 0:
+        members.append(('"meta"', '{"probs": [' + body + ']}'))
+    if draw(st.integers(0, 7)) == 0:
+        key, value = draw(st.sampled_from(members))
+        members.append((draw(st.sampled_from((key, key.replace("s", "\\u0073")))), value))
+    members = draw(st.permutations(members))
+    colon = draw(st.sampled_from((": ", ":", " : ")))
+    comma = draw(st.sampled_from((", ", ",", ",\n  ")))
+    return "{" + comma.join(key + colon + value for key, value in members) + "}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(joint_documents())
+@explicit_example('{"arities":[1,2],"meta":{"probs":[0.5, 0.5]},"prob\\u0073":[]}')
+@explicit_example('{"arities":[1,2],"probs":[0.5, 0.5],"prob\\u0073":[0.5, 0.5]}')
+@explicit_example('{"arities":[2],"probs":[12]}')
+@explicit_example('{"arities":[1,1],"probs":[]}')
+def test_scan_agrees_with_whole_document_parse(text):
+    assert load_outcome(text) == parsed_outcome(text)
+    try:
+        doc, flat = relevance._scanned_document(text)
+    except ValueError:
+        return
+    parsed_doc, parsed_flat = relevance._parsed_document(text)  # what was scanned is valid
+    assert doc["arities"] == parsed_doc["arities"]
+    assert doc.get("class_index") == parsed_doc.get("class_index")
+    assert flat.tobytes() == parsed_flat.astype(float).tobytes()
