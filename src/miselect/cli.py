@@ -109,11 +109,19 @@ def cmd_order(args: argparse.Namespace) -> int:
     else:
         tables = _oracle_tables(spec)
     trace = select_all(mspec, tables)
+    if args.trace:
+        _write(args.trace, _write_trace, trace, spec)
     labels = " ".join(feature_label(f, spec) for f in trace.selected)
     print(f"{labels} | halt: {trace.halt.value}")
-    if args.trace:
-        _write_trace(trace, spec, args.trace)
     return 0
+
+
+def _write(path: str, write, *args) -> None:
+    """Call ``write(*args, path)``; a path that cannot be written is one error line."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
 
 
 def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, path: str) -> None:
@@ -129,8 +137,11 @@ def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+CONFIG_KEYS = "scenario k n methods replicates seed delta a b d out".split()
+
+
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value grammar; '#' starts a comment, blank lines ignored."""
+    """Flat key=value grammar over CONFIG_KEYS, each once; '#' starts a comment."""
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -142,7 +153,13 @@ def parse_config_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in text.split("=", 1))
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
-            raw[key.lower()] = value
+            key = key.lower()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"expected one of {', '.join(CONFIG_KEYS)}")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            raw[key] = value
     return raw
 
 
@@ -189,9 +206,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:  # e.g. a feature that overflows to inf
         raise CliError(f"simulated sample: {exc}")
     out = args.out or (raw.get("out") or "experiment.csv")
-    emit_csv(result, out)
+    _write(out, emit_csv, result)
     if args.traces:
-        _write_traces_json(result, args.traces)
+        _write(args.traces, _write_traces_json, result)
     for c in result.cells:
         degenerate = f", {c.degenerate} degenerate" if c.degenerate else ""
         print(

@@ -3,7 +3,7 @@
 Univariate entropies use m = ceil(sqrt(n)) equal-width bins over the
 observed range, plug-in entropy of the bin frequencies plus the ln(bin
 width) correction.  Bivariate histograms keep the total cell count near
-m by using ceil(sqrt(m)) bins per axis; feature-feature MI evaluates
+m by using q = ceil(sqrt(m)) bins per axis; feature-feature MI evaluates
 H(X) + H(Y) - H(X,Y) with all three entropies on that shared grid, and
 class MI evaluates H(V) - sum_c p(c) H(V | C=c) on pooled bin edges.
 
@@ -13,11 +13,13 @@ into class indices (:func:`code_labels`), and all counts are
 ``np.bincount`` of those codes, split by class label or combined as
 ``ci * q + cj`` for a pair.  The codes follow the counting rule of
 ``np.histogram``, so the estimates equal the histogram ones bit for bit.
-The ``estimate_*`` functions take raw or coded inputs;
-:func:`estimated_provider` codes each column of a sample twice and feeds
-the codes to them for all 65 tables (10 entropies, 10 class MIs, 45
-pairwise MIs) in one pass, so a sample the estimator cannot handle fails
-there, before any selection runs.
+The ``estimate_*`` functions take raw or binned columns: a raw column is
+binned at m (entropy, class MI) or q (pairwise MI) bins, and a binned
+column carries its own resolution.  :func:`estimated_provider` bins each
+column of a sample twice and feeds the binned columns to them for all 65
+tables (10 entropies, 10 class MIs, 45 pairwise MIs) in one pass, so a
+sample the estimator cannot handle fails there, before any selection
+runs.
 """
 
 from __future__ import annotations
@@ -56,47 +58,8 @@ def pair_bin_count(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class BinningScheme:
-    """Equal-width bins over the observed range; top edge is closed."""
-
-    count: int
-    edges: np.ndarray
-    width: float
-
-    @classmethod
-    def for_values(cls, x: np.ndarray, count: int) -> "BinningScheme":
-        lo = float(np.min(x))
-        hi = float(np.max(x))
-        if not math.isfinite(hi - lo):
-            raise ValueError("observations must be finite, with a finite range")
-        if hi <= lo:
-            raise DegenerateSampleError("all observations are equal")
-        edges = np.linspace(lo, hi, count + 1)
-        return cls(count, edges, (hi - lo) / count)
-
-    def codes(self, x: np.ndarray) -> np.ndarray:
-        """Bin index of each value of x, which must lie within the edges.
-
-        The index is ``searchsorted(edges, x, side="right") - 1`` with the
-        top edge folded into the last bin: the counting rule of
-        ``np.histogram`` and ``np.histogram2d``.  An arithmetic guess is
-        kept where the edges confirm it (``edges[g] <= x < edges[g + 1]``,
-        or ``edges[g] <= x`` in the last bin, means exactly g + 1 edges lie
-        at or below x); the values it misses, on or next to an edge, are
-        searched.  Searching every value instead makes an n = 5000
-        ``simulate`` run about 25% slower.
-        """
-        edges, last = self.edges, self.count - 1
-        guess = ((x - edges[0]) / (edges[-1] - edges[0]) * self.count).astype(np.intp)
-        np.minimum(guess, last, out=guess)
-        miss = (x < edges[guess]) | ((x >= edges[guess + 1]) & (guess < last))
-        guess[miss] = np.minimum(np.searchsorted(edges, x[miss], side="right") - 1, last)
-        return guess
-
-
-@dataclass(frozen=True)
 class BinnedColumn:
-    """One column's bin codes at one resolution.
+    """One column's bin codes on ``count`` bins of equal ``width``.
 
     ``entropy`` is the plug-in entropy of the bin frequencies, without the
     bin-width term.  Every ``estimate_*`` function accepts a binned column
@@ -104,47 +67,44 @@ class BinnedColumn:
     one sample bins each column once per resolution.
     """
 
-    scheme: BinningScheme
+    count: int
+    width: float
     codes: np.ndarray
     entropy: float
 
-    @property
-    def n(self) -> int:
-        return self.codes.size
 
+def bin_column(x, count: int) -> BinnedColumn:
+    """Code x on ``count`` equal-width bins over its observed range.
 
-def bin_column(x: np.ndarray, bins: int) -> BinnedColumn:
-    """Code x on ``bins`` equal-width bins over its observed range."""
+    The edges are ``np.linspace(min, max, count + 1)`` and the top edge is
+    closed.  The code of a value is ``searchsorted(edges, x, side="right")
+    - 1`` with the top edge folded into the last bin: the counting rule of
+    ``np.histogram`` and ``np.histogram2d``.  An arithmetic guess is kept
+    where the edges confirm it (``edges[g] <= x < edges[g + 1]``, or
+    ``edges[g] <= x`` in the last bin, means exactly g + 1 edges lie at or
+    below x); the values it misses, on or next to an edge, are searched.
+    Searching every value instead makes an n = 5000 ``simulate`` run about
+    25% slower.
+    """
     x = np.asarray(x, dtype=float)
-    scheme = BinningScheme.for_values(x, bins)
-    codes = scheme.codes(x)
-    return BinnedColumn(scheme, codes, plugin_entropy(np.bincount(codes), x.size))
+    lo = float(np.min(x))
+    hi = float(np.max(x))
+    if not math.isfinite(hi - lo):
+        raise ValueError("observations must be finite, with a finite range")
+    if hi <= lo:
+        raise DegenerateSampleError("all observations are equal")
+    edges, last = np.linspace(lo, hi, count + 1), count - 1
+    codes = ((x - edges[0]) / (edges[-1] - edges[0]) * count).astype(np.intp)
+    np.minimum(codes, last, out=codes)
+    miss = (x < edges[codes]) | ((x >= edges[codes + 1]) & (codes < last))
+    codes[miss] = np.minimum(np.searchsorted(edges, x[miss], side="right") - 1, last)
+    return BinnedColumn(count, (hi - lo) / count, codes,
+                        plugin_entropy(np.bincount(codes), x.size))
 
 
-def _binned(x, bins: int | None, default) -> BinnedColumn:
-    """x as a binned column; ``default(n)`` bins unless ``bins`` is given."""
-    if isinstance(x, BinnedColumn):
-        if bins is not None and bins != x.scheme.count:
-            raise ValueError(f"column is binned at {x.scheme.count} bins, not {bins}")
-        return x
-    x = np.asarray(x, dtype=float)
-    return bin_column(x, bins if bins is not None else default(x.size))
-
-
-def _binned_pair(x, y, bins: int | None) -> tuple[BinnedColumn, BinnedColumn]:
-    bx = _binned(x, bins, pair_bin_count)
-    by = _binned(y, bins, pair_bin_count)
-    if bx.n != by.n:
-        raise ValueError("length mismatch")
-    if bx.scheme.count != by.scheme.count:
-        raise ValueError("columns are binned at different resolutions")
-    return bx, by
-
-
-def _joint_counts(bx: BinnedColumn, by: BinnedColumn) -> np.ndarray:
-    """Cell counts of two columns binned on the same count x count grid."""
-    count = bx.scheme.count
-    return np.bincount(bx.codes * count + by.codes, minlength=count * count)
+def _binned(x, default) -> BinnedColumn:
+    """x as a binned column; a raw column is binned at ``default(n)`` bins."""
+    return x if isinstance(x, BinnedColumn) else bin_column(x, default(np.size(x)))
 
 
 @dataclass(frozen=True)
@@ -165,48 +125,47 @@ def code_labels(labels) -> CodedLabels:
     return CodedLabels(index, np.bincount(index).tolist())
 
 
-def estimate_entropy_1d(x, bins: int | None = None) -> float:
+def estimate_entropy_1d(x) -> float:
     """Differential entropy estimate; may legitimately be negative."""
-    b = _binned(x, bins, bin_count)
-    return b.entropy + math.log(b.scheme.width)
+    b = _binned(x, bin_count)
+    return b.entropy + math.log(b.width)
 
 
-def estimate_entropy_2d(x, y, bins: int | None = None) -> float:
-    """Joint differential entropy on a bins-per-axis equal-width grid."""
-    bx, by = _binned_pair(x, y, bins)
-    area = bx.scheme.width * by.scheme.width
-    return plugin_entropy(_joint_counts(bx, by), bx.n) + math.log(area)
-
-
-def estimate_mi_features(x, y, bins: int | None = None) -> float:
+def estimate_mi_features(x, y) -> float:
     """MI between two features via H(X) + H(Y) - H(X,Y) on a shared grid.
 
     All three entropies use the bivariate resolution, so their bin-width
     corrections cancel exactly and the result equals the discrete MI of
     the binned pair.  Not clamped: small negative values are reported.
     """
-    bx, by = _binned_pair(x, y, bins)
-    return bx.entropy + by.entropy - plugin_entropy(_joint_counts(bx, by), bx.n)
+    bx, by = _binned(x, pair_bin_count), _binned(y, pair_bin_count)
+    if bx.codes.size != by.codes.size:
+        raise ValueError("length mismatch")
+    if bx.count != by.count:
+        raise ValueError("columns are binned at different resolutions")
+    joint = np.bincount(bx.codes * bx.count + by.codes, minlength=bx.count * bx.count)
+    return bx.entropy + by.entropy - plugin_entropy(joint, bx.codes.size)
 
 
-def estimate_mi_class(x, labels, bins: int | None = None) -> float:
+def estimate_mi_class(x, labels) -> float:
     """MI between a feature and the class: H(V) - sum_c p(c) H(V|C=c).
 
     The class-conditional histograms reuse the pooled edges, so that an
     independent pair centers on zero instead of inheriting a per-class
     rebinning offset.  ``labels`` may be raw or coded.
     """
-    b = _binned(x, bins, bin_count)
+    b = _binned(x, bin_count)
     classes = code_labels(labels)
-    if classes.index.size != b.n:
+    n = b.codes.size
+    if classes.index.size != n:
         raise ValueError("length mismatch")
     k = len(classes.sizes)
-    counts = np.bincount(b.codes * k + classes.index, minlength=b.scheme.count * k)
-    counts = counts.reshape(b.scheme.count, k)
-    log_width = math.log(b.scheme.width)
+    counts = np.bincount(b.codes * k + classes.index, minlength=b.count * k)
+    counts = counts.reshape(b.count, k)
+    log_width = math.log(b.width)
     mi = b.entropy + log_width
     for c, size in enumerate(classes.sizes):
-        mi -= (size / b.n) * (plugin_entropy(counts[:, c], size) + log_width)
+        mi -= (size / n) * (plugin_entropy(counts[:, c], size) + log_width)
     return mi
 
 

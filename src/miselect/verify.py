@@ -98,7 +98,8 @@ def mi_direct(t: Joint, x: int, y: int) -> float:
     return float(np.sum(pxy[mask] * np.log(pxy[mask] / (px * py)[mask])))
 
 
-def check_discrete_identities(tables: int = 1000, tol: float = 1e-10) -> CheckResult:
+def check_discrete_identities() -> CheckResult:
+    tables, tol = 1000, 1e-10
     rng = np.random.default_rng(1847)
     worst = 0.0
     for _ in range(tables):
@@ -120,7 +121,7 @@ def check_discrete_identities(tables: int = 1000, tol: float = 1e-10) -> CheckRe
     )
 
 
-def check_oracle_tables(tol: float = 1e-3) -> CheckResult:
+def check_oracle_tables() -> CheckResult:
     """The tabulated entropies and class MIs; a tabulated 0 must be exact."""
     worst = 0.0
     for scenario, entries in ENTROPY_TABLE.items():
@@ -136,7 +137,7 @@ def check_oracle_tables(tol: float = 1e-3) -> CheckResult:
                     "oracle-tables", False, f"{scenario.value} k={k} {f.name}: expected exact 0"
                 )
             worst = max(worst, abs(got - want))
-    ok = worst <= tol
+    ok = worst <= 1e-3
     return CheckResult("oracle-tables", ok, f"60 values, max deviation {worst:.1e}")
 
 
@@ -152,8 +153,9 @@ _HALF_PAIRS = {frozenset(p) for p in [
 _SQUARE_PAIRS = {frozenset(p) for p in [(V.V3, V.V4), (V.V4, V.V8), (V.V6, V.V10)]}
 
 
-def check_pairwise_tables(tol: float = 2e-3) -> CheckResult:
+def check_pairwise_tables() -> CheckResult:
     """Every pairwise MI against its pair class, in both scenarios."""
+    tol = 2e-3
     expected_finite = {
         Scenario.UNIFORM: (0.5, (1.0 - math.log(2.0)) / 2.0),
         Scenario.GAUSSIAN: (math.log(2.0) / 2.0, 0.1078),
@@ -188,12 +190,12 @@ def check_pairwise_tables(tol: float = 2e-3) -> CheckResult:
     )
 
 
-def check_zero_mi_of_square(tol: float = 1e-3) -> CheckResult:
+def check_zero_mi_of_square() -> CheckResult:
     worst = 0.0
     for k in (0.2, 0.8):
         for base, delta in (("uniform", 0.5), ("uniform", 1.0), ("normal", 0.5)):
             worst = max(worst, abs(mi_class_squared_feature(k, base, delta)))
-    ok = worst <= tol
+    ok = worst <= 1e-3
     return CheckResult("zero-mi-of-square", ok, f"6 cases, max |MI| {worst:.1e}")
 
 

@@ -337,6 +337,40 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("scenario I\n")
     with pytest.raises(ValueError, match="bad.cfg:1"):
         parse_config_file(str(bad))
+    misspelt = tmp_path / "misspelt.cfg"
+    misspelt.write_text("k = 0.2\nreplicate = 3\n")
+    with pytest.raises(ValueError, match="misspelt.cfg:2: unknown key 'replicate'"):
+        parse_config_file(str(misspelt))
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("k = 0.2\nn = 50\nK = 0.8\n")
+    with pytest.raises(ValueError, match="repeated.cfg:3: key 'k' given twice"):
+        parse_config_file(str(repeated))
+
+
+def test_simulate_refuses_an_unknown_config_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a run would write experiment.csv here
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 50\nreplicate = 3\n")
+    line = run_error(capsys, "simulate", "--config", str(cfg))
+    assert line == (f"error: {cfg}:2: unknown key 'replicate'; expected one of "
+                    "scenario, k, n, methods, replicates, seed, delta, a, b, d, out")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(("order", "--k", "0.2", "--method", "mrmr", "--trace"), "x.tsv",
+                 id="order-trace"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out"), "o.csv",
+                 id="simulate-out"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", "o.csv",
+                  "--traces"), "t.json", id="simulate-traces"),
+])
+def test_unwritable_output_path_ends_in_one_error_line(tmp_path, monkeypatch, capsys,
+                                                       argv, name):
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "missing" / name)
+    line = run_error(capsys, *argv, path)
+    assert line == f"error: cannot write {path}: No such file or directory"
 
 
 def test_simulate_with_config_and_overrides(tmp_path, capsys):
