@@ -12,8 +12,10 @@ Bad input ends in one ``error: ...`` line on stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from .estimation import Sample, estimated_provider
 from .oracle import (
@@ -29,8 +31,6 @@ from .selection import MethodSpec, SelectionTrace, select_all
 from .simlab import ExperimentConfig, emit_csv, run_experiment
 from .verify import run_all_checks
 
-DEFAULT_SEED = 20250808
-
 
 class CliError(Exception):
     """Bad input: main prints ``error: <message>`` and returns 2."""
@@ -43,6 +43,38 @@ def _scenario(text: str) -> Scenario:
         raise ValueError(f"scenario must be I or II, got {text!r}") from None
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _methods(text: str) -> tuple[MethodSpec, ...]:
+    return tuple(MethodSpec.parse(tok) for tok in text.split(","))
+
+
+# Each setting is a flag of the same name: name -> (parse, default, help).
+# SIMULATE_SETTINGS are also the config file's keys, listed in this order.
+_SCENARIO = (_scenario, Scenario.UNIFORM, "I (uniform drivers) or II (Gaussian drivers)")
+_SHAPE = {"delta": (float, ScenarioSpec.delta, "uniform half-width"),
+          "a": (float, ScenarioSpec.a, None), "b": (float, ScenarioSpec.b, None),
+          "d": (float, ScenarioSpec.d, None)}
+SPEC_SETTINGS = {"scenario": _SCENARIO, "k": (float, 0.2, "class slope, in (0,1)"), **_SHAPE}
+SIMULATE_SETTINGS = {
+    "scenario": _SCENARIO,
+    "k": (_floats, (0.2,), "comma-separated class slopes"),
+    "n": (_ints, (1000,), "comma-separated sample sizes"),
+    "methods": (_methods, (MethodSpec.parse("mifs:1"),),
+                "comma-separated, e.g. mifs:1,mrmr,maxmifs"),
+    "replicates": (int, 100, None),
+    "seed": (int, 20250808, None),
+    **_SHAPE,
+    "out": (str, "experiment.csv", "output CSV path"),
+}
+
+
 def _value(key: str, text: str | None, parse, default):
     """Parse flag or config text, so a bad value is one ``error: <key>: ...`` line."""
     if text is None:
@@ -53,25 +85,26 @@ def _value(key: str, text: str | None, parse, default):
         raise CliError(f"{key}: {exc}")
 
 
+def _settings(table: dict, args: argparse.Namespace, config: dict[str, str]) -> dict:
+    """Each setting of ``table``: its flag, else its ``config`` line, else its default."""
+    values = {}
+    for key, (parse, default, _) in table.items():
+        flag = getattr(args, key)
+        values[key] = _value(key, config.get(key) if flag is None else flag, parse, default)
+    return values
+
+
+def _add_flags(p: argparse.ArgumentParser, table: dict) -> None:
+    # plain text, parsed in _settings like the config file's values
+    for key, (_, _, help_text) in table.items():
+        p.add_argument(f"--{key}", help=help_text)
+
+
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
-    scenario = _value("scenario", args.scenario, _scenario, Scenario.UNIFORM)
-    k = _value("k", args.k, float, 0.2)
-    shape = [_value(key, getattr(args, key), float, getattr(ScenarioSpec, key))
-             for key in ("delta", "a", "b", "d")]
     try:
-        return ScenarioSpec(scenario, k, *shape)
+        return ScenarioSpec(**_settings(SPEC_SETTINGS, args, {}))
     except ValueError as exc:
         raise CliError(exc)
-
-
-def _add_spec_flags(p: argparse.ArgumentParser, need_k: bool = True) -> None:
-    # plain text, parsed in _build_spec
-    p.add_argument("--scenario", help="I (uniform drivers) or II (Gaussian drivers)")
-    p.add_argument("--k", required=need_k, help="class slope, in (0,1)")
-    p.add_argument("--delta", help="uniform half-width")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--d")
 
 
 def _oracle_tables(spec: ScenarioSpec) -> MITables:
@@ -110,21 +143,31 @@ def cmd_order(args: argparse.Namespace) -> int:
         tables = _oracle_tables(spec)
     trace = select_all(mspec, tables)
     if args.trace:
-        _write(args.trace, _write_trace, trace, spec)
+        _write([(args.trace, _write_trace)], trace, spec)
     labels = " ".join(feature_label(f, spec) for f in trace.selected)
     print(f"{labels} | halt: {trace.halt.value}")
     return 0
 
 
-def _write(path: str, write, *args) -> None:
-    """Call ``write(*args, path)``; a path that cannot be written is one error line."""
-    try:
-        write(*args, path)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}")
+def _write(outputs: list[tuple[str, Callable]], *args) -> None:
+    """Open the path of every ``(path, write)``, then call ``write(*args, fh)`` on each.
+
+    Nothing is written unless every path opens; a path that cannot be opened
+    or written is one error line.
+    """
+    with contextlib.ExitStack() as stack:
+        try:
+            files = []
+            for path, _ in outputs:
+                files.append(stack.enter_context(open(path, "w")))
+            for (path, write), fh in zip(outputs, files):
+                with fh:
+                    write(*args, fh)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc.strerror}")
 
 
-def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, path: str) -> None:
+def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, fh: TextIO) -> None:
     lines = ["step\tcandidate\tobjective\tselected"]
     for step_no, step in enumerate(trace.steps, start=1):
         for f in FEATURES:
@@ -133,20 +176,16 @@ def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, path: str) -> None:
                 continue
             mark = "*" if f == step.winner else ""
             lines.append(f"{step_no}\t{feature_label(f, spec)}\t{v}\t{mark}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-CONFIG_KEYS = "scenario k n methods replicates seed delta a b d out".split()
+    fh.write("\n".join(lines) + "\n")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value grammar over CONFIG_KEYS, each once; '#' starts a comment."""
+    """Flat key=value grammar over SIMULATE_SETTINGS, each once; '#' starts a comment line."""
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
@@ -154,61 +193,36 @@ def parse_config_file(path: str) -> dict[str, str]:
             if not key or not value:
                 raise ValueError(f"{path}:{lineno}: empty key or value")
             key = key.lower()
-            if key not in CONFIG_KEYS:
+            if key not in SIMULATE_SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"expected one of {', '.join(CONFIG_KEYS)}")
+                                 f"expected one of {', '.join(SIMULATE_SETTINGS)}")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             raw[key] = value
     return raw
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _methods(text: str) -> tuple[MethodSpec, ...]:
-    return tuple(MethodSpec.parse(tok) for tok in text.split(","))
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    raw: dict[str, str] = {}
-    if args.config:
-        try:
-            raw = parse_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            raise CliError(exc)
-    def pick(flag, key, parse, default):
-        return _value(key, flag if flag is not None else raw.get(key), parse, default)
-
     try:
-        config = ExperimentConfig(
-            scenario=pick(args.scenario_opt, "scenario", _scenario, Scenario.UNIFORM),
-            k_values=pick(args.k_values, "k", _floats, (0.2,)),
-            n_values=pick(args.n_values, "n", _ints, (1000,)),
-            methods=pick(args.methods, "methods", _methods,
-                         (MethodSpec.parse("mifs:1"),)),
-            replicates=pick(args.replicates, "replicates", int, 100),
-            seed=pick(args.seed, "seed", int, DEFAULT_SEED),
-            delta=pick(args.delta, "delta", float, ScenarioSpec.delta),
-            a=pick(args.a, "a", float, ScenarioSpec.a),
-            b=pick(args.b, "b", float, ScenarioSpec.b),
-            d=pick(args.d, "d", float, ScenarioSpec.d),
-        )
+        raw = parse_config_file(args.config) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise CliError(exc)
+    values = _settings(SIMULATE_SETTINGS, args, raw)
+    out = values.pop("out")
+    try:
+        config = ExperimentConfig(k_values=values.pop("k"), n_values=values.pop("n"), **values)
     except ValueError as exc:
         raise CliError(exc)
+    # traces first: a traces path that fails to open leaves no CSV behind
+    outputs = ([(args.traces, _write_traces_json)] if args.traces else []) + [(out, emit_csv)]
+    for path, _ in outputs:  # a missing directory is refused before the run
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"cannot write {path}: No such file or directory")
     try:
         result = run_experiment(config, keep_traces=bool(args.traces))
     except ValueError as exc:  # e.g. a feature that overflows to inf
         raise CliError(f"simulated sample: {exc}")
-    out = args.out or (raw.get("out") or "experiment.csv")
-    _write(out, emit_csv, result)
-    if args.traces:
-        _write(args.traces, _write_traces_json, result)
+    _write(outputs, result)
     for c in result.cells:
         degenerate = f", {c.degenerate} degenerate" if c.degenerate else ""
         print(
@@ -220,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_traces_json(result, path: str) -> None:
+def _write_traces_json(result, fh: TextIO) -> None:
     import json
 
     cells = []
@@ -241,8 +255,7 @@ def _write_traces_json(result, path: str) -> None:
                 ],
             }
         )
-    with open(path, "w") as fh:
-        json.dump({"seed": result.config.seed, "cells": cells}, fh, indent=1)
+    json.dump({"seed": result.config.seed, "cells": cells}, fh, indent=1)
 
 
 def cmd_relevance(args: argparse.Namespace) -> int:
@@ -287,11 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle", help="print the analytic entropy / class-MI table")
-    _add_spec_flags(p)
+    _add_flags(p, SPEC_SETTINGS)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("order", help="run one selection method")
-    _add_spec_flags(p, need_k=False)
+    _add_flags(p, SPEC_SETTINGS)
     p.add_argument("--method", required=True,
                    help="mifs, mifsu, mrmr, mmifsu, micc, qmifs, nmifs, maxmifs")
     p.add_argument("--beta")
@@ -301,23 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replicated Monte Carlo experiment")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--traces", default=None,
                    help="also dump every per-replicate ordering as JSON")
-    # plain text, parsed in cmd_simulate like the config file's values
-    p.add_argument("--scenario", dest="scenario_opt", default=None)
-    p.add_argument("--k", dest="k_values", default=None,
-                   help="comma-separated class slopes")
-    p.add_argument("--n", dest="n_values", default=None,
-                   help="comma-separated sample sizes")
-    p.add_argument("--methods", default=None,
-                   help="comma-separated, e.g. mifs:1,mrmr,maxmifs")
-    p.add_argument("--replicates", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument("--d", default=None)
+    _add_flags(p, SIMULATE_SETTINGS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("relevance", help="relevance analysis of a labeled joint")

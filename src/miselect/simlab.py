@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -167,8 +168,8 @@ def run_experiment(
 CSV_COLUMNS = "scenario,k,n,method,beta,frequency,replicates,seed"
 
 
-def emit_csv(result: ExperimentResult, path: str) -> None:
-    """One row per (method, k, n) cell; byte-stable for a fixed config."""
+def emit_csv(result: ExperimentResult, fh: TextIO) -> None:
+    """Write one row per (method, k, n) cell to ``fh``; byte-stable for a fixed config."""
     lines = [CSV_COLUMNS]
     for c in result.cells:
         beta = "" if c.method.beta is None else format(c.method.beta, "g")
@@ -176,5 +177,4 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
             f"{c.scenario.value},{c.k:g},{c.n},{c.method.method.value},{beta},"
             f"{c.frequency:.4f},{c.replicates},{result.config.seed}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import miselect
-from miselect import simlab
+from miselect import cli, simlab
 from miselect.cli import main, parse_config_file
 from miselect.estimation import Sample
 from miselect.oracle import Scenario, ScenarioSpec
@@ -116,6 +116,10 @@ ORACLE_OUTPUTS = [
 @pytest.mark.parametrize("argv, expected", ORACLE_OUTPUTS)
 def test_oracle_output_is_pinned(capsys, argv, expected):
     assert run(capsys, "oracle", *argv) == (0, expected)
+
+
+def test_oracle_k_defaults_to_0_2(capsys):
+    assert run(capsys, "oracle") == run(capsys, "oracle", "--k", "0.2")
 
 
 def test_oracle_rejects_endpoint_k(capsys):
@@ -345,6 +349,21 @@ def test_config_file_parsing(tmp_path):
     repeated.write_text("k = 0.2\nn = 50\nK = 0.8\n")
     with pytest.raises(ValueError, match="repeated.cfg:3: key 'k' given twice"):
         parse_config_file(str(repeated))
+    hashes = tmp_path / "hashes.cfg"  # only a line starting with '#' is a comment
+    hashes.write_text("  # indented comment\nout = run#1.csv\nk = 0.2 # x\n")
+    assert parse_config_file(str(hashes)) == {"out": "run#1.csv", "k": "0.2 # x"}
+
+
+def test_simulate_keeps_a_hash_inside_a_config_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("# whole-line comment\nn = 50\nreplicates = 2\nout = run#1.csv\n")
+    code, out = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 0 and out.splitlines()[-1].startswith("wrote run#1.csv in ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run#1.csv"]
+    cfg.write_text("n = 50\nreplicates = 2\nk = 0.2 # x\n")
+    line = run_error(capsys, "simulate", "--config", str(cfg))
+    assert line == "error: k: could not convert string to float: '0.2 # x'"
 
 
 def test_simulate_refuses_an_unknown_config_key(tmp_path, monkeypatch, capsys):
@@ -371,6 +390,82 @@ def test_unwritable_output_path_ends_in_one_error_line(tmp_path, monkeypatch, ca
     path = str(tmp_path / "missing" / name)
     line = run_error(capsys, *argv, path)
     assert line == f"error: cannot write {path}: No such file or directory"
+    assert list(tmp_path.iterdir()) == []  # simulate wrote no o.csv
+
+
+def test_simulate_checks_outputs_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_experiment", run_experiment)
+        traces = str(tmp_path / "nonexistent" / "t.json")
+        line = run_error(capsys, "simulate", "--n", "2000", "--replicates", "50",
+                         "--out", "o.csv", "--traces", traces)
+        assert line == f"error: cannot write {traces}: No such file or directory"
+    (tmp_path / "t.json").mkdir()  # its directory exists, but it cannot be opened
+    line = run_error(capsys, "simulate", "--n", "50", "--replicates", "2",
+                     "--out", "o.csv", "--traces", "t.json")
+    assert line == "error: cannot write t.json: Is a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+@pytest.fixture
+def experiment_configs(monkeypatch):
+    """The ExperimentConfig of each simulate run; the run itself yields no cells."""
+    configs = []
+
+    def run_experiment(config, keep_traces=False):
+        configs.append(config)
+        return simlab.ExperimentResult(config, [])
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    return configs
+
+
+# a value other than its default for each simulate setting
+SIMULATE_VALUES = {"scenario": "II", "k": "0.3,0.6", "n": "60,70", "methods": "mrmr,nmifs",
+                   "replicates": "7", "seed": "5", "delta": "0.25", "a": "2", "b": "0.5",
+                   "d": "3", "out": "custom.csv"}
+
+
+def test_simulate_reads_each_setting_from_its_flag_or_its_config_line(
+        tmp_path, monkeypatch, capsys, experiment_configs):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+
+    def simulate(*argv):
+        code, out = run(capsys, "simulate", *argv)
+        assert code == 0
+        path = out.splitlines()[-1].split()[1]  # wrote <path> in ...
+        assert (tmp_path / path).read_text().startswith("scenario,")
+        return experiment_configs[-1], path
+
+    assert list(SIMULATE_VALUES) == list(cli.SIMULATE_SETTINGS)
+    default = simulate()
+    for key, value in SIMULATE_VALUES.items():
+        cfg.write_text(f"{key} = {value}\n")
+        from_flag = simulate(f"--{key}", value)
+        assert simulate("--config", str(cfg)) == from_flag != default, key
+    cfg.write_text("replicates = 7\nseed = 5\nout = file.csv\n")
+    config, path = simulate("--config", str(cfg), "--replicates", "3", "--out", "flag.csv")
+    assert (config.replicates, config.seed, path) == (3, 5, "flag.csv")
+
+
+def test_acceptance_config_is_the_north_star_run(tmp_path, monkeypatch, capsys,
+                                                 experiment_configs):
+    monkeypatch.chdir(tmp_path)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
+    code, out = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 0 and out.startswith("wrote acceptance_frequencies.csv in ")
+    (config,) = experiment_configs
+    assert (config.scenario, config.k_values, config.n_values) == (
+        Scenario.UNIFORM, (0.2, 0.8), (5000,))
+    assert [m.label() for m in config.methods] == [
+        "mifs(beta=1)", "mrmr", "maxmifs", "mifs(beta=0)", "mifsu(beta=0)", "nmifs"]
+    assert (config.replicates, config.seed) == (100, 20250808)
 
 
 def test_simulate_with_config_and_overrides(tmp_path, capsys):

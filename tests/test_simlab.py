@@ -143,7 +143,8 @@ def test_degenerate_replicates_count_as_misses(monkeypatch):
 def test_emit_csv_format(tmp_path):
     result = run_experiment(small_config())
     path = tmp_path / "out.csv"
-    emit_csv(result, str(path))
+    with open(path, "w") as fh:
+        emit_csv(result, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "scenario,k,n,method,beta,frequency,replicates,seed"
     assert len(lines) == 1 + len(result.cells)
@@ -151,14 +152,16 @@ def test_emit_csv_format(tmp_path):
     assert lines[2].startswith("I,0.8,50,mrmr,,")
     # byte-identical on a rerun with the same seed
     path2 = tmp_path / "out2.csv"
-    emit_csv(run_experiment(small_config()), str(path2))
+    with open(path2, "w") as fh:
+        emit_csv(run_experiment(small_config()), fh)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_emit_csv_empty_result(tmp_path):
     result = ExperimentResult(small_config(), [])
     path = tmp_path / "empty.csv"
-    emit_csv(result, str(path))
+    with open(path, "w") as fh:
+        emit_csv(result, fh)
     assert path.read_text() == "scenario,k,n,method,beta,frequency,replicates,seed\n"
 
 
