@@ -13,7 +13,7 @@ from .estimation import Sample, estimated_provider
 from .oracle import FeatureId, MITables, Scenario, ScenarioSpec, oracle_provider
 from .selection import Method, MethodSpec, SelectionTrace, select_all
 from .simlab import ExperimentConfig, run_experiment
-from .xreal import XReal, finite, indeterminate
+from .xreal import XReal
 
 __all__ = [
     "ExperimentConfig",
@@ -27,8 +27,6 @@ __all__ = [
     "SelectionTrace",
     "XReal",
     "estimated_provider",
-    "finite",
-    "indeterminate",
     "oracle_provider",
     "run_experiment",
     "select_all",

@@ -12,8 +12,8 @@ Bad input ends in one ``error: ...`` line on stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
+import shutil
 import sys
 from typing import Callable, Sequence, TextIO
 
@@ -130,6 +130,8 @@ def cmd_order(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(exc)
     spec = _build_spec(args)
+    outputs = [(args.trace, _write_trace)] if args.trace else []
+    _check_outputs(outputs)
     if args.data:
         try:
             sample = Sample.from_csv(args.data)
@@ -142,29 +144,41 @@ def cmd_order(args: argparse.Namespace) -> int:
     else:
         tables = _oracle_tables(spec)
     trace = select_all(mspec, tables)
-    if args.trace:
-        _write([(args.trace, _write_trace)], trace, spec)
+    _write(outputs, trace, spec)
     labels = " ".join(feature_label(f, spec) for f in trace.selected)
     print(f"{labels} | halt: {trace.halt.value}")
     return 0
 
 
-def _write(outputs: list[tuple[str, Callable]], *args) -> None:
-    """Open the path of every ``(path, write)``, then call ``write(*args, fh)`` on each.
+def _check_outputs(outputs: list[tuple[str, Callable]]) -> None:
+    """Refuse, before any work, an empty path, a directory or a missing directory."""
+    for path, _ in outputs:
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {path}: Is a directory")
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"cannot write {path}: No such file or directory")
 
-    Nothing is written unless every path opens; a path that cannot be opened
-    or written is one error line.
+
+def _write(outputs: list[tuple[str, Callable]], *args) -> None:
+    """Write every output to a part, and only then each part onto its path, as ``open`` would.
+
+    Output i, ``(path, write)``, is ``write(*args, fh)`` on the part ``<path>.<i>.part``.
     """
-    with contextlib.ExitStack() as stack:
-        try:
-            files = []
-            for path, _ in outputs:
-                files.append(stack.enter_context(open(path, "w")))
-            for (path, write), fh in zip(outputs, files):
-                with fh:
-                    write(*args, fh)
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc.strerror}")
+    parts = []
+    try:
+        for path, write in outputs:
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            parts.append(f"{target}.{len(parts)}.part")
+            with open(parts[-1], "w") as fh:
+                write(*args, fh)
+            if os.path.isfile(target):
+                shutil.copymode(target, parts[-1])
+        for (path, _), part in zip(outputs, parts):
+            os.replace(part, part.rsplit(".", 2)[0])  # onto its target
+    except OSError as exc:
+        for part in filter(os.path.isfile, parts):
+            os.remove(part)
+        raise CliError(f"cannot write {path}: {exc.strerror}")
 
 
 def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, fh: TextIO) -> None:
@@ -213,11 +227,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = ExperimentConfig(k_values=values.pop("k"), n_values=values.pop("n"), **values)
     except ValueError as exc:
         raise CliError(exc)
-    # traces first: a traces path that fails to open leaves no CSV behind
-    outputs = ([(args.traces, _write_traces_json)] if args.traces else []) + [(out, emit_csv)]
-    for path, _ in outputs:  # a missing directory is refused before the run
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise CliError(f"cannot write {path}: No such file or directory")
+    outputs = [(out, emit_csv)] + ([(args.traces, _write_traces_json)] if args.traces else [])
+    _check_outputs(outputs)
     try:
         result = run_experiment(config, keep_traces=bool(args.traces))
     except ValueError as exc:  # e.g. a feature that overflows to inf

@@ -123,12 +123,6 @@ def _disjoint(*groups: Sequence[int]) -> None:
         seen |= s
 
 
-def cond_entropy(t: Joint, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
-    """H(X|Y) = H(X,Y) - H(Y)."""
-    _disjoint(x_vars, y_vars)
-    return entropy(t, tuple(x_vars) + tuple(y_vars)) - entropy(t, y_vars)
-
-
 def mi(t: Joint, x_vars: Sequence[int], y_vars: Sequence[int]) -> float:
     """MI(X,Y) = H(X) + H(Y) - H(X,Y)."""
     _disjoint(x_vars, y_vars)

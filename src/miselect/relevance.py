@@ -215,12 +215,8 @@ class LabeledJoint(Joint):
                     return True
         return False
 
-    def partition(
-        self, optimal_set: Iterable[int] | None = None
-    ) -> dict[int, RelevanceClass]:
+    def partition(self, optimal_set: Iterable[int]) -> dict[int, RelevanceClass]:
         """Four-way split; WR features divide relative to ``optimal_set``."""
-        if optimal_set is None:
-            optimal_set = self.markov_blanket_filter()
         chosen = set(optimal_set)
         out: dict[int, RelevanceClass] = {}
         for f in self.features:

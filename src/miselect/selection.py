@@ -110,9 +110,6 @@ class SelectionStep:
     winner: FeatureId | None
     objectives: Mapping[FeatureId, XReal]
 
-    def admissible(self, f: FeatureId) -> bool:
-        return f in self.objectives and not self.objectives[f].is_indet
-
 
 @dataclass(frozen=True)
 class SelectionTrace:
@@ -197,12 +194,6 @@ def _best(values, positions) -> int | None:
         if kind is None and (best is None or x > best_x):
             best, best_x = a, x
     return best
-
-
-def first_feature(p: MITables) -> FeatureId:
-    """Most class-informative feature; ties go to the earliest feature."""
-    order = p.feature_order
-    return order[_best([(p.class_mi(f), None) for f in order], range(len(order)))]
 
 
 def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:

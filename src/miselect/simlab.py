@@ -36,8 +36,6 @@ OPTIMAL_PAIRS: frozenset[frozenset] = frozenset(
 
 def generate_sample(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> Sample:
     """Draw the four drivers, derive the ten features and the class."""
-    if n < 4:
-        raise ValueError("need at least 4 observations")
     if spec.scenario is Scenario.UNIFORM:
         draws = rng.uniform(-spec.delta, spec.delta, size=(4, n))
     else:
@@ -121,12 +119,6 @@ class ExperimentResult:
     cells: list[CellResult]
     traces: dict[tuple, list[SelectionTrace]] = field(default_factory=dict)
     runtime: float = 0.0
-
-    def cell(self, method: MethodSpec, k: float, n: int) -> CellResult:
-        for c in self.cells:
-            if c.method == method and c.k == k and c.n == n:
-                return c
-        raise KeyError((method, k, n))
 
 
 def run_experiment(

@@ -40,27 +40,15 @@ class XReal:
     """Extended-real value: finite, +inf, -inf, or a tagged indeterminate.
 
     ``value`` is a finite float or an IEEE infinity, and NaN exactly when
-    ``indet_kind`` names the indeterminate form.  Construct through
-    :func:`finite`, :func:`indeterminate`, :func:`box` or the module
-    constants ``ZERO`` / ``POS_INF`` / ``NEG_INF``; the raw constructor
-    does not validate.  :func:`box` returns the infinities and the four
-    indeterminates as singletons, so ``==`` and ``is`` both hold for them.
+    ``indet_kind`` names the indeterminate form.  Build one only with
+    :func:`box`, as selection does for every objective it reports; the raw
+    constructor does not validate.  :func:`box` returns the infinities and
+    the four indeterminates as singletons (``POS_INF``, ``NEG_INF`` and one
+    per kind), so ``==`` and ``is`` both hold for them.
     """
 
     value: float
     indet_kind: IndetKind | None = None
-
-    @property
-    def is_finite(self) -> bool:
-        return isfinite(self.value)
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self.value == inf
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self.value == -inf
 
     @property
     def is_indet(self) -> bool:
@@ -83,19 +71,6 @@ NEG_INF = XReal(-inf)
 _INDETS = {kind: XReal(nan, kind) for kind in IndetKind}
 
 
-def finite(value: float) -> XReal:
-    """Wrap a host float; NaN and the float infinities are rejected."""
-    value = float(value)
-    if not isfinite(value):
-        raise ValueError(f"not a finite real: {value!r}")
-    # collapse -0.0 so exact-zero tests and rendering agree
-    return XReal(value) if value else ZERO
-
-
-def indeterminate(kind: IndetKind) -> XReal:
-    return _INDETS[kind]
-
-
 # ---------------------------------------------------------------------------
 # Float-level form: an extended real as a (value, kind) pair
 #
@@ -109,10 +84,6 @@ def indeterminate(kind: IndetKind) -> XReal:
 # ---------------------------------------------------------------------------
 
 XPair = tuple[float, IndetKind | None]
-
-
-def unbox(a: XReal) -> XPair:
-    return (a.value, a.indet_kind)
 
 
 def box(p: XPair) -> XReal:

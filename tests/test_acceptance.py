@@ -111,7 +111,7 @@ def test_criterion_6_optimal_pair_frequencies():
     summary = []
 
     def check(result, m, k, low=None, high=None):
-        f = result.cell(m, k, 5000).frequency
+        f = next(c.frequency for c in result.cells if (c.method, c.k) == (m, k))
         summary.append(f"{m.label()}@k={k}: {f:.2f}")
         if low is not None and f < low:
             failures.append(f"{m.label()} k={k}: {f:.4f} < {low}")
@@ -137,7 +137,7 @@ def test_criterion_7_frequency_trend_with_sample_size():
         Scenario.UNIFORM, (0.8,), sizes, (MethodSpec(Method.MIFS, 1.0),),
         replicates=100, seed=SEED + 1,
     ))
-    cells = [res.cell(MethodSpec(Method.MIFS, 1.0), 0.8, n) for n in sizes]
+    cells = res.cells  # one method and one k: one cell per size, in order
     freqs = [c.frequency for c in cells]
     failures = []
     for a, b in zip(cells, cells[1:]):

@@ -1,4 +1,6 @@
+import errno
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -410,6 +412,70 @@ def test_simulate_checks_outputs_before_writing(tmp_path, monkeypatch, capsys):
                      "--out", "o.csv", "--traces", "t.json")
     assert line == "error: cannot write t.json: Is a directory"
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", "d"),
+                 "error: cannot write d: Is a directory", id="simulate-out-directory"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", ""),
+                 "error: cannot write : No such file or directory", id="simulate-out-empty"),
+    pytest.param(("order", "--k", "0.2", "--method", "mrmr", "--trace", "d"),
+                 "error: cannot write d: Is a directory", id="order-trace-directory"),
+])
+def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                    argv, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "kept.txt").write_text("kept\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "select_all", no_work)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_error(capsys, *argv) == line
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "d" / "kept.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("writer, path", [("emit_csv", "o.csv"),
+                                          ("_write_traces_json", "t.json")])
+def test_a_failed_output_leaves_every_output_as_it_was(tmp_path, monkeypatch, capsys,
+                                                       experiment_configs, writer, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_text("old csv\n")
+    (tmp_path / "t.json").write_text('{"old": 1}\n')
+
+    def fail(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, writer, fail)
+    line = run_error(capsys, "simulate", "--out", "o.csv", "--traces", "t.json")
+    assert line == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}"
+    assert (tmp_path / "o.csv").read_text() == "old csv\n"
+    assert (tmp_path / "t.json").read_text() == '{"old": 1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "t.json"]
+
+
+def test_outputs_keep_the_mode_and_the_link_open_gives_them(tmp_path, monkeypatch, capsys,
+                                                             experiment_configs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_text("old csv\n")
+    os.chmod(tmp_path / "o.csv", 0o640)
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "t.json").symlink_to(tmp_path / "runs" / "t1.json")  # not there yet
+    code, _ = run(capsys, "simulate", "--out", "o.csv", "--traces", "t.json")
+    assert code == 0
+    assert (tmp_path / "o.csv").read_text().startswith("scenario,")
+    assert stat.S_IMODE(os.stat(tmp_path / "o.csv").st_mode) == 0o640
+    assert (tmp_path / "t.json").is_symlink()
+    assert (tmp_path / "runs" / "t1.json").read_text().startswith("{")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(os.stat(tmp_path / "t.json").st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "runs", "t.json"]
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["t1.json"]
 
 
 @pytest.fixture

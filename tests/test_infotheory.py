@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from miselect.infotheory import (
     Joint,
-    cond_entropy,
     cond_mi,
     entropy,
     mass_total,
@@ -60,19 +59,11 @@ def test_entropy_examples():
             entropy(fair_bit_pair(False), bad)
 
 
-def test_cond_entropy_examples():
-    assert cond_entropy(fair_bit_pair(False), (0,), (1,)) == pytest.approx(LN2)
-    assert cond_entropy(fair_bit_pair(True), (0,), (1,)) == pytest.approx(0.0)
-    # Y = X with flip probability 0.5: direct evaluation gives ln 2
-    flip = table(2, 2, probs=[0.25, 0.25, 0.25, 0.25])
-    assert cond_entropy(flip, (0,), (1,)) == pytest.approx(LN2)
-    with pytest.raises(ValueError):
-        cond_entropy(flip, (0,), (0,))
-
-
 def test_mi_examples():
     assert mi(fair_bit_pair(False), (0,), (1,)) == pytest.approx(0.0, abs=1e-12)
     assert mi(fair_bit_pair(True), (0,), (1,)) == pytest.approx(LN2)
+    with pytest.raises(ValueError, match="overlapping variable subsets"):
+        mi(fair_bit_pair(False), (0,), (0,))
 
 
 def test_mi_on_grid_class_table_agrees_with_direct_sum():

@@ -21,11 +21,10 @@ from miselect.selection import (
     Method,
     MethodSpec,
     SelectionTrace,
-    first_feature,
     select_all,
 )
 from miselect.simlab import generate_sample
-from miselect.xreal import NEG_INF, POS_INF, IndetKind, box, finite
+from miselect.xreal import NEG_INF, POS_INF, IndetKind, box
 from selection_reference import ni, objective, reference_select_all
 
 V = FeatureId
@@ -67,14 +66,17 @@ def test_objective_examples(oracle_i_02, oracle_ii_02):
 
 
 def test_first_feature(oracle_i_02, oracle_ii_08):
-    assert first_feature(oracle_i_02) is V.V1
-    assert first_feature(oracle_ii_08) is V.V1
+    def first_pick(p):
+        return select_all(MethodSpec(Method.MRMR), p).selected[0]
+
+    assert first_pick(oracle_i_02) is V.V1
+    assert first_pick(oracle_ii_08) is V.V1
     zero = MITables(
         [1.0] * len(FEATURES),
         [0.0] * len(FEATURES),
         lambda i, j: math.inf if i == j else 0.0,
     )
-    assert first_feature(zero) is V.V1
+    assert first_pick(zero) is V.V1  # ties go to the earliest feature
 
 
 def test_select_all_examples(oracle_i_02, oracle_i_08, oracle_ii_02):
@@ -173,7 +175,7 @@ def test_halting_step_records_the_blocking_indeterminates(oracle_i_02):
     assert last.objectives[V.V3].indet_kind is IndetKind.ZERO_OVER_ZERO
     assert last.objectives[V.V4].indet_kind is IndetKind.INF_MINUS_INF
     assert last.objectives[V.V8].indet_kind is IndetKind.INF_MINUS_INF
-    assert not last.admissible(V.V4)
+    assert last.objectives[V.V4].is_indet
 
 
 def test_mifsu_selects_fully_redundant_features_at_neg_inf(oracle_i_02):
@@ -183,7 +185,7 @@ def test_mifsu_selects_fully_redundant_features_at_neg_inf(oracle_i_02):
     assert trace.selected == (V.V1, V.V2, V.V4, V.V8)
     for step in trace.steps[1:]:
         if step.winner is not None:
-            assert step.objectives[step.winner].is_neg_inf
+            assert step.objectives[step.winner] is NEG_INF
 
 
 def test_determinism():
@@ -267,7 +269,7 @@ def test_example_tables_block_on_their_form():
 def test_ni_examples():
     assert box(ni(0.5, 0.5, 0.0)) is POS_INF
     assert box(ni(math.inf, 1.0986, -1.6932)) is NEG_INF
-    assert box(ni(0.3, 1.0, 2.0)) == finite(0.3)
+    assert box(ni(0.3, 1.0, 2.0)) == box((0.3, None))
 
 
 def test_ni_zero_over_zero_is_indeterminate():

@@ -37,6 +37,8 @@ def test_generate_sample_supports_and_transforms():
     # balanced classes within 3 binomial standard errors
     p1 = s.labels.mean()
     assert abs(p1 - 0.5) <= 3.0 * math.sqrt(0.25 / s.n)
+    with pytest.raises(ValueError, match="need at least 4 observations"):
+        generate_sample(SPEC_I, 3, rng)
 
 
 def test_generate_sample_gaussian_branch():
@@ -164,10 +166,3 @@ def test_emit_csv_empty_result(tmp_path):
         emit_csv(result, fh)
     assert path.read_text() == "scenario,k,n,method,beta,frequency,replicates,seed\n"
 
-
-def test_cell_lookup():
-    result = run_experiment(small_config())
-    cell = result.cell(MethodSpec(Method.MRMR), 0.8, 50)
-    assert cell.method == MethodSpec(Method.MRMR)
-    with pytest.raises(KeyError):
-        result.cell(MethodSpec(Method.NMIFS), 0.8, 50)
