@@ -130,7 +130,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(exc)
     spec = _build_spec(args)
-    outputs = [(args.trace, _write_trace)] if args.trace else []
+    outputs = [] if args.trace is None else [(args.trace, _write_trace)]
     _check_outputs(outputs)
     if args.data:
         try:
@@ -151,34 +151,45 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def _check_outputs(outputs: list[tuple[str, Callable]]) -> None:
-    """Refuse, before any work, an empty path, a directory or a missing directory."""
+    """Refuse, before any work, an empty path, a directory, a missing directory or a file twice."""
     for path, _ in outputs:
         if os.path.isdir(path):
             raise CliError(f"cannot write {path}: Is a directory")
         if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"cannot write {path}: No such file or directory")
+    files = [os.path.realpath(path) for path, _ in outputs] if len(outputs) > 1 else []
+    if len(set(files)) < len(files):
+        raise CliError(f"cannot write {outputs[-1][0]}: given twice")
 
 
 def _write(outputs: list[tuple[str, Callable]], *args) -> None:
-    """Write every output to a part, and only then each part onto its path, as ``open`` would.
+    """Write every output ``(path, write)`` as ``write(*args, fh)``, then rename the parts.
 
-    Output i, ``(path, write)``, is ``write(*args, fh)`` on the part ``<path>.<i>.part``.
+    A path that is a regular file or not there yet is written to ``<file>.part``, its
+    links resolved, and every part replaces its file only once all outputs are written.
+    Any other path, such as a device or a FIFO, is opened and written directly.
     """
-    parts = []
+    parts = []  # (path, file) of each part written
     try:
         for path, write in outputs:
+            if os.path.exists(path) and not os.path.isfile(path):
+                with open(path, "w") as fh:
+                    write(*args, fh)
+                continue
             target = os.path.realpath(path) if os.path.islink(path) else path
-            parts.append(f"{target}.{len(parts)}.part")
-            with open(parts[-1], "w") as fh:
+            with open(target + ".part", "w") as fh:
+                parts.append((path, target))
                 write(*args, fh)
             if os.path.isfile(target):
-                shutil.copymode(target, parts[-1])
-        for (path, _), part in zip(outputs, parts):
-            os.replace(part, part.rsplit(".", 2)[0])  # onto its target
+                shutil.copymode(target, target + ".part")
+        for path, target in parts:
+            os.replace(target + ".part", target)
     except OSError as exc:
-        for part in filter(os.path.isfile, parts):
-            os.remove(part)
         raise CliError(f"cannot write {path}: {exc.strerror}")
+    finally:
+        for _, target in parts:
+            if os.path.lexists(target + ".part"):
+                os.remove(target + ".part")
 
 
 def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, fh: TextIO) -> None:
@@ -227,7 +238,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = ExperimentConfig(k_values=values.pop("k"), n_values=values.pop("n"), **values)
     except ValueError as exc:
         raise CliError(exc)
-    outputs = [(out, emit_csv)] + ([(args.traces, _write_traces_json)] if args.traces else [])
+    traces = [] if args.traces is None else [(args.traces, _write_traces_json)]
+    outputs = [(out, emit_csv)] + traces
     _check_outputs(outputs)
     try:
         result = run_experiment(config, keep_traces=bool(args.traces))
@@ -248,24 +260,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_traces_json(result, fh: TextIO) -> None:
     import json
 
-    cells = []
-    for (mspec, k, n), traces in result.traces.items():
-        cells.append(
-            {
-                "scenario": result.config.scenario.value,
-                "k": k,
-                "n": n,
-                "method": mspec.method.value,
-                "beta": mspec.beta,
-                "replicates": [
-                    {
-                        "selected": [f.name for f in t.selected],
-                        "halt": t.halt.value,
-                    }
-                    for t in traces
-                ],
-            }
-        )
+    cells = [{"scenario": result.config.scenario.value, "k": k, "n": n,
+              "method": mspec.method.value, "beta": mspec.beta,
+              "replicates": [{"selected": [f.name for f in t.selected], "halt": t.halt.value}
+                             for t in traces]}
+             for (mspec, k, n), traces in result.traces.items()]
     json.dump({"seed": result.config.seed, "cells": cells}, fh, indent=1)
 
 

@@ -421,6 +421,13 @@ def test_simulate_checks_outputs_before_writing(tmp_path, monkeypatch, capsys):
                  "error: cannot write : No such file or directory", id="simulate-out-empty"),
     pytest.param(("order", "--k", "0.2", "--method", "mrmr", "--trace", "d"),
                  "error: cannot write d: Is a directory", id="order-trace-directory"),
+    pytest.param(("order", "--k", "0.2", "--method", "mrmr", "--trace", ""),
+                 "error: cannot write : No such file or directory", id="order-trace-empty"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--traces", ""),
+                 "error: cannot write : No such file or directory", id="simulate-traces-empty"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", "x",
+                  "--traces", "./x"),
+                 "error: cannot write ./x: given twice", id="simulate-same-file-twice"),
 ])
 def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
                                                     argv, line):
@@ -456,6 +463,38 @@ def test_a_failed_output_leaves_every_output_as_it_was(tmp_path, monkeypatch, ca
     assert (tmp_path / "o.csv").read_text() == "old csv\n"
     assert (tmp_path / "t.json").read_text() == '{"old": 1}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "t.json"]
+
+
+def test_an_output_that_raises_leaves_no_part_behind(tmp_path, monkeypatch,
+                                                      experiment_configs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text('{"old": 1}\n')
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_traces_json", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--out", "o.csv", "--traces", "t.json"])
+    assert (tmp_path / "t.json").read_text() == '{"old": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+def test_an_output_that_is_a_device_is_written_directly(tmp_path, monkeypatch, capsys,
+                                                         experiment_configs):
+    monkeypatch.chdir(tmp_path)
+    replace = os.replace
+
+    def replace_no_device(src, dst):  # so that a fault cannot replace the null device
+        assert os.path.realpath(dst) != os.path.realpath(os.devnull), (src, dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace_no_device)
+    code, _ = run(capsys, "simulate", "--out", os.devnull, "--traces", "t.json")
+    assert code == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not os.path.lexists(os.devnull + ".part")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
 def test_outputs_keep_the_mode_and_the_link_open_gives_them(tmp_path, monkeypatch, capsys,
