@@ -151,7 +151,8 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def _check_outputs(outputs: list[tuple[str, Callable]]) -> None:
-    """Refuse, before any work, an empty path, a directory, a missing directory or a file twice."""
+    """Refuse, before any work, an empty path, a directory, a missing directory, a file
+    twice, or a file whose ``<file>.part`` (see ``_write``) is another output."""
     for path, _ in outputs:
         if os.path.isdir(path):
             raise CliError(f"cannot write {path}: Is a directory")
@@ -160,6 +161,9 @@ def _check_outputs(outputs: list[tuple[str, Callable]]) -> None:
     files = [os.path.realpath(path) for path, _ in outputs] if len(outputs) > 1 else []
     if len(set(files)) < len(files):
         raise CliError(f"cannot write {outputs[-1][0]}: given twice")
+    for (path, _), file in zip(outputs, files):
+        if os.path.realpath(file + ".part") in files:
+            raise CliError(f"cannot write {path}: its part file {path}.part is another output")
 
 
 def _write(outputs: list[tuple[str, Callable]], *args) -> None:

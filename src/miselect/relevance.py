@@ -16,13 +16,15 @@ zero (``0.0`` after ``, ``) is an empty cell, and only the other tokens
 go to ``json.loads``.  Any other document is parsed whole by
 ``json.loads``, which words every refusal; both routes fill the same
 array, so the masses are bit-equal.  Conditioning invariance
-compares two conditional tables, P(over | wide key) and P(over | narrow
-key), with 0 for a value absent under a key: for the class, one cached
-dense table per key, the narrow one indexed by each wide group's narrow
-group; for a wide ``over``, one row per (narrow key, over) value present
-and one column per value of the extra feature.  Relevance-optimal sets
-come from an exhaustive search over feature subsets, which is bounded at
-``MAX_SEARCH_FEATURES``.
+compares two conditionals, P(over | wide key) and P(over | narrow key),
+with 0 for a value absent under a key.  For the class, P(class | S-group
+of each atom) is built once for every feature subset S, one lattice level
+at a time and in blocks of subsets, keeping only the level below; the
+relevance classes and the maximally-informative tests compare slices of
+it.  For the wider ``over`` of a Markov blanket test, there is one row per
+(narrow key, over) value present and one column per value of the extra
+feature.  Relevance-optimal sets come from an exhaustive search over
+feature subsets, which is bounded at ``MAX_SEARCH_FEATURES``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .oracle import ScenarioSpec, class_labels, feature_matrix
 
 PROB_TOLERANCE = 1e-9
 MAX_SEARCH_FEATURES = 12
+BLOCK_CELLS = 1 << 19  # (subset, member, atom) triples per block of the lattice
 
 
 class RelevanceClass(Enum):
@@ -68,24 +71,83 @@ class LabeledJoint(Joint):
         super().__init__(arities, atoms, mass)
         self.class_index = class_index
         self.features: tuple[int, ...] = tuple(v for v in range(nvars) if v != class_index)
-        self._class_tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._classes: dict[int, RelevanceClass] = {}
+        self._lattice: tuple[dict[int, RelevanceClass], np.ndarray] | None = None
 
     # -- conditional machinery ---------------------------------------------
 
-    def _class_table(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Group ids of ``variables`` and P(class | group), 0 for an absent class value."""
-        key = tuple(sorted(set(variables)))
-        cached = self._class_tables.get(key)
-        if cached is None:
-            ids, mass = self._grouping(key)
-            class_ids, class_mass = self._grouping((self.class_index,))
-            n_class = len(class_mass)
-            joint = np.bincount(ids * n_class + class_ids, weights=self.mass,
-                                minlength=len(mass) * n_class)
-            cached = (ids, joint.reshape(-1, n_class) / mass[:, None])
-            self._class_tables[key] = cached
-        return cached
+    def _class_conditional(self, ids: np.ndarray, n_groups: int) -> np.ndarray:
+        """P(class | group), 0 for an absent value, of the groups ``ids`` numbers row by row."""
+        class_ids, class_mass = self._grouping((self.class_index,))
+        n_class = len(class_mass)
+        weights = np.tile(self.mass, len(ids))  # no group spans two rows: summed in atom order
+        joint = np.bincount((ids * n_class + class_ids).ravel(), weights=weights,
+                            minlength=n_groups * n_class)
+        mass = np.bincount(ids.ravel(), weights=weights, minlength=n_groups)
+        return joint.reshape(-1, n_class) / mass[:, None]
+
+    def _lattice_blocks(self):
+        """P(class | S-group of each atom) of every feature subset S, level by level.
+
+        Yields per block of subsets their bitmasks (bit j for ``features[j]``),
+        the conditionals (subsets, atoms, classes), and the level below as (row
+        of each mask, group ids, P(class | group)).  A subset's groups are its
+        parent's, the subset less its highest bit, relabelled as
+        ``Joint._grouping`` does, each row's codes offset past the rows before.
+        """
+        d, n = len(self.features), len(self.mass)
+        bits = 1 << np.arange(d)
+        arity, values = np.take(self.arities, self.features), self.atoms[:, self.features].T
+        masks, ids = np.zeros(1, dtype=np.intp), np.zeros((1, n), dtype=np.intp)
+        cond = self._class_conditional(ids, 1)
+        yield masks, np.take(cond, ids, axis=0), None
+        for size in range(1, d + 1):
+            row = np.zeros(1 << d, dtype=np.intp)
+            row[masks] = np.arange(len(masks))
+            below, low = (row, ids, cond), ids.min(axis=1)  # a row's groups are low, low + 1, ...
+            parent, new = np.nonzero(masks[:, None] < bits)  # new above every parent bit
+            step = max(1, BLOCK_CELLS // (n * size))
+            ids, conds, base = np.empty((len(parent), n), dtype=np.intp), [], 0
+            for at in range(0, len(parent), step):
+                p, k = parent[at:at + step], new[at:at + step]
+                local = below[1][p] - low[p, None]
+                span = (local.max(axis=1) + 1) * arity[k]
+                codes = local * arity[k, None] + values[k] + (np.cumsum(span) - span)[:, None]
+                present = np.zeros(span.sum(), dtype=bool)
+                present[codes] = True
+                dense = np.cumsum(present)
+                group = dense[codes] - 1
+                conds.append(self._class_conditional(group, dense[-1]))
+                ids[at:at + step] = group + base
+                base += dense[-1]
+                yield masks[p] | bits[k], np.take(conds[-1], group, axis=0), below
+            masks, cond = masks[parent] | bits[new], np.concatenate(conds)
+
+    def _relevance(self) -> tuple[dict[int, RelevanceClass], np.ndarray]:
+        """Each feature's class, and by bitmask whether each subset is maximally informative.
+
+        With P[S] the conditionals of subset S, feature j is strongly relevant
+        when P[full] and P[full less j] differ by more than PROB_TOLERANCE, else
+        weakly relevant when P[S with j] and P[S] do for some S (Kohavi and John
+        1997).  S is maximally informative when P[S] is within it of P[full].
+        """
+        if self._lattice is None:
+            self.check_search_bound()
+            d, (ids, mass) = len(self.features), self._grouping(self.features)
+            full = np.take(self._class_conditional(ids[None], len(mass)), ids, axis=0)
+            bits, informative, weak = 1 << np.arange(d), np.zeros(1 << d, bool), np.zeros(d, bool)
+            for masks, cond, below in self._lattice_blocks():
+                informative[masks] = ~_differs(cond, full)
+                if below is not None:  # P[S] against P[S less j] for each member j of S,
+                    row, ids, narrow = below  # but a j known weak only when S is full
+                    open_bits = np.where(weak & (masks[0] < bits.sum()), 0, bits)
+                    r, k = np.nonzero(masks[:, None] & open_bits)
+                    narrow = np.take(narrow, np.take(ids, row[masks[r] ^ bits[k]], axis=0), axis=0)
+                    strong = np.bincount(k[_differs(narrow, np.take(cond, r, axis=0))], minlength=d)
+                    weak |= strong > 0  # the last block is the full set
+            self._lattice = ({f: RelevanceClass.SR if s else RelevanceClass.WR if w
+                              else RelevanceClass.IRRELEVANT
+                              for f, s, w in zip(self.features, strong, weak)}, informative)
+        return self._lattice
 
     def _conditioning_invariant(
         self, extra: Sequence[int], base: Sequence[int], over: Sequence[int]
@@ -94,13 +156,6 @@ class LabeledJoint(Joint):
 
         A value of ``over`` absent under a key has probability 0 there.
         """
-        if tuple(over) == (self.class_index,):
-            # one cached table per key: each wide group against its base group
-            w_ids, wide = self._class_table((*base, *extra))
-            n_ids, narrow = self._class_table(base)
-            parent = np.empty(len(wide), dtype=n_ids.dtype)
-            parent[w_ids] = n_ids
-            return not np.abs(wide - narrow[parent]).max() > PROB_TOLERANCE
         # A wide ``over`` can have as many values as there are atoms, so no
         # dense table over it: one row per (base, over) value present, one
         # column per value of ``extra``, a single feature in has_markov_blanket.
@@ -122,29 +177,13 @@ class LabeledJoint(Joint):
     # -- definitions ---------------------------------------------------------
 
     def is_maximally_informative(self, subset: Iterable[int]) -> bool:
-        subset = tuple(subset)
-        self._check_features(subset)
-        rest = tuple(f for f in self.features if f not in subset)
-        if not rest:
-            return True
-        return self._conditioning_invariant(rest, subset, (self.class_index,))
+        subset = set(subset)
+        self._check_features(tuple(subset))
+        return bool(self._relevance()[1][sum(1 << self.features.index(f) for f in subset)])
 
     def classify_feature(self, i: int) -> RelevanceClass:
-        cls = self._classes.get(i)
-        if cls is None:
-            cls = self._classes[i] = self._classify(i)
-        return cls
-
-    def _classify(self, i: int) -> RelevanceClass:
         self._check_features((i,))
-        others = tuple(f for f in self.features if f != i)
-        if not self.is_maximally_informative(others):
-            return RelevanceClass.SR
-        for size in range(len(others) + 1):
-            for subset in itertools.combinations(others, size):
-                if not self._conditioning_invariant((i,), subset, (self.class_index,)):
-                    return RelevanceClass.WR
-        return RelevanceClass.IRRELEVANT
+        return self._relevance()[0][i]
 
     def check_search_bound(self) -> None:
         """Raise ValueError when there are too many features for exhaustive search."""
@@ -259,13 +298,20 @@ class LabeledJoint(Joint):
         return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
 
 
+def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per leading index, whether some entry of ``a`` is over PROB_TOLERANCE from ``b``'s."""
+    diff = np.subtract(a, b)
+    np.abs(diff, out=diff)  # in place: a second array of this size costs as much again
+    return diff.reshape(len(diff), math.prod(diff.shape[1:])).max(axis=1) > PROB_TOLERANCE
+
+
 # ---------------------------------------------------------------------------
 # The joint document
 # ---------------------------------------------------------------------------
 
 _PROBS_KEY = '"probs"'
 _LIST_OPENING = re.compile(r"\s*:\s*\[")
-_ZERO_TOKEN = b", 0.0"  # how json.dumps writes each empty cell after the first
+_ZERO_TOKEN = ", 0.0"  # how json.dumps writes each empty cell after the first
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -293,7 +339,8 @@ def _numbers(flat: np.ndarray, values: list) -> bool:
     """True iff ``flat``, the array of ``values``, holds only numbers.
 
     Strings, nulls and integers past uint64 give another dtype; a true or
-    false among numbers reads as 1 or 0, so it is looked for one by one.
+    false among numbers reads as 1 or 0, so it is looked for one by one in
+    ``values``, which may be empty when the text spells neither.
     """
     return flat.dtype.kind in "iuf" and bool not in set(map(type, values))
 
@@ -304,7 +351,8 @@ def _parsed_document(text: str) -> tuple[dict, np.ndarray]:
     size = _cell_count(doc)
     probs = doc.get("probs")
     flat = np.asarray(probs)  # a ragged nest raises
-    if flat.ndim != 1 or len(flat) != size or not _numbers(flat, probs):
+    checked = probs if "u" in text or "f" in text else []  # a bool is spelled true or false
+    if flat.ndim != 1 or len(flat) != size or not _numbers(flat, checked):
         raise ValueError(f"probs must be a flat list of {size} numbers")
     return doc, flat
 
@@ -320,7 +368,8 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     its comma, and one ``json.loads`` parses them all, so each value is
     json's own.  They are scattered into one dense float array of zeros,
     which ``from_dense`` sums as it sums the whole-document parse.  Every
-    refusal is left to ``_parsed_document``.
+    refusal, and a list with no empty cell to skip, is left to
+    ``_parsed_document``.
     """
     key = text.find(_PROBS_KEY)
     opening = _LIST_OPENING.match(text, key + len(_PROBS_KEY)) if key >= 0 else None
@@ -330,6 +379,8 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     end = text.find("]", start)
     if end < 0 or any(text.find(c, start, end) >= 0 for c in '[{"'):
         raise ValueError("probs is not a flat list")
+    if text.find(_ZERO_TOKEN + ",", start, end) < 0:  # the last token holds the ]
+        raise ValueError("no canonical zero to skip")
     rest = text[:start] + text[end:]  # the list holds no quote, so every key is here
     if rest.count(_PROBS_KEY) > 1 or "\\" in rest:
         raise ValueError("another key may be probs")
@@ -345,7 +396,7 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     # token starts at the [ and the last runs through the ], so the cut of
     # the kept tokens is a JSON list
     lengths = np.diff(starts, append=len(body))
-    zero = np.frombuffer(_ZERO_TOKEN, dtype=np.uint8)
+    zero = np.frombuffer(_ZERO_TOKEN.encode(), dtype=np.uint8)
     spelled = np.zeros(len(body), dtype=bool)  # the bytes after p spell zero[1:]
     tail = max(len(body) - len(zero) + 1, 0)
     spelled[:tail] = body[1:tail + 1] == zero[1]

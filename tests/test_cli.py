@@ -428,6 +428,14 @@ def test_simulate_checks_outputs_before_writing(tmp_path, monkeypatch, capsys):
     pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", "x",
                   "--traces", "./x"),
                  "error: cannot write ./x: given twice", id="simulate-same-file-twice"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", "x.part",
+                  "--traces", "x"),
+                 "error: cannot write x: its part file x.part is another output",
+                 id="simulate-traces-part-is-out"),
+    pytest.param(("simulate", "--n", "50", "--replicates", "2", "--out", "x",
+                  "--traces", "./x.part"),
+                 "error: cannot write x: its part file x.part is another output",
+                 id="simulate-out-part-is-traces"),
 ])
 def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
                                                     argv, line):

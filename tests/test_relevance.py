@@ -192,12 +192,17 @@ def test_grid_rejects_boundary_atoms():
 def test_classification_is_memoised(monkeypatch):
     joint = duplicated_features_example()
     first = [joint.classify_feature(f) for f in joint.features]
+    informative = [joint.is_maximally_informative(s) for s in itertools.combinations(joint.features, 2)]
 
     def fail(*args):
-        raise AssertionError("classified twice")
+        raise AssertionError("the lattice was built twice")
 
-    monkeypatch.setattr(joint, "_conditioning_invariant", fail)
+    monkeypatch.setattr(joint, "_lattice_blocks", fail)
+    monkeypatch.setattr(joint, "_class_conditional", fail)
+    monkeypatch.setattr(joint, "_grouping", fail)
     assert [joint.classify_feature(f) for f in joint.features] == first
+    assert [joint.is_maximally_informative(s)
+            for s in itertools.combinations(joint.features, 2)] == informative
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,9 @@ def test_classification_is_memoised(monkeypatch):
 class DictJoint(LabeledJoint):
     """LabeledJoint whose conditioning test builds Python dicts per call.
 
-    Its atoms come from the normalised dense table, not from the loader.
+    It classifies and tests maximal informativeness one subset at a time,
+    not on the subset lattice.  Its atoms come from the normalised dense
+    table, not from the loader.
     """
 
     def __init__(self, probs, class_index=None):
@@ -247,6 +254,23 @@ class DictJoint(LabeledJoint):
                 if abs(wdist.get(val, 0.0) - ndist.get(val, 0.0)) > PROB_TOLERANCE:
                     return False
         return True
+
+    # The definitions, one conditioning test each, as Kohavi and John (1997) state them.
+
+    def is_maximally_informative(self, subset):
+        subset = tuple(subset)
+        rest = tuple(f for f in self.features if f not in subset)
+        return not rest or self._conditioning_invariant(rest, subset, (self.class_index,))
+
+    def classify_feature(self, i):
+        others = tuple(f for f in self.features if f != i)
+        if not self.is_maximally_informative(others):
+            return RelevanceClass.SR
+        for size in range(len(others) + 1):
+            for subset in itertools.combinations(others, size):
+                if not self._conditioning_invariant((i,), subset, (self.class_index,)):
+                    return RelevanceClass.WR
+        return RelevanceClass.IRRELEVANT
 
 
 # driver-cell weights: empty cells, ordinary ones, and ones whose
@@ -357,6 +381,78 @@ def test_value_absent_under_wide_key_counts_as_zero(rare, invariant):
 def test_pair_absent_under_wide_key_counts_as_zero(rare, blanket):
     joint = LabeledJoint.from_dense(*absent_pair_joint(rare))
     assert joint.has_markov_blanket(0, ()) is blanket
+
+
+def class_table(joint, subset):
+    """P(class | subset-group of each atom) from one subset's grouping."""
+    ids, mass = joint._grouping(subset)
+    class_ids, class_mass = joint._grouping((joint.class_index,))
+    n_class = len(class_mass)
+    table = np.bincount(ids * n_class + class_ids, weights=joint.mass,
+                        minlength=len(mass) * n_class).reshape(-1, n_class) / mass[:, None]
+    return table[ids]
+
+
+def differs(wide, narrow):
+    return np.abs(wide - narrow).max() > PROB_TOLERANCE
+
+
+def per_test_class(joint, i):
+    """Feature i's class from one pair of class tables per subset, the search stopping early."""
+    others = tuple(f for f in joint.features if f != i)
+    if differs(class_table(joint, joint.features), class_table(joint, others)):
+        return RelevanceClass.SR
+    for size in range(len(others) + 1):
+        for subset in itertools.combinations(others, size):
+            if differs(class_table(joint, subset + (i,)), class_table(joint, subset)):
+                return RelevanceClass.WR
+    return RelevanceClass.IRRELEVANT
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_joints(), st.sampled_from((1, 40, relevance.BLOCK_CELLS)))
+@explicit_example(absent_value_joint(1.5e-9), 1)
+@explicit_example(absent_value_joint(0.5e-9), 1)
+def test_lattice_agrees_with_per_test_search(drawn, block_cells):
+    """Each lattice conditional is the per-subset table's float; classes and tests agree."""
+    probs, class_index = drawn
+    try:
+        joint = LabeledJoint.from_dense(probs, class_index)
+    except ValueError:  # the class has a single state
+        return
+    ref = DictJoint(probs, class_index)
+    features = joint.features
+    seen = set()
+    with mock.patch.object(relevance, "BLOCK_CELLS", block_cells):
+        for masks, cond, _ in joint._lattice_blocks():
+            for mask, row in zip(masks.tolist(), cond):
+                subset = tuple(f for j, f in enumerate(features) if mask >> j & 1)
+                assert row.tobytes() == class_table(joint, subset).tobytes()
+                seen.add(mask)
+        assert seen == set(range(1 << len(features)))
+        for i in features:
+            assert joint.classify_feature(i) is ref.classify_feature(i)
+    for size in range(len(features) + 1):
+        for subset in itertools.combinations(features, size):
+            assert joint.is_maximally_informative(subset) == ref.is_maximally_informative(subset)
+
+
+def test_twelve_features_classify_at_the_search_bound():
+    # drivers x, w in 0..3 and y, z, u in 0..1; the class depends on x, y, z & u and w // 2
+    x, y, z, w, u = (g.ravel() for g in np.meshgrid(range(4), range(2), range(2), range(4),
+                                                     range(2), indexing="ij"))
+    cls = 2 * x + y + (z & u) + 2 * (w // 2) >= 6
+    joint = relevance._equal_mass_joint([x, y, 1 - y, x % 2, x // 2, z, u, z ^ u, w % 2,
+                                         x + z, w // 2, 3 * (w % 2), cls])
+    assert len(joint.features) == relevance.MAX_SEARCH_FEATURES
+    # level 6 of the lattice does not fit in one block
+    assert len(joint.mass) * 6 * 924 > relevance.BLOCK_CELLS
+    classes = [joint.classify_feature(f) for f in joint.features]
+    assert classes == [per_test_class(joint, f) for f in joint.features]
+    assert set(classes) == {RelevanceClass.SR, RelevanceClass.WR, RelevanceClass.IRRELEVANT}
+    for subset in ((0, 1, 5, 6, 10), (0, 1, 5, 6), joint.features[1:]):
+        assert joint.is_maximally_informative(subset) == (
+            not differs(class_table(joint, joint.features), class_table(joint, subset)))
 
 
 def unique_grouping(joint, variables):
