@@ -192,7 +192,8 @@ def test_grid_rejects_boundary_atoms():
 def test_classification_is_memoised(monkeypatch):
     joint = duplicated_features_example()
     first = [joint.classify_feature(f) for f in joint.features]
-    informative = [joint.is_maximally_informative(s) for s in itertools.combinations(joint.features, 2)]
+    pairs = list(itertools.combinations(joint.features, 2))
+    informative = [joint.is_maximally_informative(s) for s in pairs]
 
     def fail(*args):
         raise AssertionError("the lattice was built twice")
@@ -201,8 +202,7 @@ def test_classification_is_memoised(monkeypatch):
     monkeypatch.setattr(joint, "_class_conditional", fail)
     monkeypatch.setattr(joint, "_grouping", fail)
     assert [joint.classify_feature(f) for f in joint.features] == first
-    assert [joint.is_maximally_informative(s)
-            for s in itertools.combinations(joint.features, 2)] == informative
+    assert [joint.is_maximally_informative(s) for s in pairs] == informative
 
 
 # ---------------------------------------------------------------------------
