@@ -11,11 +11,11 @@ A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
 support atoms and their subset lattice, with one variable designated as
 the class.  ``from_json`` reads the document's flat, row-major mass list
 into one dense float array and takes the atoms from it.  A plain
-document's list is scanned as bytes: each token that is the canonical
-zero (``0.0`` after ``, ``) is an empty cell, and only the other tokens
-go to ``json.loads``.  Any other document is parsed whole by
-``json.loads``, which words every refusal; both routes fill the same
-array, so the masses are bit-equal.  Conditioning invariance
+document's list is scanned by byte masks: each token that is the
+canonical zero (``0.0`` after ``, ``) is an empty cell, and only the bytes
+of the other tokens go to ``json.loads``.  Any other document is parsed
+whole by ``json.loads``, which words every refusal; both routes fill the
+same array, so the masses are bit-equal.  Conditioning invariance
 compares two conditionals, P(over | wide key) and P(over | narrow key),
 with 0 for a value absent under a key.  For the class, P(class | S-group
 of each atom) is built once for every feature subset S, one lattice level
@@ -363,13 +363,13 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     Plain means one literal ``"probs"`` key, a list holding no ``[``, ``{``
     or ``"``, and no escape elsewhere, so that no other key decodes to
     ``probs``.  ``json.loads`` parses the rest of the text with the list
-    cut to ``[]``.  The list is scanned as bytes: a token that is exactly
-    ``0.0`` after ``, `` is an empty cell; every other token is cut out with
-    its comma, and one ``json.loads`` parses them all, so each value is
-    json's own.  They are scattered into one dense float array of zeros,
-    which ``from_dense`` sums as it sums the whole-document parse.  Every
-    refusal, and a list with no empty cell to skip, is left to
-    ``_parsed_document``.
+    cut to ``[]``.  The list is scanned by byte masks, none per cell: one
+    marks each canonical token (``, 0.0`` before the next comma), an empty
+    cell, and one its bytes; the other bytes go to one ``json.loads``, so
+    each value is json's own.  A kept token's cell is its ordinal plus the
+    canonical tokens before it.  ``from_dense`` sums the dense float array
+    as it sums the whole-document parse's.  Every refusal, and a list with
+    no empty cell to skip, is left to ``_parsed_document``.
     """
     key = text.find(_PROBS_KEY)
     opening = _LIST_OPENING.match(text, key + len(_PROBS_KEY)) if key >= 0 else None
@@ -389,28 +389,28 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     if doc.get("probs") != []:
         raise ValueError("the top-level probs is not the list cut out")
     body = np.frombuffer(text[start - 1:end + 1].encode(), dtype=np.uint8)  # [ through ]
-    starts = np.append(0, np.flatnonzero(body == ord(",")))
-    if len(starts) != size:
+    # token k > 0 runs from its comma to the next; the first holds [ and the last ], never canonical
+    pattern = (_ZERO_TOKEN + ",").encode()  # a canonical token, then the next one's comma
+    n = len(body) - len(_ZERO_TOKEN)
+    canonical = body[:n] == pattern[0]  # at p: a canonical token starts at p
+    for i in range(1, len(pattern)):
+        canonical &= body[i:n + i] == pattern[i]
+    keep = np.ones(len(body), dtype=bool)  # the bytes of every other token
+    np.logical_not(canonical, out=canonical)
+    for i in range(len(_ZERO_TOKEN)):  # a canonical token holds one comma, so none overlap
+        keep[i:n + i] &= canonical
+    kept = body[keep]  # a JSON list
+    keep &= body == ord(",")
+    at = np.append(0, np.flatnonzero(keep))  # each kept token's start, in body and in kept
+    cut_at = np.append(0, np.flatnonzero(kept == ord(",")))
+    if len(at) + (len(body) - len(kept)) // len(_ZERO_TOKEN) != size:
         raise ValueError("not one token per cell")
-    # token k > 0 is its comma and the bytes up to the next comma; the first
-    # token starts at the [ and the last runs through the ], so the cut of
-    # the kept tokens is a JSON list
-    lengths = np.diff(starts, append=len(body))
-    zero = np.frombuffer(_ZERO_TOKEN.encode(), dtype=np.uint8)
-    spelled = np.zeros(len(body), dtype=bool)  # the bytes after p spell zero[1:]
-    tail = max(len(body) - len(zero) + 1, 0)
-    spelled[:tail] = body[1:tail + 1] == zero[1]
-    for i in range(2, len(zero)):
-        spelled[:tail] &= body[i:tail + i] == zero[i]
-    canonical = (lengths == len(zero)) & spelled[starts]
-    canonical[0] = False  # it holds the [, so it is always kept
-    values = json.loads(body[np.repeat(~canonical, lengths)].tobytes())
-    cells = np.flatnonzero(~canonical)
+    values = json.loads(kept.tobytes())
     flat = np.asarray(values)
-    if len(values) != len(cells) or not _numbers(flat, values):  # an empty list has no token
+    if len(values) != len(at) or not _numbers(flat, values):  # an empty list has no token
         raise ValueError("not one number per kept token")
     dense = np.zeros(size)
-    dense[cells] = flat
+    dense[np.arange(len(at)) + (at - cut_at) // len(_ZERO_TOKEN)] = flat  # + tokens cut before
     return doc, dense
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -592,8 +593,21 @@ def joint_documents(draw):
     return "{" + comma.join(key + colon + value for key, value in members) + "}"
 
 
+def boundary_document(probs):
+    """A 3 x 2 joint whose list is ``probs``, spelled as given."""
+    return '{"arities":[3,2],"probs":[' + probs + "]}"
+
+
 @settings(max_examples=500, deadline=None)
 @given(joint_documents())
+@explicit_example(boundary_document("0.0, 0.0, 0.0, 0.0, 0.5, 0.5"))  # a first token 0.0
+@explicit_example(boundary_document("0.5, 0.5, 0.0, 0.0, 0.0, 0.0"))  # a last token , 0.0]
+@explicit_example(boundary_document("0.5, 0.5, 0.0, 0.0 , 0.0, 0.0"))
+@explicit_example(boundary_document("0.5, 0.5, 0.0, 0.00, 0.0, 0.0"))
+@explicit_example(boundary_document("0.5, 0.5, 0.0, 0.0e0, 0.0, 0.0"))
+@explicit_example(boundary_document("0.49, 0.5, 0.0, 0.01, 0.0, 0.0"))
+@explicit_example(boundary_document("0.5, 0.5, 0.0,0.0, 0.0, 0.0"))
+@explicit_example(boundary_document("1.0, 0.0, 0.0, 0.0, 0.0, 0.0"))  # canonical after the first
 @explicit_example('{"arities":[1,2],"meta":{"probs":[0.5, 0.5]},"prob\\u0073":[]}')
 @explicit_example('{"arities":[1,2],"probs":[0.5, 0.5],"prob\\u0073":[0.5, 0.5]}')
 @explicit_example('{"arities":[2],"probs":[12]}')
@@ -608,3 +622,41 @@ def test_scan_agrees_with_whole_document_parse(text):
     assert doc["arities"] == parsed_doc["arities"]
     assert doc.get("class_index") == parsed_doc.get("class_index")
     assert flat.tobytes() == parsed_flat.astype(float).tobytes()
+
+
+KEPT_ZEROS = ("0", "-0.0", "0.00", "0e0")
+
+
+@st.composite
+def long_documents(draw):
+    """Documents of at least 10^4 cells: runs of canonical zeros between kept tokens."""
+    mass = st.floats(1e-300, 1.0).flatmap(lambda m: st.sampled_from((repr(m), f"{m:.17e}")))
+    kept = st.one_of(mass, st.sampled_from(KEPT_ZEROS))
+    tokens = [draw(st.one_of(kept, st.just("0.0")))]  # the first token holds the [
+    for run, token in draw(st.lists(st.tuples(st.integers(0, 3000), kept), max_size=30)):
+        tokens += ["0.0"] * run + [token]
+    tokens += ["0.0"] * draw(st.integers(0, 50))  # the last token holds the ]
+    tokens[1:1] = ["0.0"] * max(0, 10**4 - len(tokens))
+    return '{"arities": [%d], "probs": [%s]}' % (len(tokens), ", ".join(tokens))
+
+
+@settings(max_examples=50, deadline=None)
+@given(long_documents())
+def test_long_scan_agrees_with_whole_document_parse(text):
+    doc, flat = relevance._scanned_document(text)
+    parsed_doc, parsed_flat = relevance._parsed_document(text)
+    assert doc.keys() == parsed_doc.keys() and doc["arities"] == parsed_doc["arities"]
+    assert flat.tobytes() == parsed_flat.astype(float).tobytes()
+
+
+def test_scan_allocates_no_array_per_cell(grid):
+    # the dense result is 8 bytes a cell and the text about 5; per-cell integer
+    # arrays, 8 bytes a cell each, would push the peak past 6 bytes per byte
+    text = grid.to_json()
+    tracemalloc.start()
+    try:
+        relevance._scanned_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
