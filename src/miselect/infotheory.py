@@ -60,7 +60,7 @@ class Joint:
         probs = np.asarray(probs, dtype=float)
         flat = probs.ravel()
         cells = np.flatnonzero(flat)
-        atoms = np.stack(np.unravel_index(cells, probs.shape)).T  # written row by row
+        atoms = np.stack(np.unravel_index(cells, probs.shape)).T  # column_stack writes strided
         return cls(probs.shape, atoms, flat[cells] / mass_total(flat), *args, **kwargs)
 
     def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
