@@ -23,7 +23,7 @@ from .oracle import (
     MITables,
     Scenario,
     ScenarioSpec,
-    feature_label,
+    feature_labels,
     oracle_provider,
 )
 from .relevance import LabeledJoint, RelevanceClass
@@ -117,10 +117,8 @@ def _oracle_tables(spec: ScenarioSpec) -> MITables:
 def cmd_oracle(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     tables = _oracle_tables(spec)
-    for f in FEATURES:
-        h = tables.entropy(f)
-        m = tables.class_mi(f)
-        print(f"{feature_label(f, spec)}\t{h:.4f}\t{m:.4f}")
+    for label, h, m in zip(feature_labels(spec), tables.entropies, tables.class_mis):
+        print(f"{label}\t{h:.4f}\t{m:.4f}")
     return 0
 
 
@@ -145,8 +143,8 @@ def cmd_order(args: argparse.Namespace) -> int:
         tables = _oracle_tables(spec)
     trace = select_all(mspec, tables)
     _write(outputs, trace, spec)
-    labels = " ".join(feature_label(f, spec) for f in trace.selected)
-    print(f"{labels} | halt: {trace.halt.value}")
+    labels = feature_labels(spec)
+    print(f"{' '.join(labels[f - 1] for f in trace.selected)} | halt: {trace.halt.value}")
     return 0
 
 
@@ -197,44 +195,53 @@ def _write(outputs: list[tuple[str, Callable]], *args) -> None:
 
 
 def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, fh: TextIO) -> None:
-    lines = ["step\tcandidate\tobjective\tselected"]
+    labels, lines = feature_labels(spec), ["step\tcandidate\tobjective\tselected"]
     for step_no, step in enumerate(trace.steps, start=1):
         for f in FEATURES:
             v = step.objectives.get(f)
             if v is None:
                 continue
             mark = "*" if f == step.winner else ""
-            lines.append(f"{step_no}\t{feature_label(f, spec)}\t{v}\t{mark}")
+            lines.append(f"{step_no}\t{labels[f - 1]}\t{v}\t{mark}")
     fh.write("\n".join(lines) + "\n")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value grammar over SIMULATE_SETTINGS, each once; '#' starts a comment line."""
+    """Flat key=value grammar over SIMULATE_SETTINGS, each once; '#' starts a comment line.
+
+    A file that cannot be read is a CliError naming it; a grammar error is a ValueError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read config {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read config {path}: {exc}")
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if not key or not value:
-                raise ValueError(f"{path}:{lineno}: empty key or value")
-            key = key.lower()
-            if key not in SIMULATE_SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"expected one of {', '.join(SIMULATE_SETTINGS)}")
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            raw[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if not key or not value:
+            raise ValueError(f"{path}:{lineno}: empty key or value")
+        key = key.lower()
+        if key not in SIMULATE_SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"expected one of {', '.join(SIMULATE_SETTINGS)}")
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        raw[key] = value
     return raw
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         raw = parse_config_file(args.config) if args.config else {}
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(exc)
     values = _settings(SIMULATE_SETTINGS, args, raw)
     out = values.pop("out")

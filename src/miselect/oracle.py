@@ -47,13 +47,6 @@ class FeatureId(IntEnum):
 
 FEATURES: tuple[FeatureId, ...] = tuple(FeatureId)
 
-# Class-independent features: every driver other than X and Y, plus the
-# even transforms of X and Y (their MI with the class is exactly zero).
-CLASS_INDEPENDENT = frozenset(
-    {FeatureId.V3, FeatureId.V5, FeatureId.V6, FeatureId.V8, FeatureId.V9, FeatureId.V10}
-)
-
-
 @dataclass(frozen=True, init=False)
 class MITables:
     """Entropies and mutual informations of the ten features, as floats.
@@ -130,20 +123,10 @@ class ScenarioSpec:
             raise ValueError("affine coefficient a must be nonzero")
 
 
-def feature_label(f: FeatureId, spec: ScenarioSpec) -> str:
-    labels = {
-        FeatureId.V1: "X",
-        FeatureId.V2: f"{spec.a:g}X+{spec.b:g}",
-        FeatureId.V3: "Y2",
-        FeatureId.V4: "X-Y",
-        FeatureId.V5: "Z",
-        FeatureId.V6: "Z2",
-        FeatureId.V7: "Y",
-        FeatureId.V8: "X2",
-        FeatureId.V9: f"W+{spec.d:g}",
-        FeatureId.V10: "Z+W",
-    }
-    return labels[f]
+def feature_labels(spec: ScenarioSpec) -> tuple[str, ...]:
+    """The ten feature labels, in feature order."""
+    return ("X", f"{spec.a:g}X+{spec.b:g}", "Y2", "X-Y", "Z", "Z2", "Y", "X2",
+            f"W+{spec.d:g}", "Z+W")
 
 
 def feature_matrix(
@@ -181,8 +164,15 @@ UNIFORM_DELTA_RANGE = (1e-150, 1e150)
 GAUSSIAN_A_RANGE = (1e-150, 1e150)
 
 
-def entropy_of(spec: ScenarioSpec, f: FeatureId) -> float:
-    """Differential entropy of a feature, from the closed forms."""
+# The kind of each feature, in feature order: a driver, the affine copy
+# aX + b, a squared driver, or a sum or difference of two drivers.
+_DRIVER, _AFFINE, _SQUARE, _SUM = range(4)
+_ENTROPY_KINDS = (_DRIVER, _AFFINE, _SQUARE, _SUM, _DRIVER,
+                  _SQUARE, _DRIVER, _SQUARE, _DRIVER, _SUM)
+
+
+def entropies(spec: ScenarioSpec) -> tuple[float, ...]:
+    """Differential entropies of the ten features, in feature order, from the closed forms."""
     if spec.scenario is Scenario.UNIFORM:
         lo, hi = UNIFORM_DELTA_RANGE
         if not lo <= spec.delta <= hi:
@@ -193,40 +183,17 @@ def entropy_of(spec: ScenarioSpec, f: FeatureId) -> float:
             raise ValueError(f"|a| {abs(spec.a):g} and delta {spec.delta:g}: 2|a|delta, "
                              f"computed in floats, falls outside (0, {sys.float_info.max:g}]")
         base = math.log(2.0 * spec.delta)
-        square = math.log(2.0 * spec.delta**2) - 1.0
-        table = {
-            FeatureId.V1: base,
-            FeatureId.V2: math.log(width),
-            FeatureId.V3: square,
-            FeatureId.V4: 0.5 + base,
-            FeatureId.V5: base,
-            FeatureId.V6: square,
-            FeatureId.V7: base,
-            FeatureId.V8: square,
-            FeatureId.V9: base,
-            FeatureId.V10: 0.5 + base,
-        }
+        by_kind = (base, math.log(width), math.log(2.0 * spec.delta**2) - 1.0, 0.5 + base)
     else:
         lo, hi = GAUSSIAN_A_RANGE
         if not lo <= abs(spec.a) <= hi:
             raise ValueError(f"|a| {abs(spec.a):g} is outside [{lo:g}, {hi:g}], "
                              "the range the Gaussian closed forms cover")
-        base = 0.5 * math.log(2.0 * math.pi * math.e)
-        chisq = 0.5 * (1.0 + math.log(math.pi) - EULER_GAMMA)
-        diff = 0.5 * math.log(4.0 * math.pi * math.e)
-        table = {
-            FeatureId.V1: base,
-            FeatureId.V2: 0.5 * math.log(2.0 * math.pi * math.e * spec.a**2),
-            FeatureId.V3: chisq,
-            FeatureId.V4: diff,
-            FeatureId.V5: base,
-            FeatureId.V6: chisq,
-            FeatureId.V7: base,
-            FeatureId.V8: chisq,
-            FeatureId.V9: base,
-            FeatureId.V10: diff,
-        }
-    return table[f]
+        by_kind = (0.5 * math.log(2.0 * math.pi * math.e),
+                   0.5 * math.log(2.0 * math.pi * math.e * spec.a**2),
+                   0.5 * (1.0 + math.log(math.pi) - EULER_GAMMA),
+                   0.5 * math.log(4.0 * math.pi * math.e))
+    return tuple(by_kind[kind] for kind in _ENTROPY_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +300,26 @@ def _skew_pair_mi(alpha: float) -> float:
 _GAUSSIAN_DIFF_CLASS_MI = {0.2: 0.0947, 0.8: 0.0032}
 
 
-def class_mi(spec: ScenarioSpec, f: FeatureId) -> float:
-    """MI between the class and one feature (always finite)."""
-    if f in CLASS_INDEPENDENT:
-        return 0.0
+def class_mis(spec: ScenarioSpec) -> tuple[float, ...]:
+    """MI between the class and each feature, in feature order (always finite).
+
+    aX + b shares X's value exactly.  The other drivers and the even
+    transforms of X and Y carry no class information: their MI is exactly 0.
+    """
     k = spec.k
     if spec.scenario is Scenario.UNIFORM:
         # scaling every driver by one factor leaves C = 1{X + kY >= 0} as it is
         # and maps each feature invertibly, so no class MI depends on delta
-        if f in (FeatureId.V1, FeatureId.V2):
-            return LN2 - k / 2.0
-        if f is FeatureId.V4:
-            return -((k - 1.0) ** 2) * math.log(1.0 - k) / (4.0 * k)
-        # V7 = Y
-        return (
-            (k * k + 1.0) * math.log((1.0 + k) / (1.0 - k))
-            + 2.0 * k * (math.log(1.0 - k * k) - 1.0)
-        ) / (4.0 * k)
-    if f in (FeatureId.V1, FeatureId.V2):
-        return _skew_pair_mi(1.0 / k)
-    if f is FeatureId.V4:
-        if k in _GAUSSIAN_DIFF_CLASS_MI:
-            return _GAUSSIAN_DIFF_CLASS_MI[k]
-        return _skew_pair_mi((1.0 - k) / (1.0 + k))
-    return _skew_pair_mi(k)
+        x = LN2 - k / 2.0
+        diff = -((k - 1.0) ** 2) * math.log(1.0 - k) / (4.0 * k)
+        y = ((k * k + 1.0) * math.log((1.0 + k) / (1.0 - k))
+             + 2.0 * k * (math.log(1.0 - k * k) - 1.0)) / (4.0 * k)
+    else:
+        x = _skew_pair_mi(1.0 / k)
+        diff = (_GAUSSIAN_DIFF_CLASS_MI[k] if k in _GAUSSIAN_DIFF_CLASS_MI
+                else _skew_pair_mi((1.0 - k) / (1.0 + k)))
+        y = _skew_pair_mi(k)
+    return (x, x, 0.0, diff, 0.0, 0.0, y, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +433,4 @@ def mi_class_squared_feature(
 
 def oracle_provider(spec: ScenarioSpec) -> MITables:
     """The analytic tables of a scenario; +inf pairwise entries are exact."""
-    mi_x = class_mi(spec, FeatureId.V1)  # V2 = aX + b shares it exactly
-    return MITables(
-        [entropy_of(spec, f) for f in FEATURES],
-        [mi_x if f in (FeatureId.V1, FeatureId.V2) else class_mi(spec, f)
-         for f in FEATURES],
-        lambda i, j: pairwise_mi(spec, i, j),
-    )
+    return MITables(entropies(spec), class_mis(spec), lambda i, j: pairwise_mi(spec, i, j))

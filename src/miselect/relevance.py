@@ -137,13 +137,12 @@ class LabeledJoint(Joint):
             bits, informative, weak = 1 << np.arange(d), np.zeros(1 << d, bool), np.zeros(d, bool)
             for masks, cond, below in self._lattice_blocks():
                 informative[masks] = ~_differs(cond, full)
-                if below is not None:  # P[S] against P[S less j] for each member j of S,
-                    row, ids, narrow = below  # but a j known weak only when S is full
-                    open_bits = np.where(weak & (masks[0] < bits.sum()), 0, bits)
-                    r, k = np.nonzero(masks[:, None] & open_bits)
+                if below is not None:  # P[S] against P[S less j] for each j in S not known weak
+                    row, ids, narrow = below
+                    r, k = np.nonzero(masks[:, None] & np.where(weak, 0, bits))
                     narrow = np.take(narrow, np.take(ids, row[masks[r] ^ bits[k]], axis=0), axis=0)
-                    strong = np.bincount(k[_differs(narrow, np.take(cond, r, axis=0))], minlength=d)
-                    weak |= strong > 0  # the last block is the full set
+                    weak[k[_differs(narrow, np.take(cond, r, axis=0))]] = True
+            strong = ~informative[bits.sum() ^ bits]  # the full set less j is not informative
             self._lattice = ({f: RelevanceClass.SR if s else RelevanceClass.WR if w
                               else RelevanceClass.IRRELEVANT
                               for f, s, w in zip(self.features, strong, weak)}, informative)
@@ -360,17 +359,20 @@ def _parsed_document(text: str) -> tuple[dict, np.ndarray]:
 def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     """The same as ``_parsed_document`` for a plain, valid document, else ValueError.
 
-    Plain means one literal ``"probs"`` key, a list holding no ``[``, ``{``
-    or ``"``, and no escape elsewhere, so that no other key decodes to
-    ``probs``.  ``json.loads`` parses the rest of the text with the list
-    cut to ``[]``.  The list is scanned by byte masks, none per cell: one
-    marks each canonical token (``, 0.0`` before the next comma), an empty
-    cell, and one its bytes; the other bytes go to one ``json.loads``, so
-    each value is json's own.  A kept token's cell is its ordinal plus the
-    canonical tokens before it.  ``from_dense`` sums the dense float array
-    as it sums the whole-document parse's.  Every refusal, and a list with
-    no empty cell to skip, is left to ``_parsed_document``.
+    Plain means an ASCII text, as ``json.dumps`` writes, with one literal
+    ``"probs"`` key, a list holding no ``[``, ``{`` or ``"``, and no escape
+    elsewhere, so that no other key decodes to ``probs``.  ``json.loads``
+    parses the rest of the text with the list cut to ``[]``.  The list is
+    scanned by byte masks, none per cell: one marks each canonical token
+    (``, 0.0`` before the next comma), an empty cell, and one its bytes; the
+    other bytes go to one ``json.loads``, so each value is json's own.  A
+    kept token's cell is its ordinal plus the canonical tokens before it.
+    ``from_dense`` sums the dense float array as it sums the whole-document
+    parse's.  Every refusal, and a list with no empty cell to skip, is left
+    to ``_parsed_document``.
     """
+    if not text.isascii():  # so a character's index is its byte's
+        raise ValueError("not an ASCII document")
     key = text.find(_PROBS_KEY)
     opening = _LIST_OPENING.match(text, key + len(_PROBS_KEY)) if key >= 0 else None
     if opening is None:
@@ -388,7 +390,7 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     size = _cell_count(doc)
     if doc.get("probs") != []:
         raise ValueError("the top-level probs is not the list cut out")
-    body = np.frombuffer(text[start - 1:end + 1].encode(), dtype=np.uint8)  # [ through ]
+    body = np.frombuffer(text.encode("ascii"), np.uint8, end + 2 - start, start - 1)  # [ to ]
     # token k > 0 runs from its comma to the next; the first holds [ and the last ], never canonical
     pattern = (_ZERO_TOKEN + ",").encode()  # a canonical token, then the next one's comma
     n = len(body) - len(_ZERO_TOKEN)

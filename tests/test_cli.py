@@ -378,6 +378,24 @@ def test_simulate_refuses_an_unknown_config_key(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("make, reason", [
+    pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+    pytest.param(lambda path: None, "No such file or directory", id="missing"),
+    pytest.param(lambda path: path.write_bytes(b"n = 50\nreplicates = 2\xff\n"),
+                 "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte",
+                 id="non-utf8"),
+])
+def test_unreadable_config_is_named_in_one_error_line(tmp_path, monkeypatch, capsys,
+                                                      make, reason):
+    monkeypatch.chdir(tmp_path)  # a run would write experiment.csv here
+    cfg = tmp_path / "exp.cfg"
+    make(cfg)
+    before = sorted(tmp_path.iterdir())
+    line = run_error(capsys, "simulate", "--config", str(cfg))
+    assert line == f"error: cannot read config {cfg}: {reason}"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, name", [
     pytest.param(("order", "--k", "0.2", "--method", "mrmr", "--trace"), "x.tsv",
                  id="order-trace"),

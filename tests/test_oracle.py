@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -10,14 +11,13 @@ from conftest import random_provider
 from miselect.estimation import estimated_provider
 from miselect.oracle import (
     FEATURES,
-    CLASS_INDEPENDENT,
     FeatureId,
     MITables,
     Scenario,
     ScenarioSpec,
-    class_mi,
-    entropy_of,
-    feature_label,
+    class_mis,
+    entropies,
+    feature_labels,
     mi_y2_xy_gaussian,
     oracle_provider,
     pairwise_mi,
@@ -51,13 +51,51 @@ def test_spec_validation():
         ScenarioSpec(Scenario.UNIFORM, 0.5, a=0.0)
 
 
+def entropy(spec, f):
+    return entropies(spec)[f - 1]
+
+
+def class_mi(spec, f):
+    return class_mis(spec)[f - 1]
+
+
 def test_entropy_examples():
-    assert entropy_of(spec_i(), V.V1) == pytest.approx(0.0)
-    assert entropy_of(spec_i(), V.V3) == pytest.approx(math.log(0.5) - 1, abs=1e-12)
-    assert entropy_of(spec_ii(), V.V1) == pytest.approx(1.4189, abs=5e-5)
-    assert entropy_of(spec_i(delta=0.4), V.V1) == pytest.approx(math.log(0.8))
-    assert entropy_of(spec_i(), V.V2) == pytest.approx(math.log(3.0))
-    assert entropy_of(spec_ii(), V.V4) == pytest.approx(1.7655, abs=5e-5)
+    assert entropy(spec_i(), V.V1) == pytest.approx(0.0)
+    assert entropy(spec_i(), V.V3) == pytest.approx(math.log(0.5) - 1, abs=1e-12)
+    assert entropy(spec_ii(), V.V1) == pytest.approx(1.4189, abs=5e-5)
+    assert entropy(spec_i(delta=0.4), V.V1) == pytest.approx(math.log(0.8))
+    assert entropy(spec_i(), V.V2) == pytest.approx(math.log(3.0))
+    assert entropy(spec_ii(), V.V4) == pytest.approx(1.7655, abs=5e-5)
+
+
+# Each entropy kind: its features, and its closed forms in scenario I (of
+# delta and a) and in scenario II (of a), written out independently of oracle.py.
+ENTROPY_KINDS = {
+    "driver": ((V.V1, V.V5, V.V7, V.V9),
+               lambda delta, a: math.log(2.0 * delta),
+               lambda a: 0.5 * math.log(2.0 * math.pi * math.e)),
+    "affine": ((V.V2,),
+               lambda delta, a: math.log(2.0 * abs(a) * delta),
+               lambda a: 0.5 * math.log(2.0 * math.pi * math.e * a**2)),
+    "square": ((V.V3, V.V6, V.V8),
+               lambda delta, a: math.log(2.0 * delta**2) - 1.0,
+               lambda a: 0.5 * (1.0 + math.log(math.pi) - 0.5772156649015329)),
+    "sum": ((V.V4, V.V10),
+            lambda delta, a: 0.5 + math.log(2.0 * delta),
+            lambda a: 0.5 * math.log(4.0 * math.pi * math.e)),
+}
+
+
+@pytest.mark.parametrize("kind", ENTROPY_KINDS)
+def test_entropy_kind_is_its_closed_form(kind):
+    # exact, and at shapes away from the defaults, so a feature given the
+    # wrong kind fails even where two kinds happen to agree at delta 0.5, a 3
+    features, uniform, gaussian = ENTROPY_KINDS[kind]
+    assert sorted(f for fs, _, _ in ENTROPY_KINDS.values() for f in fs) == list(FEATURES)
+    for delta, a in itertools.product((0.25, 0.5, 1.7), (-2.0, 0.5, 3.0)):
+        for f in features:
+            assert entropy(ScenarioSpec(Scenario.UNIFORM, 0.3, delta, a), f) == uniform(delta, a)
+            assert entropy(ScenarioSpec(Scenario.GAUSSIAN, 0.3, delta, a), f) == gaussian(a)
 
 
 def test_class_mi_closed_forms():
@@ -81,10 +119,9 @@ def test_class_mi_gaussian_quadrature():
 def test_class_mi_does_not_depend_on_delta():
     # C = 1{X + kY >= 0} is invariant when the drivers are scaled together
     for k in (0.2, 0.8):
-        for f in FeatureId:
-            reference = class_mi(spec_i(k), f)
-            for delta in (0.25, 1.0, 2.0):
-                assert class_mi(spec_i(k, delta), f) == reference
+        reference = class_mis(spec_i(k))
+        for delta in (0.25, 1.0, 2.0):
+            assert class_mis(spec_i(k, delta)) == reference
 
 
 def test_quadrature_stability():
@@ -128,8 +165,9 @@ def quad_skew_pair_mi(alpha):
 @pytest.mark.parametrize("k", [1e-3, 0.01, 0.05, 0.2, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
 def test_gaussian_class_mi_matches_adaptive_quadrature(k):
     # V1 and V7 are these integrals; V4's is one too, pinned at k = 0.2 and 0.8
-    assert class_mi(spec_ii(k), V.V1) == _skew_pair_mi(1.0 / k)
-    assert class_mi(spec_ii(k), V.V7) == _skew_pair_mi(k)
+    mis = class_mis(spec_ii(k))
+    assert mis[V.V1 - 1] == _skew_pair_mi(1.0 / k)
+    assert mis[V.V7 - 1] == _skew_pair_mi(k)
     for alpha in (1.0 / k, k, (1.0 - k) / (1.0 + k)):
         assert abs(_skew_pair_mi(alpha) - quad_skew_pair_mi(alpha)) <= 1e-12
 
@@ -142,7 +180,7 @@ def test_affine_invariance_is_exact():
 
 def test_class_independent_features_are_exactly_zero():
     for spec in (spec_i(0.37), spec_ii(0.37)):
-        for f in CLASS_INDEPENDENT:
+        for f in (V.V3, V.V5, V.V6, V.V8, V.V9, V.V10):
             assert class_mi(spec, f) == 0.0
 
 
@@ -268,7 +306,7 @@ def test_spot_check_constants():
 
 
 def test_feature_labels():
-    spec = spec_i()
-    labels = [feature_label(f, spec) for f in FEATURES]
-    assert labels == ["X", "3X+1", "Y2", "X-Y", "Z", "Z2", "Y", "X2", "W+2", "Z+W"]
-    assert feature_label(V.V2, ScenarioSpec(Scenario.UNIFORM, 0.2, a=2.0, b=0.5)) == "2X+0.5"
+    labels = feature_labels(spec_i())
+    assert labels == ("X", "3X+1", "Y2", "X-Y", "Z", "Z2", "Y", "X2", "W+2", "Z+W")
+    labels = feature_labels(ScenarioSpec(Scenario.UNIFORM, 0.2, a=2.0, b=0.5, d=0.5))
+    assert labels[V.V2 - 1] == "2X+0.5" and labels[V.V9 - 1] == "W+0.5"
