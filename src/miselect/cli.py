@@ -209,15 +209,15 @@ def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, fh: TextIO) -> None:
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value grammar over SIMULATE_SETTINGS, each once; '#' starts a comment line.
 
-    A file that cannot be read is a CliError naming it; a grammar error is a ValueError.
+    Every failure is a ValueError naming the file, read whole before any line is parsed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc.strerror}")
+        raise ValueError(f"cannot read config {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()

@@ -611,6 +611,7 @@ def boundary_document(probs):
 @explicit_example('{"arities":[1,2],"meta":{"probs":[0.5, 0.5]},"prob\\u0073":[]}')
 @explicit_example('{"arities":[1,2],"probs":[0.5, 0.5],"prob\\u0073":[0.5, 0.5]}')
 @explicit_example('{"arities":[2],"probs":[12]}')
+@explicit_example('{"arities":[3,2],"source":"été","probs":[0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}')
 @explicit_example('{"arities":[1,1],"probs":[]}')
 def test_scan_agrees_with_whole_document_parse(text):
     assert load_outcome(text) == parsed_outcome(text)
