@@ -26,10 +26,10 @@ from .oracle import (
     feature_labels,
     oracle_provider,
 )
+from .reference import run_all_checks
 from .relevance import LabeledJoint, RelevanceClass
 from .selection import MethodSpec, SelectionTrace, select_all
 from .simlab import ExperimentConfig, emit_csv, run_experiment
-from .verify import run_all_checks
 
 
 class CliError(Exception):
@@ -254,7 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_outputs(outputs)
     try:
         result = run_experiment(config, keep_traces=bool(args.traces))
-    except ValueError as exc:  # e.g. a feature that overflows to inf
+    except (ValueError, MemoryError) as exc:  # e.g. a feature that overflows to inf
         raise CliError(f"simulated sample: {exc}")
     _write(outputs, result)
     for c in result.cells:
@@ -281,7 +281,7 @@ def _write_traces_json(result, fh: TextIO) -> None:
 
 def cmd_relevance(args: argparse.Namespace) -> int:
     try:
-        with open(args.joint) as fh:
+        with open(args.joint, encoding="utf-8") as fh:
             joint = LabeledJoint.from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load joint {args.joint}: {exc}")

@@ -313,10 +313,12 @@ def class_mis(spec: ScenarioSpec) -> tuple[float, ...]:
     if spec.scenario is Scenario.UNIFORM:
         # scaling every driver by one factor leaves C = 1{X + kY >= 0} as it is
         # and maps each feature invertibly, so no class MI depends on delta
+        # log1p and atanh keep a small k's digits: with log(1 - k) the terms of
+        # y, each near 2k in size, cancelled to a negative value (y ~ k^2 / 6)
         x = LN2 - k / 2.0
-        diff = -((k - 1.0) ** 2) * math.log(1.0 - k) / (4.0 * k)
-        y = ((k * k + 1.0) * math.log((1.0 + k) / (1.0 - k))
-             + 2.0 * k * (math.log(1.0 - k * k) - 1.0)) / (4.0 * k)
+        diff = -((k - 1.0) ** 2) * math.log1p(-k) / (4.0 * k)
+        y = ((k * k + 1.0) * 2.0 * math.atanh(k)
+             + 2.0 * k * (math.log1p(-k) + math.log1p(k) - 1.0)) / (4.0 * k)
     else:
         x = _skew_pair_mi(1.0 / k)
         diff = (_GAUSSIAN_DIFF_CLASS_MI[k] if k in _GAUSSIAN_DIFF_CLASS_MI

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import miselect
-from miselect import cli, simlab
+from miselect import cli, reference, simlab
 from miselect.cli import main, parse_config_file
 from miselect.estimation import Sample
-from miselect.oracle import Scenario, ScenarioSpec
+from miselect.oracle import FeatureId as V, Scenario, ScenarioSpec
 from miselect.relevance import LabeledJoint, duplicated_features_example
+from miselect.selection import Method, MethodSpec
 from miselect.simlab import generate_sample
 
 
@@ -185,6 +186,10 @@ def test_oracle_rejects_endpoint_k(capsys):
     pytest.param(("simulate", "--delta", "1e200", "--n", "50", "--replicates", "2"),
                  "simulated sample: non-finite value inf in row 1, column v3",
                  id="simulate-delta-overflow"),
+    # exabytes, beyond any address space, so the allocation fails at once
+    pytest.param(("simulate", "--n", str(10**17), "--replicates", "1"),
+                 "simulated sample: Unable to allocate 2.78 EiB for an array with shape "
+                 "(4, 100000000000000000) and data type float64", id="simulate-n-unallocatable"),
     pytest.param(("simulate", "--seed", "-1"), "seed must be a non-negative integer, got -1",
                  id="simulate-negative-seed"),
 ])
@@ -761,6 +766,20 @@ def test_python_m_miselect_runs_the_cli(tmp_path):
     assert proc.stderr == f"error: cannot load joint {path}: {FLAT_4}\n"
 
 
+def test_relevance_reads_the_joint_as_utf8_in_any_locale(tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_bytes('{"source":"été","arities":[2,2],"probs":[0.5,0,0,0.5],'
+                     '"class_index":1}'.encode("utf-8"))
+    src = str(Path(miselect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "miselect", "relevance", "--joint", str(path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "SR: V1"
+
+
 def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch,
                                                             capsys):
     def analysis(*args, **kwargs):
@@ -782,3 +801,24 @@ def test_verify_passes(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 6
     assert all(l.startswith("PASS") for l in lines)
+
+
+I_02 = (Scenario.UNIFORM, 0.2)
+
+
+@pytest.mark.parametrize("table, key, value, line", [
+    pytest.param(reference.ORDERING_TABLE[I_02], MethodSpec(Method.MRMR),
+                 (V.V1, V.V4) + reference.FULL_ORDER[2:],
+                 "FAIL ordering-tables: I k=0.2 mrmr step 2: V7 != V4", id="ordering-pick"),
+    pytest.param(reference.ORDERING_TABLE[I_02], MethodSpec(Method.QMIFS), (V.V1, V.V2, V.V3),
+                 "FAIL ordering-tables: I k=0.2 qmifs: 2 picks, expected 3", id="ordering-length"),
+    pytest.param(reference.CLASS_MI_TABLE[I_02], V.V4, 0.0,
+                 "FAIL oracle-tables: I k=0.2 V4: expected exact 0", id="oracle-exact-zero"),
+])
+def test_verify_fails_on_an_edited_reference(monkeypatch, capsys, table, key, value, line):
+    monkeypatch.setitem(table, key, value)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 6 and line in lines
+    assert all(l.startswith("PASS") for l in lines if l != line)

@@ -16,8 +16,8 @@ from miselect.infotheory import (
     tmi,
 )
 from miselect.oracle import Scenario, ScenarioSpec
+from miselect.reference import mi_direct, random_table
 from miselect.relevance import LabeledJoint, grid_scenario_joint
-from miselect.verify import mi_direct, random_table
 
 LN2 = math.log(2.0)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from miselect.oracle import (
     class_mis,
     entropies,
     feature_labels,
-    mi_y2_xy_gaussian,
     oracle_provider,
     pairwise_mi,
     mi_class_squared_feature,
@@ -107,13 +107,27 @@ def test_class_mi_closed_forms():
         assert class_mi(spec_i(k), V.V8) == 0.0
 
 
-def test_class_mi_gaussian_quadrature():
-    assert class_mi(spec_ii(0.2), V.V1) == pytest.approx(0.5520, abs=1e-3)
-    assert class_mi(spec_ii(0.8), V.V1) == pytest.approx(0.2495, abs=1e-3)
-    assert class_mi(spec_ii(0.2), V.V7) == pytest.approx(0.0124, abs=1e-3)
-    assert class_mi(spec_ii(0.8), V.V7) == pytest.approx(0.1434, abs=1e-3)
-    assert class_mi(spec_ii(0.2), V.V4) == pytest.approx(0.0947, abs=1e-3)
-    assert class_mi(spec_ii(0.8), V.V4) == pytest.approx(0.0032, abs=1e-3)
+def uniform_class_mis_exact(k: float) -> tuple[Decimal, Decimal, Decimal]:
+    """The class MIs of X, X-Y and Y in scenario I, in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k, one = Decimal(k), Decimal(1)
+        x = Decimal(2).ln() - k / 2
+        diff = -((k - one) ** 2) * (one - k).ln() / (4 * k)
+        y = ((k * k + one) * ((one + k) / (one - k)).ln()
+             + 2 * k * ((one - k * k).ln() - one)) / (4 * k)
+        return x, diff, y
+
+
+def test_uniform_class_mis_at_any_slope():
+    # a log grid of k toward 0, where the logs of 1 - k and 1 + k nearly cancel,
+    # and toward 1
+    grid = np.concatenate([np.logspace(-40, -0.01, 300), 1.0 - np.logspace(-14, -1, 60)])
+    for k in grid.tolist():
+        got = class_mis(spec_i(k))
+        for f, want in zip((V.V1, V.V4, V.V7), uniform_class_mis_exact(k)):
+            assert got[f - 1] >= 0.0, (k, f)
+            assert abs(got[f - 1] - float(want)) <= 1e-14, (k, f)
 
 
 def test_class_mi_does_not_depend_on_delta():
@@ -201,12 +215,6 @@ def test_pairwise_symmetry_and_diagonal():
                 a = pairwise_mi(spec, i, j)
                 b = pairwise_mi(spec, j, i)
                 assert a == b
-
-
-def test_mi_y2_xy_gaussian():
-    assert mi_y2_xy_gaussian() == pytest.approx(0.1078, abs=2e-3)
-    # the constant limb alone (expectation replaced by ln cosh(0) = 0)
-    assert -1 + LN2 / 2 == pytest.approx(-0.6534, abs=5e-5)
 
 
 def test_squared_feature_zero_mi():

@@ -15,7 +15,6 @@ from miselect.oracle import (
     ScenarioSpec,
     oracle_provider,
 )
-from miselect.reference import ORDERING_TABLE, expected_positions
 from miselect.selection import (
     HaltReason,
     Method,
@@ -99,25 +98,6 @@ def test_select_all_examples(oracle_i_02, oracle_i_08, oracle_ii_02):
     t = select_all(MethodSpec(Method.QMIFS), oracle_ii_02)
     assert t.selected == (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4)
     assert t.halt is HaltReason.NO_ADMISSIBLE_CANDIDATE
-
-
-def test_all_reference_orderings():
-    for (scenario, k), methods in ORDERING_TABLE.items():
-        provider = oracle_provider(ScenarioSpec(scenario, k))
-        for mspec in methods:
-            want, excluded = expected_positions(scenario, k, mspec)
-            trace = select_all(mspec, provider)
-            assert len(trace.selected) == len(want), (scenario, k, mspec.label())
-            for pos, (got, expect) in enumerate(zip(trace.selected, want)):
-                if pos in excluded:
-                    continue
-                assert got == expect, (scenario, k, mspec.label(), pos)
-            expected_halt = (
-                HaltReason.ALL_SELECTED
-                if len(want) == len(FEATURES)
-                else HaltReason.NO_ADMISSIBLE_CANDIDATE
-            )
-            assert trace.halt is expected_halt
 
 
 def test_trace_equivalence_of_the_three_robust_methods():
