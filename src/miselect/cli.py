@@ -12,20 +12,14 @@ Bad input ends in one ``error: ...`` line on stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
 from typing import Callable, Sequence, TextIO
 
 from .estimation import Sample, estimated_provider
-from .oracle import (
-    FEATURES,
-    MITables,
-    Scenario,
-    ScenarioSpec,
-    feature_labels,
-    oracle_provider,
-)
+from .oracle import MITables, Scenario, ScenarioSpec, feature_labels, oracle_provider
 from .reference import run_all_checks
 from .relevance import LabeledJoint, RelevanceClass
 from .selection import MethodSpec, SelectionTrace, select_all
@@ -197,10 +191,7 @@ def _write(outputs: list[tuple[str, Callable]], *args) -> None:
 def _write_trace(trace: SelectionTrace, spec: ScenarioSpec, fh: TextIO) -> None:
     labels, lines = feature_labels(spec), ["step\tcandidate\tobjective\tselected"]
     for step_no, step in enumerate(trace.steps, start=1):
-        for f in FEATURES:
-            v = step.objectives.get(f)
-            if v is None:
-                continue
+        for f, v in step.objectives.items():  # feature order
             mark = "*" if f == step.winner else ""
             lines.append(f"{step_no}\t{labels[f - 1]}\t{v}\t{mark}")
     fh.write("\n".join(lines) + "\n")
@@ -313,6 +304,7 @@ def cmd_verify(_: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="miselect",

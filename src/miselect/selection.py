@@ -26,8 +26,10 @@ step costs O(d) for d features (O(d * |S|) for QMIFS, which keeps one
 inner sum per candidate and selected k and refolds the outer sum).  The
 sums are left folds from 0.0 in selection order, so every objective is
 the same IEEE result, indeterminate kind included, as evaluating the
-formula above from scratch with the pair operations.  Only each step's
-objectives are boxed into XReal values, for the trace.
+formula above from scratch with the pair operations.  A step keeps its
+objectives as those pairs; they are boxed into XReal values only when a
+reader asks for ``SelectionStep.objectives``, so a caller that reads only
+the picks and the halt (``simulate``) never builds an XReal.
 """
 
 from __future__ import annotations
@@ -105,10 +107,18 @@ class HaltReason(Enum):
 
 @dataclass(frozen=True)
 class SelectionStep:
-    """One evaluation round; ``winner`` is None for the halting round."""
+    """One evaluation round; ``winner`` is None for the halting round.
+
+    ``pairs`` holds each candidate's objective, in feature order, as the
+    engine's (value, kind) pair; ``objectives`` boxes them anew on every read.
+    """
 
     winner: FeatureId | None
-    objectives: Mapping[FeatureId, XReal]
+    pairs: Mapping[FeatureId, XPair]
+
+    @property
+    def objectives(self) -> dict[FeatureId, XReal]:
+        return {f: box(v) for f, v in self.pairs.items()}
 
 
 @dataclass(frozen=True)
@@ -143,19 +153,16 @@ class _RunningAggregate:
         self.aggregate: list[XPair] = [start] * len(rel)
 
     def step(self, picked: list[int], remaining: list[int]) -> dict[int, XPair]:
-        s = picked[-1]
-        weight = self.beta if self.beta is not None else (1.0 / len(picked), None)
-        out = {}
+        s, agg, rel = picked[-1], self.aggregate, self.rel
+        fold, term = self.fold, self.term
         for i in remaining:
-            agg = self.aggregate[i] = self.fold(self.aggregate[i], self.term(i, s))
-            rel = self.rel[i]
-            if self.method is Method.MICC:
-                out[i] = fsub(fdiv(rel, fmul(weight, agg)), rel)
-            elif self.method in _MAX_METHODS:
-                out[i] = fsub(rel, agg)
-            else:
-                out[i] = fsub(rel, fmul(weight, agg))
-        return out
+            agg[i] = fold(agg[i], term(i, s))
+        weight = self.beta if self.beta is not None else (1.0 / len(picked), None)
+        if self.method is Method.MICC:
+            return {i: fsub(fdiv(rel[i], fmul(weight, agg[i])), rel[i]) for i in remaining}
+        if self.method in _MAX_METHODS:
+            return {i: fsub(rel[i], agg[i]) for i in remaining}
+        return {i: fsub(rel[i], fmul(weight, agg[i])) for i in remaining}
 
 
 class _QMIFS:
@@ -171,17 +178,24 @@ class _QMIFS:
     def step(self, picked: list[int], remaining: list[int]) -> dict[int, XPair]:
         s, earlier = picked[-1], picked[:-1]
         phi, rel = self.phi, self.rel
+        # read once per step: the new pick's row and column, the picks' relevances
+        phi_s = phi[s]
+        phi_to_s = [(j, phi[j][s]) for j in earlier]
+        rel_picked = [(k, rel[k]) for k in picked]
         out = {}
         for i in remaining:
             inner, phi_i = self.inner[i], phi[i]
+            phi_is = phi_i[s]
             for k in earlier:
-                inner[k] = fadd(inner[k], fmul(phi_i[s], phi[s][k]))
-            for j in earlier:
-                inner[s] = fadd(inner[s], fmul(phi_i[j], phi[j][s]))
+                inner[k] = fadd(inner[k], fmul(phi_is, phi_s[k]))
+            inner_s = inner[s]
+            for j, phi_js in phi_to_s:
+                inner_s = fadd(inner_s, fmul(phi_i[j], phi_js))
+            inner[s] = inner_s
             total = rel[i]
-            for k in picked:
+            for k, rel_k in rel_picked:
                 bracket = fsub(phi_i[k], fmul(HALF, inner[k]))
-                total = fsub(total, fmul(bracket, rel[k]))
+                total = fsub(total, fmul(bracket, rel_k))
             out[i] = total
         return out
 
@@ -209,20 +223,20 @@ def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
 
     # the class MIs are finite, so the first step has a winner
     picked = [_best(rel, range(len(order)))]
-    steps = [SelectionStep(order[picked[0]], {f: box(v) for f, v in zip(order, rel)})]
+    steps = [SelectionStep(order[picked[0]], dict(zip(order, rel)))]
     remaining = [a for a in range(len(order)) if a != picked[0]]
     halt = HaltReason.ALL_SELECTED
     while remaining:
         values = engine.step(picked, remaining)
         winner = _best(values, remaining)
-        objectives = {order[a]: box(values[a]) for a in remaining}
+        pairs = {order[a]: values[a] for a in remaining}
         if winner is None:
             # keep the all-inadmissible evaluation: it shows which
             # indeterminate form blocked each remaining candidate
-            steps.append(SelectionStep(None, objectives))
+            steps.append(SelectionStep(None, pairs))
             halt = HaltReason.NO_ADMISSIBLE_CANDIDATE
             break
-        steps.append(SelectionStep(order[winner], objectives))
+        steps.append(SelectionStep(order[winner], pairs))
         picked.append(winner)
         remaining.remove(winner)
     return SelectionTrace(m, tuple(order[a] for a in picked), tuple(steps), halt)

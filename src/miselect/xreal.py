@@ -15,8 +15,8 @@ the operation's form.  A finite result that overflows is +inf or -inf.
 Only division by zero has a rule of its own (0/0, else the sign of the
 numerator).  The rules are written once, as operations on (value, kind)
 float pairs.  The MI tables are plain floats; the selection engine folds
-them as pairs and boxes into :class:`XReal` only the objectives a trace
-reports.
+them as pairs and keeps each step's objectives as pairs, boxed into
+:class:`XReal` only when a reader asks for them.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class XReal:
 
     ``value`` is a finite float or an IEEE infinity, and NaN exactly when
     ``indet_kind`` names the indeterminate form.  Build one only with
-    :func:`box`, as selection does for every objective it reports; the raw
-    constructor does not validate.  :func:`box` returns the infinities and
+    :func:`box`, as a selection step does for each objective it is asked
+    for; the raw constructor does not validate.  :func:`box` returns the infinities and
     the four indeterminates as singletons (``POS_INF``, ``NEG_INF`` and one
     per kind), so ``==`` and ``is`` both hold for them.
     """

@@ -3,7 +3,8 @@
 ``objective`` evaluates one candidate from scratch, folding its redundancy
 over the whole selected set with the extended-real pair operations and
 boxing the result, and ``reference_select_all`` is the forward search built
-on it.  The incremental engine must reproduce both exactly: the same
+on it, keeping each step's objectives as the pairs that ``objective`` boxes,
+as ``SelectionStep`` stores them.  The incremental engine must reproduce both exactly: the same
 objectives by ``==``, indeterminate kind and rendering, the same winners
 and halts.
 """
@@ -131,21 +132,21 @@ def reference_select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     steps: list[SelectionStep] = []
     halt = HaltReason.ALL_SELECTED
     while len(selected) < len(order):
-        objectives = {
-            f: objective(m, f, selected, p) for f in order if f not in selected
+        pairs = {
+            f: _objective(m, f, selected, p) for f in order if f not in selected
         }
         winner: FeatureId | None = None
         winner_val: XReal | None = None
-        for f in order:
-            v = objectives.get(f)
-            if v is None or v.is_indet:
+        for f, pair in pairs.items():
+            v = box(pair)
+            if v.is_indet:
                 continue
             if winner_val is None or v.value > winner_val.value:
                 winner, winner_val = f, v
         if winner is None:
-            steps.append(SelectionStep(None, objectives))
+            steps.append(SelectionStep(None, pairs))
             halt = HaltReason.NO_ADMISSIBLE_CANDIDATE
             break
-        steps.append(SelectionStep(winner, objectives))
+        steps.append(SelectionStep(winner, pairs))
         selected.append(winner)
     return SelectionTrace(m, tuple(selected), tuple(steps), halt)

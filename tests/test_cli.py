@@ -1,4 +1,5 @@
 import errno
+import io
 import os
 import stat
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import miselect
-from miselect import cli, reference, simlab
+from miselect import cli, reference, selection, simlab
 from miselect.cli import main, parse_config_file
 from miselect.estimation import Sample
 from miselect.oracle import FeatureId as V, Scenario, ScenarioSpec
@@ -284,6 +285,56 @@ def test_order_trace_file(tmp_path, capsys):
     assert lines[0] == "step\tcandidate\tobjective\tselected"
     assert any("indet(0*inf)" in line for line in lines)
     assert any(line.endswith("*") for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--scenario", "I", "--k", "0.2", "--method", "qmifs"),  # halts on 0/0 and inf-inf
+    ("--scenario", "II", "--k", "0.8", "--method", "maxmifs"),  # selects all ten
+])
+def test_order_trace_boxes_each_objective_once(tmp_path, monkeypatch, capsys, argv):
+    boxed = []
+    real_box = selection.box
+    monkeypatch.setattr(selection, "box", lambda pair: boxed.append(pair) or real_box(pair))
+    trace = tmp_path / "trace.tsv"
+    code, _ = run(capsys, "order", *argv, "--trace", str(trace))
+    assert code == 0
+    objective_lines = trace.read_text().splitlines()[1:]
+    assert len(boxed) == len(objective_lines) > 0
+
+
+def test_simulate_boxes_no_objective(tmp_path, monkeypatch):
+    # simulate reads only each trace's picks and halt, even with --traces
+    def no_box(pair):
+        raise AssertionError(f"boxed {pair}")
+
+    monkeypatch.setattr(selection, "box", no_box)
+    methods = tuple(MethodSpec(m, 0.5 if m in (Method.MIFS, Method.MIFS_U) else None)
+                    for m in Method)
+    config = simlab.ExperimentConfig(Scenario.GAUSSIAN, (0.2, 0.8), (200,), methods,
+                                     replicates=3, seed=4)
+    result = simlab.run_experiment(config, keep_traces=True)
+    simlab.emit_csv(result, io.StringIO())
+    cli._write_traces_json(result, io.StringIO())
+    step = result.traces[(methods[0], 0.2, 200)][0].steps[-1]
+    with pytest.raises(AssertionError, match="boxed"):
+        step.objectives  # the patch is live: a reader of objectives boxes
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("order", "--scenario", "II", "--k", "0.8", "--method", "mifs", "--beta", "0.4")
+    _, traced = run(capsys, *argv, "--trace", "t.tsv")
+    os.remove("t.tsv")
+    _, untraced = run(capsys, *argv)
+    assert untraced == traced
+    assert os.listdir() == []
+    # no flag of an earlier command carries over: a leaked --beta would be refused
+    # for nmifs, and the default scenario is I with k 0.2
+    code, out = run(capsys, "order", "--method", "nmifs")
+    assert code == 0
+    assert out.strip() == "X X2 Y2 Z2 X-Y | halt: no admissible candidate"
+    assert os.listdir() == []
 
 
 def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
