@@ -42,9 +42,9 @@ class XReal:
     ``value`` is a finite float or an IEEE infinity, and NaN exactly when
     ``indet_kind`` names the indeterminate form.  Build one only with
     :func:`box`, as a selection step does for each objective it is asked
-    for; the raw constructor does not validate.  :func:`box` returns the infinities and
-    the four indeterminates as singletons (``POS_INF``, ``NEG_INF`` and one
-    per kind), so ``==`` and ``is`` both hold for them.
+    for; the raw constructor does not validate.  :func:`box` returns the
+    infinities and the four indeterminates as singletons (``POS_INF``,
+    ``NEG_INF`` and one per kind), so ``==`` and ``is`` both hold for them.
     """
 
     value: float

@@ -3,10 +3,10 @@
 ``objective`` evaluates one candidate from scratch, folding its redundancy
 over the whole selected set with the extended-real pair operations and
 boxing the result, and ``reference_select_all`` is the forward search built
-on it, keeping each step's objectives as the pairs that ``objective`` boxes,
-as ``SelectionStep`` stores them.  The incremental engine must reproduce both exactly: the same
-objectives by ``==``, indeterminate kind and rendering, the same winners
-and halts.
+on it; its steps keep the pairs that ``objective`` boxes, as
+``SelectionStep`` stores them.  The incremental engine must reproduce both
+exactly: the same objectives by ``==``, indeterminate kind and rendering,
+the same winners and halts.
 """
 
 from __future__ import annotations

@@ -302,7 +302,7 @@ def test_order_trace_boxes_each_objective_once(tmp_path, monkeypatch, capsys, ar
     assert len(boxed) == len(objective_lines) > 0
 
 
-def test_simulate_boxes_no_objective(tmp_path, monkeypatch):
+def test_simulate_boxes_no_objective(monkeypatch):
     # simulate reads only each trace's picks and halt, even with --traces
     def no_box(pair):
         raise AssertionError(f"boxed {pair}")
