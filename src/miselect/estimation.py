@@ -7,19 +7,23 @@ m by using q = ceil(sqrt(m)) bins per axis; feature-feature MI evaluates
 H(X) + H(Y) - H(X,Y) with all three entropies on that shared grid, and
 class MI evaluates H(V) - sum_c p(c) H(V | C=c) on pooled bin edges.
 
-Every estimate goes through one kernel: a column is turned into integer
-bin codes once per resolution (:func:`bin_column`), the class labels
-into class indices (:func:`code_labels`), and all counts are
-``np.bincount`` of those codes, split by class label or combined as
-``ci * q + cj`` for a pair.  The codes follow the counting rule of
-``np.histogram``, so the estimates equal the histogram ones bit for bit.
-The ``estimate_*`` functions take raw or binned columns: a raw column is
-binned at m (entropy, class MI) or q (pairwise MI) bins, and a binned
-column carries its own resolution.  :func:`estimated_provider` bins each
-column of a sample twice and feeds the binned columns to them for all 65
-tables (10 entropies, 10 class MIs, 45 pairwise MIs) in one pass, so a
-sample the estimator cannot handle fails there, before any selection
-runs.
+Every estimate goes through one kernel: columns are turned into integer
+bin codes (:func:`bin_rows`), the class labels into class indices
+(:func:`code_labels`), and all counts are ``np.bincount`` of those codes,
+split by class label or combined as ``ci * q + cj`` for a pair.  The
+codes follow the counting rule of ``np.histogram``, so the estimates
+equal the histogram ones bit for bit.  The ``estimate_*`` functions take
+raw or binned columns: a raw column is binned at m (entropy, class MI)
+or q (pairwise MI) bins, and a binned column carries its own resolution.
+
+A :class:`Sample` holds its columns feature-major, each column's values
+contiguous.  :func:`estimated_provider` bins all ten columns at both
+resolutions in one :func:`bin_rows` call, which works on blocks of
+columns under a budget of ``BLOCK_CELLS`` values and takes each column's
+range once for both resolutions.  It feeds the binned columns to the
+``estimate_*`` functions for all 65 tables (10 entropies, 10 class MIs,
+45 pairwise MIs) in one pass, so a sample the estimator cannot handle
+fails there, before any selection runs.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from .oracle import FEATURES, FeatureId, MITables
 
 CSV_HEADER = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
 COLUMNS = CSV_HEADER.split(",")
+# Values per block of rows that bin_rows bins together: a sample's ten
+# columns share one block up to n = 819, and each column is a block of its
+# own from n = 4097 on.
+BLOCK_CELLS = 1 << 13
 
 
 class DegenerateSampleError(ValueError):
@@ -73,33 +81,76 @@ class BinnedColumn:
     entropy: float
 
 
-def bin_column(x, count: int) -> BinnedColumn:
-    """Code x on ``count`` equal-width bins over its observed range.
+def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
+    """Code each row of ``rows`` on each of ``counts`` equal-width bins.
 
-    The edges are ``np.linspace(min, max, count + 1)`` and the top edge is
-    closed.  The code of a value is ``searchsorted(edges, x, side="right")
-    - 1`` with the top edge folded into the last bin: the counting rule of
+    Returns one list of binned rows per count.  A row's edges are
+    ``np.linspace(min, max, count + 1)`` and the top edge is closed.  The
+    code of a value is ``searchsorted(edges, x, side="right") - 1`` with
+    the top edge folded into the last bin: the counting rule of
     ``np.histogram`` and ``np.histogram2d``.  An arithmetic guess is kept
-    where the edges confirm it (``edges[g] <= x < edges[g + 1]``, or
-    ``edges[g] <= x`` in the last bin, means exactly g + 1 edges lie at or
-    below x); the values it misses, on or next to an edge, are searched.
-    Searching every value instead makes an n = 5000 ``simulate`` run about
-    25% slower.
+    where the edges confirm it (``edges[g] <= x < edges[g + 1]``, the top
+    edge read as +inf, means exactly g + 1 edges lie at or below x); the
+    values it misses, on or next to an edge, are searched.  Searching every
+    value instead makes an n = 5000 ``simulate`` run about 25% slower.
+
+    The rows are binned in blocks of at most ``BLOCK_CELLS`` values, so
+    that a block's temporaries stay in cache.  In a block, each row's
+    range and its values scaled to that range are taken once for all
+    counts, the edges of all rows come from one ``np.linspace`` per count
+    (a scalar call for a single row), and the bins of all rows from one
+    ``np.bincount`` per count, each row's codes offset past the rows
+    before.  Each row's result equals that of the row alone.  The first
+    row, in row order, whose range is not finite or is empty raises;
+    ``names`` names the rows in the message of the latter.
     """
-    x = np.asarray(x, dtype=float)
-    lo = float(np.min(x))
-    hi = float(np.max(x))
-    if not math.isfinite(hi - lo):
-        raise ValueError("observations must be finite, with a finite range")
-    if hi <= lo:
-        raise DegenerateSampleError("all observations are equal")
-    edges, last = np.linspace(lo, hi, count + 1), count - 1
-    codes = ((x - edges[0]) / (edges[-1] - edges[0]) * count).astype(np.intp)
-    np.minimum(codes, last, out=codes)
-    miss = (x < edges[codes]) | ((x >= edges[codes + 1]) & (codes < last))
-    codes[miss] = np.minimum(np.searchsorted(edges, x[miss], side="right") - 1, last)
-    return BinnedColumn(count, (hi - lo) / count, codes,
-                        plugin_entropy(np.bincount(codes), x.size))
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[1]
+    step = max(1, BLOCK_CELLS // max(1, n))
+    out: list[list[BinnedColumn]] = [[] for _ in counts]
+    for first in range(0, len(rows), step):
+        block = rows[first:first + step]
+        lo, hi = block.min(axis=1), block.max(axis=1)
+        with np.errstate(over="ignore"):  # an infinite range is refused below
+            span = hi - lo
+        bad = ~((span > 0.0) & (span < math.inf))  # NaN fails both
+        if bad.any():
+            r = int(bad.argmax())
+            if not math.isfinite(span[r]):
+                raise ValueError("observations must be finite, with a finite range")
+            where = "" if names is None else f"column {names[first + r]}: "
+            raise DegenerateSampleError(where + "all observations are equal")
+        row = np.arange(len(block))[:, None]
+        unit = block - lo[:, None]
+        unit /= span[:, None]
+        for count, binned in zip(counts, out):
+            width, last, stride = span / count, count - 1, count + 1
+            if len(block) > 1 and width.all():
+                edges = np.linspace(lo, hi, stride, axis=1).ravel()
+            else:  # a scalar call costs less, and one step that underflows
+                # changes np.linspace's formula for every row of an array call
+                edges = np.concatenate([np.linspace(a, b, stride)
+                                        for a, b in zip(lo.tolist(), hi.tolist())])
+            edges[count::stride] = math.inf  # the top bin is closed: no value lies past it
+            codes = (unit * count).astype(np.intp)
+            np.minimum(codes, last, out=codes)
+            at = codes + row * stride
+            miss = (block < edges[at]) | (block >= edges[1:][at])
+            if miss.any():
+                for r in np.flatnonzero(miss.any(axis=1)):
+                    own, x = edges[r * stride:(r + 1) * stride], block[r, miss[r]]
+                    codes[r, miss[r]] = np.searchsorted(own, x, side="right") - 1
+                    at[r] = codes[r] + r * stride
+            bins = np.bincount(at.ravel(), minlength=len(block) * stride)
+            binned += [BinnedColumn(count, w, c, plugin_entropy(b, n))
+                       for w, c, b in zip(width.tolist(), codes, bins.reshape(-1, stride))]
+    return out
+
+
+def bin_column(x, count: int) -> BinnedColumn:
+    """Code x on ``count`` equal-width bins: :func:`bin_rows` of one row."""
+    [[column]] = bin_rows(np.asarray(x, dtype=float)[None], (count,))
+    return column
 
 
 def _binned(x, default) -> BinnedColumn:
@@ -174,10 +225,15 @@ def estimate_mi_class(x, labels) -> float:
 # ---------------------------------------------------------------------------
 
 class Sample:
-    """n observations of the ten features plus a binary class label."""
+    """n observations of the ten features plus a binary class label.
+
+    ``features`` is an (n, 10) array held feature-major (Fortran order),
+    so that each column, and each row of ``features.T``, is contiguous for
+    the estimator; an array in any other layout is copied into it.
+    """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
-        features = np.asarray(features, dtype=float)
+        features = np.asfortranarray(features, dtype=float)
         labels = np.asarray(labels)
         if features.ndim != 2 or features.shape[1] != len(FEATURES):
             raise ValueError(f"features must be (n, {len(FEATURES)})")
@@ -185,11 +241,10 @@ class Sample:
             raise ValueError("labels must align with feature rows")
         if features.shape[0] < 4:
             raise ValueError("need at least 4 observations")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0/1")
-        bad = np.argwhere(~np.isfinite(features))
-        if bad.size:
-            row, col = bad[0]
+        if not np.isfinite(features).all():
+            row, col = np.argwhere(~np.isfinite(features))[0]
             raise ValueError(
                 f"non-finite value {features[row, col]} in row {row + 1}, "
                 f"column {COLUMNS[col]}"
@@ -230,8 +285,9 @@ class Sample:
 def estimated_provider(sample: Sample) -> MITables:
     """All histogram estimates of one sample, built in one pass.
 
-    Each column is binned once at the univariate resolution m (entropy and
-    class MI) and once at the pair resolution q = ceil(sqrt(m)), the labels
+    One :func:`bin_rows` call bins each column at the univariate
+    resolution m (entropy and class MI) and at the pair resolution
+    q = ceil(sqrt(m)), in row blocks of the feature-major sample; the labels
     are coded once, and the 10 entropies, 10 class MIs and 45 pairwise MIs
     are estimated from those codes.  The self-MI I(X;X) of a feature is the
     entropy of its q-binned column, the value ``estimate_mi_features`` gives
@@ -241,14 +297,7 @@ def estimated_provider(sample: Sample) -> MITables:
     m = bin_count(sample.n)
     q = pair_bin_count(sample.n)
     labels = code_labels(sample.labels)
-    fine: list[BinnedColumn] = []
-    coarse: list[BinnedColumn] = []
-    for name, x in zip(COLUMNS, np.ascontiguousarray(sample.features.T)):
-        try:
-            fine.append(bin_column(x, m))
-            coarse.append(bin_column(x, q))
-        except DegenerateSampleError as exc:
-            raise DegenerateSampleError(f"column {name}: {exc}") from None
+    fine, coarse = bin_rows(sample.features.T, (m, q), COLUMNS)
 
     def pairwise(i: FeatureId, j: FeatureId) -> float:
         bi, bj = coarse[i - 1], coarse[j - 1]

@@ -135,8 +135,12 @@ def feature_labels(spec: ScenarioSpec) -> tuple[str, ...]:
 def feature_matrix(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, spec: ScenarioSpec
 ) -> np.ndarray:
-    """Stack the ten feature columns computed from driver draws."""
-    return np.column_stack(
+    """The ten features computed from driver draws, as an (n, 10) array.
+
+    The array is held feature-major: it is the transpose of a stacked
+    (10, n) array, so each feature's n values are contiguous.
+    """
+    return np.stack(
         [
             x,
             spec.a * x + spec.b,
@@ -149,7 +153,7 @@ def feature_matrix(
             w + spec.d,
             z + w,
         ]
-    )
+    ).T
 
 
 def class_labels(x: np.ndarray, y: np.ndarray, spec: ScenarioSpec) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from miselect.estimation import (
     Sample,
     bin_column,
     bin_count,
+    bin_rows,
     code_labels,
     estimate_entropy_1d,
     estimate_mi_class,
@@ -301,6 +303,27 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
             x, y, 5)
 
 
+def edge_row(m, exponent, mantissa, offset, inner):
+    """[lo, hi], the m-bin edges of that range, their neighbours, then ``inner`` in it.
+
+    The range is 1e-300 .. 1e301 wide, placed at up to 1e15 widths from 0.
+    """
+    width = mantissa * 10.0**exponent
+    lo = width * offset
+    hi = lo + width
+    assume(math.isfinite(lo) and math.isfinite(hi) and hi > lo)
+    edges = np.linspace(lo, hi, m + 1)
+    x = np.concatenate([
+        [lo, hi], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        lo + width * np.array(inner, dtype=float),
+    ])
+    return np.clip(x, lo, hi)
+
+
+RANGES = st.tuples(st.integers(-300, 300), st.floats(1.0, 10.0, exclude_max=True),
+                   st.floats(-1e15, 1e15))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     m=st.integers(1, 200),
@@ -313,17 +336,9 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
 @example(m=200, exponent=300, mantissa=9.9, offset=0.0, inner=[0.5])
 @example(m=7, exponent=-300, mantissa=1.0, offset=-3.0, inner=[])
 def test_bin_codes_equal_searchsorted(m, exponent, mantissa, offset, inner):
-    # a range of width 1e-300 .. 1e301, placed at up to 1e15 widths from 0
-    width = mantissa * 10.0**exponent
-    lo = width * offset
-    hi = lo + width
-    assume(math.isfinite(lo) and math.isfinite(hi) and hi > lo)
+    x = edge_row(m, exponent, mantissa, offset, inner)
+    lo, hi = x[0], x[1]
     edges = np.linspace(lo, hi, m + 1)
-    x = np.concatenate([
-        [lo, hi], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-        lo + width * np.array(inner, dtype=float),
-    ])
-    x = np.clip(x, lo, hi)
     binned = bin_column(x, m)
     assert binned.count == m and binned.width == (hi - lo) / m
     codes = binned.codes
@@ -331,6 +346,90 @@ def test_bin_codes_equal_searchsorted(m, exponent, mantissa, offset, inner):
     np.testing.assert_array_equal(codes, expected)
     counts, _ = np.histogram(x, bins=edges)
     np.testing.assert_array_equal(np.bincount(codes, minlength=m), counts)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3])  # None: the default budget
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 200),
+    other=st.integers(1, 200),
+    ranges=st.lists(RANGES, min_size=2, max_size=7),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+@example(m=200, other=3, ranges=[(-5, 1.0, 1e15), (300, 9.9, 0.0), (-300, 1.0, -3.0)],
+         inner=[0.3])
+@example(m=200, other=2, ranges=[(0, 1.0, 0.0), (-323, 1.0, 0.0), (0, 2.0, 5.0)],
+         inner=[])  # the middle row's m-bin step underflows to 0
+def test_row_blocks_equal_the_rows_alone(rows_per_block, m, other, ranges, inner):
+    # every row is binned on its own edges in one multi-row call, whatever
+    # the rows are grouped into; the one-row call (bin_column) is the reference
+    rows = np.array([edge_row(m, e, mant, off, inner) for e, mant, off in ranges])
+    budget = estimation.BLOCK_CELLS if rows_per_block is None else rows_per_block
+    if rows_per_block == 3:
+        budget *= rows.shape[1]
+    with mock.patch.object(estimation, "BLOCK_CELLS", budget):
+        blocks = bin_rows(rows, (m, other))
+    for count, binned in zip((m, other), blocks):
+        assert len(binned) == len(rows)
+        for x, b in zip(rows, binned):
+            edges = np.linspace(x.min(), x.max(), count + 1)
+            expected = np.minimum(np.searchsorted(edges, x, side="right") - 1, count - 1)
+            np.testing.assert_array_equal(b.codes, expected)
+            alone = bin_column(x, count)
+            assert b.count == count
+            assert b.width.hex() == alone.width.hex() == ((x.max() - x.min()) / count).hex()
+            assert b.entropy.hex() == alone.entropy.hex()
+            np.testing.assert_array_equal(alone.codes, expected)
+
+
+@pytest.mark.parametrize("budget", [1, estimation.BLOCK_CELLS])
+def test_first_failing_column_decides_the_error(budget):
+    sample = generate_sample(SPEC_I, 200, np.random.default_rng(13))
+
+    def provider(**columns):
+        features = sample.features.copy()
+        for name, values in columns.items():
+            features[:, estimation.COLUMNS.index(name)] = values
+        return estimated_provider(Sample(features, sample.labels))
+
+    huge = np.where(np.arange(sample.n) % 2, 1e308, -1e308)
+    with mock.patch.object(estimation, "BLOCK_CELLS", budget):
+        with pytest.raises(ValueError, match="finite range"):
+            provider(v3=huge, v7=0.5)
+        with pytest.raises(DegenerateSampleError, match="^column v7: all observations are equal$"):
+            provider(v7=0.5, v9=-2.0)
+        with pytest.raises(ValueError, match="need both class labels"):
+            estimated_provider(Sample(np.where(np.arange(10) == 4, 1.0, sample.features),
+                                      np.zeros(sample.n)))
+
+
+def test_sample_layouts_agree():
+    sample = generate_sample(SPEC_I, 64, np.random.default_rng(14))
+    rows = np.ascontiguousarray(sample.features.T)  # feature-major, as generated
+    assert rows.T.flags.f_contiguous and sample.features.flags.f_contiguous
+    for r, c in ((40, 2), (5, 7)):  # (40, 2) comes first in memory, (5, 7) in row order
+        rows[c, r] = np.nan
+    copy = np.ascontiguousarray(rows.T)
+    assert copy.flags.c_contiguous
+    messages = set()
+    for features in (rows.T, copy):
+        with pytest.raises(ValueError) as caught:
+            Sample(features, sample.labels)
+        messages.add(str(caught.value))
+    assert messages == {"non-finite value nan in row 6, column v8"}
+
+
+def test_sample_csv_bytes_do_not_depend_on_layout(tmp_path):
+    sample = generate_sample(SPEC_I, 64, np.random.default_rng(15))
+    texts = []
+    for i, features in enumerate((sample.features, np.ascontiguousarray(sample.features))):
+        path = tmp_path / f"{i}.csv"
+        layout = Sample(features, sample.labels)
+        assert layout.features.flags.f_contiguous
+        layout.to_csv(str(path))
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    assert Sample.from_csv(str(tmp_path / "1.csv")).features.flags.f_contiguous
 
 
 def test_binning_rejects_non_finite_observations():

@@ -142,6 +142,30 @@ def test_degenerate_replicates_count_as_misses(monkeypatch):
         assert c.hits <= 3
 
 
+def test_replicate_seams_are_module_attributes_called_once_per_replicate(monkeypatch):
+    # the benchmark (perfbench/tracing.py) replaces these three attributes of
+    # simlab and starts a replicate unit at each generate_sample call
+    events = []
+
+    def logged(name):
+        real = getattr(simlab, name)
+
+        def wrapper(*args):
+            events.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(simlab, name, wrapper)
+
+    for name in ("generate_sample", "estimated_provider", "select_all"):
+        logged(name)
+    config = small_config(k_values=(0.8, 0.2), replicates=3)
+    wrapped = run_experiment(config, keep_traces=True)
+    monkeypatch.undo()
+    assert wrapped.traces == run_experiment(config, keep_traces=True).traces
+    per_replicate = ["generate_sample", "estimated_provider"] + ["select_all"] * 2
+    assert events == per_replicate * (2 * 3)
+
+
 def test_emit_csv_format(tmp_path):
     result = run_experiment(small_config())
     path = tmp_path / "out.csv"
