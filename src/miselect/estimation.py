@@ -13,8 +13,8 @@ bin codes (:func:`bin_rows`), the class labels into class indices
 split by class label or combined as ``ci * q + cj`` for a pair.  The
 codes follow the counting rule of ``np.histogram``, so the estimates
 equal the histogram ones bit for bit.  The ``estimate_*`` functions take
-raw or binned columns: a raw column is binned at m (entropy, class MI)
-or q (pairwise MI) bins, and a binned column carries its own resolution.
+binned columns and coded labels only; a binned column carries its own
+resolution.
 
 A :class:`Sample` holds its columns feature-major, each column's values
 contiguous.  :func:`estimated_provider` bins all ten columns at both
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -70,9 +71,9 @@ class BinnedColumn:
     """One column's bin codes on ``count`` bins of equal ``width``.
 
     ``entropy`` is the plug-in entropy of the bin frequencies, without the
-    bin-width term.  Every ``estimate_*`` function accepts a binned column
-    in place of the raw one, so that a caller estimating many tables of
-    one sample bins each column once per resolution.
+    bin-width term.  The ``estimate_*`` functions take binned columns, so
+    that a caller estimating many tables of one sample bins each column
+    once per resolution.
     """
 
     count: int
@@ -85,52 +86,54 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
     """Code each row of ``rows`` on each of ``counts`` equal-width bins.
 
     Returns one list of binned rows per count.  A row's edges are
-    ``np.linspace(min, max, count + 1)`` and the top edge is closed.  The
-    code of a value is ``searchsorted(edges, x, side="right") - 1`` with
-    the top edge folded into the last bin: the counting rule of
-    ``np.histogram`` and ``np.histogram2d``.  An arithmetic guess is kept
-    where the edges confirm it (``edges[g] <= x < edges[g + 1]``, the top
-    edge read as +inf, means exactly g + 1 edges lie at or below x); the
-    values it misses, on or next to an edge, are searched.  Searching every
-    value instead makes an n = 5000 ``simulate`` run about 25% slower.
+    ``y * width + min`` for y = 0 .. count, with width = (max - min) /
+    count: the edges ``np.linspace(min, max, count + 1)`` computes, and the
+    top edge is closed.  The code of a value is
+    ``searchsorted(edges, x, side="right") - 1`` with the top edge folded
+    into the last bin: the counting rule of ``np.histogram`` and
+    ``np.histogram2d``.  An arithmetic guess is kept where the edges
+    confirm it (``edges[g] <= x < edges[g + 1]``, the top edge read as
+    +inf, means exactly g + 1 edges lie at or below x); the values it
+    misses, on or next to an edge, are searched.  Searching every value
+    instead makes an n = 5000 ``simulate`` run about 25% slower.
 
     The rows are binned in blocks of at most ``BLOCK_CELLS`` values, so
     that a block's temporaries stay in cache.  In a block, each row's
     range and its values scaled to that range are taken once for all
-    counts, the edges of all rows come from one ``np.linspace`` per count
-    (a scalar call for a single row), and the bins of all rows from one
-    ``np.bincount`` per count, each row's codes offset past the rows
-    before.  Each row's result equals that of the row alone.  The first
-    row, in row order, whose range is not finite or is empty raises;
-    ``names`` names the rows in the message of the latter.
+    counts, the edges of all rows come from one outer product per count,
+    and the bins of all rows from one ``np.bincount`` per count, each
+    row's codes offset past the rows before.  Each row's result equals
+    that of the row alone.  The first row, in row order, whose range is
+    not finite, is empty, or is so narrow that its width at the largest
+    count underflows to 0 raises; ``names`` names the rows in the message
+    of the latter two.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
     step = max(1, BLOCK_CELLS // max(1, n))
+    finest = max(counts)
     out: list[list[BinnedColumn]] = [[] for _ in counts]
     for first in range(0, len(rows), step):
         block = rows[first:first + step]
         lo, hi = block.min(axis=1), block.max(axis=1)
         with np.errstate(over="ignore"):  # an infinite range is refused below
             span = hi - lo
-        bad = ~((span > 0.0) & (span < math.inf))  # NaN fails both
+        bad = ~((span / finest > 0.0) & (span < math.inf))  # NaN fails both
         if bad.any():
             r = int(bad.argmax())
             if not math.isfinite(span[r]):
                 raise ValueError("observations must be finite, with a finite range")
             where = "" if names is None else f"column {names[first + r]}: "
-            raise DegenerateSampleError(where + "all observations are equal")
+            if span[r] == 0.0:
+                raise DegenerateSampleError(where + "all observations are equal")
+            raise ValueError(f"{where}range {float(span[r])!r} is too narrow for {finest} bins")
         row = np.arange(len(block))[:, None]
         unit = block - lo[:, None]
         unit /= span[:, None]
         for count, binned in zip(counts, out):
             width, last, stride = span / count, count - 1, count + 1
-            if len(block) > 1 and width.all():
-                edges = np.linspace(lo, hi, stride, axis=1).ravel()
-            else:  # a scalar call costs less, and one step that underflows
-                # changes np.linspace's formula for every row of an array call
-                edges = np.concatenate([np.linspace(a, b, stride)
-                                        for a, b in zip(lo.tolist(), hi.tolist())])
+            edges = (np.multiply.outer(width, np.arange(stride, dtype=float))
+                     + lo[:, None]).ravel()
             edges[count::stride] = math.inf  # the top bin is closed: no value lies past it
             codes = (unit * count).astype(np.intp)
             np.minimum(codes, last, out=codes)
@@ -153,11 +156,6 @@ def bin_column(x, count: int) -> BinnedColumn:
     return column
 
 
-def _binned(x, default) -> BinnedColumn:
-    """x as a binned column; a raw column is binned at ``default(n)`` bins."""
-    return x if isinstance(x, BinnedColumn) else bin_column(x, default(np.size(x)))
-
-
 @dataclass(frozen=True)
 class CodedLabels:
     """Class index of each observation and the size of each class."""
@@ -167,29 +165,26 @@ class CodedLabels:
 
 
 def code_labels(labels) -> CodedLabels:
-    """Index the classes of ``labels``; coded labels are returned as they are."""
-    if isinstance(labels, CodedLabels):
-        return labels
+    """Index the classes of ``labels``; refuses labels of a single class."""
     values, index = np.unique(np.asarray(labels), return_inverse=True)
     if values.size < 2:
         raise ValueError("need both class labels in the sample")
     return CodedLabels(index, np.bincount(index).tolist())
 
 
-def estimate_entropy_1d(x) -> float:
+def estimate_entropy_1d(b: BinnedColumn) -> float:
     """Differential entropy estimate; may legitimately be negative."""
-    b = _binned(x, bin_count)
     return b.entropy + math.log(b.width)
 
 
-def estimate_mi_features(x, y) -> float:
+def estimate_mi_features(bx: BinnedColumn, by: BinnedColumn) -> float:
     """MI between two features via H(X) + H(Y) - H(X,Y) on a shared grid.
 
-    All three entropies use the bivariate resolution, so their bin-width
-    corrections cancel exactly and the result equals the discrete MI of
-    the binned pair.  Not clamped: small negative values are reported.
+    Both columns are binned at the bivariate resolution, so the bin-width
+    corrections of the three entropies cancel exactly and the result equals
+    the discrete MI of the binned pair.  Not clamped: small negative values
+    are reported.
     """
-    bx, by = _binned(x, pair_bin_count), _binned(y, pair_bin_count)
     if bx.codes.size != by.codes.size:
         raise ValueError("length mismatch")
     if bx.count != by.count:
@@ -198,15 +193,13 @@ def estimate_mi_features(x, y) -> float:
     return bx.entropy + by.entropy - plugin_entropy(joint, bx.codes.size)
 
 
-def estimate_mi_class(x, labels) -> float:
+def estimate_mi_class(b: BinnedColumn, classes: CodedLabels) -> float:
     """MI between a feature and the class: H(V) - sum_c p(c) H(V|C=c).
 
     The class-conditional histograms reuse the pooled edges, so that an
     independent pair centers on zero instead of inheriting a per-class
-    rebinning offset.  ``labels`` may be raw or coded.
+    rebinning offset.
     """
-    b = _binned(x, bin_count)
-    classes = code_labels(labels)
     n = b.codes.size
     if classes.index.size != n:
         raise ValueError("length mismatch")
@@ -289,22 +282,20 @@ def estimated_provider(sample: Sample) -> MITables:
     resolution m (entropy and class MI) and at the pair resolution
     q = ceil(sqrt(m)), in row blocks of the feature-major sample; the labels
     are coded once, and the 10 entropies, 10 class MIs and 45 pairwise MIs
-    are estimated from those codes.  The self-MI I(X;X) of a feature is the
-    entropy of its q-binned column, the value ``estimate_mi_features`` gives
-    for a column paired with itself.  Raises :class:`DegenerateSampleError`
-    for a constant column and ``ValueError`` for a single-class sample.
+    are estimated from those codes.  The diagonal of the pairwise matrix,
+    the self-MI I(X;X) of a feature, is the entropy of its q-binned column,
+    the value ``estimate_mi_features`` gives for a column paired with
+    itself.  Raises :class:`DegenerateSampleError` for a constant column and
+    ``ValueError`` for a single-class sample or a column whose range is too
+    narrow for its bins.
     """
     m = bin_count(sample.n)
     q = pair_bin_count(sample.n)
     labels = code_labels(sample.labels)
     fine, coarse = bin_rows(sample.features.T, (m, q), COLUMNS)
-
-    def pairwise(i: FeatureId, j: FeatureId) -> float:
-        bi, bj = coarse[i - 1], coarse[j - 1]
-        return bi.entropy if i == j else estimate_mi_features(bi, bj)
-
-    return MITables(
-        [estimate_entropy_1d(b) for b in fine],
-        [estimate_mi_class(b, labels) for b in fine],
-        pairwise,
-    )
+    entropies = [estimate_entropy_1d(b) for b in fine]
+    class_mis = [estimate_mi_class(b, labels) for b in fine]
+    matrix = np.diag([b.entropy for b in coarse])
+    for a, b in combinations(range(len(coarse)), 2):
+        matrix[a, b] = matrix[b, a] = estimate_mi_features(coarse[a], coarse[b])
+    return MITables(entropies, class_mis, matrix)

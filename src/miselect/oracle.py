@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -53,14 +53,14 @@ class MITables:
 
     Selection reads nothing else, so the same criteria run on the exact
     tables (:func:`oracle_provider`) and on estimated ones
-    (``estimation.estimated_provider``).  ``entropies`` and ``class_mis``
-    are in feature order.  ``pairwise(i, j)`` is called once for each
-    i <= j and its value is stored at (i, j) and at (j, i), so the matrix
-    is symmetric by construction; the diagonal holds the self-MI.
+    (``estimation.estimated_provider``).  It is built from three arrays in
+    feature order: 10 entropies, 10 class MIs and the symmetric 10 x 10
+    pairwise-MI matrix, whose diagonal holds the self-MI.
 
     No entry is indeterminate: entropies and class MIs are finite, and a
     pairwise MI is finite or +inf (fully associated features).  Any other
-    value is refused with ``ValueError``; -0.0 is stored as 0.0.
+    value, a wrong shape or an asymmetric matrix is refused with
+    ``ValueError``; -0.0 is stored as 0.0.
     """
 
     feature_order: ClassVar[tuple[FeatureId, ...]] = FEATURES
@@ -68,19 +68,26 @@ class MITables:
     class_mis: tuple[float, ...]
     matrix: tuple[tuple[float, ...], ...]
 
-    def __init__(
-        self,
-        entropies: Sequence[float],
-        class_mis: Sequence[float],
-        pairwise: Callable[[FeatureId, FeatureId], float],
-    ):
-        rows: list[list] = [[None] * len(FEATURES) for _ in FEATURES]
-        for a, i in enumerate(FEATURES):
-            for b in range(a, len(FEATURES)):
-                rows[a][b] = rows[b][a] = _entry(pairwise(i, FEATURES[b]), allow_inf=True)
-        object.__setattr__(self, "entropies", tuple(map(_entry, entropies)))
-        object.__setattr__(self, "class_mis", tuple(map(_entry, class_mis)))
-        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+    def __init__(self, entropies: Sequence[float], class_mis: Sequence[float], matrix):
+        n = len(FEATURES)
+        matrix = np.asarray(matrix, dtype=float)
+        shapes = (np.shape(entropies), np.shape(class_mis), matrix.shape)
+        if shapes != ((n,), (n,), (n, n)):
+            raise ValueError(f"need {n} entropies, {n} class MIs and a {n} x {n} "
+                             f"pairwise-MI matrix, got shapes {shapes}")
+        # one pass over every entry, the matrix first; +inf is a pairwise MI only
+        flat = np.concatenate([matrix.ravel(), entropies, class_mis])
+        ok = np.isfinite(flat)
+        ok[:n * n] |= flat[:n * n] == math.inf
+        if not ok.all():
+            raise ValueError(f"not a finite real: {flat[~ok][0].item()!r}")
+        if (matrix != matrix.T).any():
+            raise ValueError("the pairwise-MI matrix is not symmetric")
+        values = (flat + 0.0).tolist()  # -0.0 is stored as 0.0
+        object.__setattr__(self, "matrix", tuple(
+            tuple(values[a:a + n]) for a in range(0, n * n, n)))
+        object.__setattr__(self, "entropies", tuple(values[n * n:n * n + n]))
+        object.__setattr__(self, "class_mis", tuple(values[n * n + n:]))
 
     def entropy(self, f: FeatureId) -> float:
         return self.entropies[f - 1]
@@ -90,14 +97,6 @@ class MITables:
 
     def pairwise_mi(self, i: FeatureId, j: FeatureId) -> float:
         return self.matrix[i - 1][j - 1]
-
-
-def _entry(value: float, allow_inf: bool = False) -> float:
-    """A table entry: a finite float, or +inf where ``allow_inf``."""
-    value = float(value)
-    if not (math.isfinite(value) or (allow_inf and value == math.inf)):
-        raise ValueError(f"not a finite real: {value!r}")
-    return value or 0.0  # -0.0 is stored as 0.0
 
 
 @dataclass(frozen=True)
@@ -335,39 +334,34 @@ def class_mis(spec: ScenarioSpec) -> tuple[float, ...]:
 # Pairwise MI
 # ---------------------------------------------------------------------------
 
-V = FeatureId
-# Pairs where one feature is a measurable function of the other (MI = +inf).
-_FUNCTIONAL_PAIRS = frozenset(
-    frozenset(p) for p in [(V.V1, V.V2), (V.V1, V.V8), (V.V2, V.V8), (V.V3, V.V7), (V.V5, V.V6)]
-)
-# A driver paired with a difference/sum involving it.
-_DIFF_PAIRS = frozenset(
-    frozenset(p) for p in [(V.V1, V.V4), (V.V2, V.V4), (V.V4, V.V7), (V.V5, V.V10), (V.V9, V.V10)]
-)
-# A squared driver paired with a difference/sum involving that driver.
-_SQUARE_DIFF_PAIRS = frozenset(
-    frozenset(p) for p in [(V.V3, V.V4), (V.V4, V.V8), (V.V6, V.V10)]
-)
+# The kind of each pair of features, row and column in feature order: "f" a
+# feature with itself or with a function of it (MI = +inf), "d" a driver
+# with a difference or sum holding it, "s" a squared driver with a
+# difference or sum holding that driver, "." independent features (MI 0).
+_PAIR_KINDS = np.array([[".fds".index(kind) for kind in row] for row in (
+    "ff.d...f..",
+    "ff.d...f..",
+    "..fs..f...",
+    "ddsf..ds..",
+    "....ff...d",
+    "....ff...s",
+    "..fd..f...",
+    "ff.s...f..",
+    "........fd",
+    "....ds..df",
+)])
 
 MI_SQUARE_DIFF_GAUSSIAN = 0.1078
 
 
-def pairwise_mi(spec: ScenarioSpec, i: FeatureId, j: FeatureId) -> float:
-    """MI between two features; +inf is exact (a feature is a function of the other)."""
-    if i == j:
-        return math.inf
-    pair = frozenset((i, j))
-    if pair in _FUNCTIONAL_PAIRS:
-        return math.inf
-    if pair in _DIFF_PAIRS:
-        if spec.scenario is Scenario.UNIFORM:
-            return 0.5
-        return LN2 / 2.0
-    if pair in _SQUARE_DIFF_PAIRS:
-        if spec.scenario is Scenario.UNIFORM:
-            return (1.0 - LN2) / 2.0
-        return MI_SQUARE_DIFF_GAUSSIAN
-    return 0.0
+def pairwise_mis(spec: ScenarioSpec) -> np.ndarray:
+    """The 10 x 10 pairwise-MI matrix in feature order; +inf is exact (a
+    feature is a function of the other)."""
+    if spec.scenario is Scenario.UNIFORM:
+        by_kind = (0.0, math.inf, 0.5, (1.0 - LN2) / 2.0)
+    else:
+        by_kind = (0.0, math.inf, LN2 / 2.0, MI_SQUARE_DIFF_GAUSSIAN)
+    return np.array(by_kind)[_PAIR_KINDS]
 
 
 def mi_y2_xy_gaussian() -> float:
@@ -442,4 +436,4 @@ def mi_class_squared_feature(
 
 def oracle_provider(spec: ScenarioSpec) -> MITables:
     """The analytic tables of a scenario; +inf pairwise entries are exact."""
-    return MITables(entropies(spec), class_mis(spec), lambda i, j: pairwise_mi(spec, i, j))
+    return MITables(entropies(spec), class_mis(spec), pairwise_mis(spec))

@@ -67,7 +67,7 @@ CLASS_MI_TABLE: dict[tuple[Scenario, float], dict[FeatureId, float]] = {
     },
 }
 
-# The pairwise-MI table by pair class, listed apart from oracle.pairwise_mi:
+# The pairwise-MI table by pair class, listed apart from oracle.pairwise_mis:
 # a feature with itself or with a function of it ("inf"), a driver with a
 # difference or sum holding it ("half"), a squared driver with a difference
 # or sum holding that driver ("square").  Every other pair has MI exactly 0.

@@ -10,11 +10,10 @@ from miselect.oracle import FEATURES, MITables, Scenario, ScenarioSpec, oracle_p
 def random_provider(rng: np.random.Generator, inf_prob: float = 0.15) -> MITables:
     entropies = [rng.uniform(-2.0, 3.0) for _ in FEATURES]
     class_mis = [rng.uniform(0.0, 1.0) for _ in FEATURES]
-    pairwise = {
-        (i, j): inf if rng.random() < inf_prob else rng.uniform(0.0, 1.2)
-        for i, j in combinations(FEATURES, 2)
-    }
-    return MITables(entropies, class_mis, lambda i, j: inf if i == j else pairwise[i, j])
+    matrix = np.full((len(FEATURES), len(FEATURES)), inf)
+    for a, b in combinations(range(len(FEATURES)), 2):
+        matrix[a, b] = matrix[b, a] = inf if rng.random() < inf_prob else rng.uniform(0.0, 1.2)
+    return MITables(entropies, class_mis, matrix)
 
 
 @pytest.fixture(scope="session")

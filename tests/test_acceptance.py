@@ -11,10 +11,7 @@ import numpy as np
 from conftest import random_provider
 from selection_reference import objective
 from miselect.oracle import FeatureId, Scenario, ScenarioSpec
-from miselect.estimation import (
-    estimate_mi_class,
-    estimate_mi_features,
-)
+from miselect.estimation import estimated_provider
 from miselect.reference import (
     CheckFailed,
     check_discrete_identities,
@@ -78,11 +75,11 @@ def test_criterion_5_estimator_accuracy():
     reps, n = 200, 1000
     acc = {"cv1": [], "cv4": [], "v13": [], "v14": []}
     for child in np.random.SeedSequence(SEED).spawn(reps):
-        s = generate_sample(spec, n, np.random.default_rng(child))
-        acc["cv1"].append(estimate_mi_class(s.column(V.V1), s.labels))
-        acc["cv4"].append(estimate_mi_class(s.column(V.V4), s.labels))
-        acc["v13"].append(estimate_mi_features(s.column(V.V1), s.column(V.V3)))
-        acc["v14"].append(estimate_mi_features(s.column(V.V1), s.column(V.V4)))
+        p = estimated_provider(generate_sample(spec, n, np.random.default_rng(child)))
+        acc["cv1"].append(p.class_mi(V.V1))
+        acc["cv4"].append(p.class_mi(V.V4))
+        acc["v13"].append(p.pairwise_mi(V.V1, V.V3))
+        acc["v14"].append(p.pairwise_mi(V.V1, V.V4))
     means = {k: float(np.mean(v)) for k, v in acc.items()}
     targets = {
         "cv1": (0.5932, 0.02),

@@ -379,6 +379,20 @@ def test_order_rejects_bad_sample_csv(tmp_path, capsys, name, rows, col, value,
     assert line == "error: " + message.format(path=path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_order_refuses_a_column_too_narrow_for_its_bins(tmp_path, capsys):
+    # v3's range is one subnormal step, so its width at m = 8 bins underflows to 0
+    sample = generate_sample(ScenarioSpec(Scenario.UNIFORM, 0.2), 60,
+                             np.random.default_rng(23))
+    data = np.column_stack([sample.features, sample.labels])
+    data[:, 2] = np.where(np.arange(60) % 2, 5e-324, 0.0)
+    path = tmp_path / "narrow.csv"
+    np.savetxt(path, data, delimiter=",", comments="", fmt="%.17g",
+               header="v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class")
+    line = run_error(capsys, "order", "--method", "mifs", "--beta", "1", "--data", str(path))
+    assert line == f"error: sample {path}: column v3: range 5e-324 is too narrow for 8 bins"
+
+
 def test_simulate_rejects_duplicate_methods(tmp_path, capsys):
     out_csv = tmp_path / "dup.csv"
     line = run_error(capsys, "simulate", "--methods", "mifs:1,mifs:1",

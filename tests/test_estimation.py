@@ -30,6 +30,22 @@ F = FeatureId
 SPEC_I = ScenarioSpec(Scenario.UNIFORM, 0.2)
 
 
+def entropy_1d(x):
+    """The entropy estimate of a raw column, binned at m bins."""
+    return estimate_entropy_1d(bin_column(x, bin_count(np.size(x))))
+
+
+def mi_features(x, y):
+    """The MI estimate of two raw columns, each binned at q bins."""
+    q = pair_bin_count(np.size(x))
+    return estimate_mi_features(bin_column(x, q), bin_column(y, q))
+
+
+def mi_class(x, labels):
+    """The class-MI estimate of a raw column, binned at m bins, and raw labels."""
+    return estimate_mi_class(bin_column(x, bin_count(np.size(x))), code_labels(labels))
+
+
 def replicate_mean(fn, reps, n, seed):
     ss = np.random.SeedSequence(seed)
     vals = []
@@ -58,30 +74,30 @@ def test_binning_scheme_assigns_max_to_last_bin():
 def test_entropy_1d_uniform():
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.5, 0.5, 1_000_000)
-    assert abs(estimate_entropy_1d(x)) < 0.01
+    assert abs(entropy_1d(x)) < 0.01
 
 
 def test_entropy_1d_gaussian():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(1_000_000)
-    assert estimate_entropy_1d(x) == pytest.approx(1.4189, abs=0.01)
+    assert entropy_1d(x) == pytest.approx(1.4189, abs=0.01)
 
 
 def test_entropy_1d_degenerate():
     with pytest.raises(DegenerateSampleError):
-        estimate_entropy_1d(np.ones(100))
+        entropy_1d(np.ones(100))
 
 
 def test_mi_features_independent_pair_near_zero():
     rng = np.random.default_rng(4)
     x = rng.uniform(-0.5, 0.5, 1_000_000)
     y = rng.uniform(-0.5, 0.5, 1_000_000)
-    assert abs(estimate_mi_features(x, y)) < 0.01
+    assert abs(mi_features(x, y)) < 0.01
 
 
 def test_mi_features_replicate_mean_independent_pair():
     mean = replicate_mean(
-        lambda s: estimate_mi_features(s.column(F.V1), s.column(F.V3)),
+        lambda s: mi_features(s.column(F.V1), s.column(F.V3)),
         reps=150, n=1000, seed=61,
     )
     assert mean == pytest.approx(0.0107, abs=0.01)
@@ -91,16 +107,16 @@ def test_mi_features_symmetry_is_exact():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(2000)
     y = x - rng.standard_normal(2000)
-    assert estimate_mi_features(x, y) == estimate_mi_features(y, x)
+    assert mi_features(x, y) == mi_features(y, x)
 
 
 def test_mi_class_replicate_means():
     mean1 = replicate_mean(
-        lambda s: estimate_mi_class(s.column(F.V1), s.labels), reps=150, n=1000, seed=62
+        lambda s: mi_class(s.column(F.V1), s.labels), reps=150, n=1000, seed=62
     )
     assert mean1 == pytest.approx(0.5932, abs=0.02)
     mean3 = replicate_mean(
-        lambda s: estimate_mi_class(s.column(F.V3), s.labels), reps=150, n=1000, seed=63
+        lambda s: mi_class(s.column(F.V3), s.labels), reps=150, n=1000, seed=63
     )
     assert mean3 == pytest.approx(0.0075, abs=0.01)
 
@@ -109,21 +125,21 @@ def test_mi_class_independent_labels():
     rng = np.random.default_rng(6)
     x = rng.uniform(0, 1, 1_000_000)
     labels = rng.integers(0, 2, 1_000_000)
-    assert abs(estimate_mi_class(x, labels)) < 0.01
+    assert abs(mi_class(x, labels)) < 0.01
 
 
 def test_mi_class_requires_both_labels():
     with pytest.raises(ValueError):
-        estimate_mi_class(np.arange(100.0), np.zeros(100, dtype=int))
+        mi_class(np.arange(100.0), np.zeros(100, dtype=int))
 
 
 def test_estimator_consistency_trend():
     # replicate-mean absolute error shrinks with n, up to Monte Carlo noise
     targets = {
-        "h1": (lambda s: estimate_entropy_1d(s.column(F.V1)), 0.0),
-        "cmi1": (lambda s: estimate_mi_class(s.column(F.V1), s.labels), 0.59315),
+        "h1": (lambda s: entropy_1d(s.column(F.V1)), 0.0),
+        "cmi1": (lambda s: mi_class(s.column(F.V1), s.labels), 0.59315),
         "fmi14": (
-            lambda s: estimate_mi_features(s.column(F.V1), s.column(F.V4)),
+            lambda s: mi_features(s.column(F.V1), s.column(F.V4)),
             0.5,
         ),
     }
@@ -147,10 +163,8 @@ def test_estimator_consistency_trend():
 def test_reproducibility_bit_identical():
     a = generate_sample(SPEC_I, 500, np.random.default_rng(77))
     b = generate_sample(SPEC_I, 500, np.random.default_rng(77))
-    assert estimate_entropy_1d(a.column(F.V1)) == estimate_entropy_1d(b.column(F.V1))
-    assert estimate_mi_class(a.column(F.V4), a.labels) == estimate_mi_class(
-        b.column(F.V4), b.labels
-    )
+    assert entropy_1d(a.column(F.V1)) == entropy_1d(b.column(F.V1))
+    assert mi_class(a.column(F.V4), a.labels) == mi_class(b.column(F.V4), b.labels)
 
 
 def test_sample_validation():
@@ -287,15 +301,14 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
         for f in FEATURES:  # the self-MI I(X;X) on the pair grid
             x = sample.column(f)
             assert p.pairwise_mi(f, f) == ref_mi_features(x, x, q)
-        # the public functions share the kernel: a raw column is binned at
-        # m or q bins, a binned column keeps its own resolution
+        # the public functions share the kernel: a binned column keeps its
+        # own resolution, m, q or any other
         x, y = sample.column(F.V1), sample.column(F.V4)
-        assert estimate_entropy_1d(x) == ref_entropy_1d(x, m)
-        assert estimate_mi_class(x, sample.labels) == ref_mi_class(x, sample.labels, m)
-        assert estimate_mi_features(x, y) == ref_mi_features(x, y, q)
+        assert entropy_1d(x) == ref_entropy_1d(x, m)
+        assert mi_class(x, sample.labels) == ref_mi_class(x, sample.labels, m)
+        assert mi_features(x, y) == ref_mi_features(x, y, q)
         bx, by = bin_column(x, 13), bin_column(y, 13)
         assert estimate_entropy_1d(bx) == ref_entropy_1d(x, 13)
-        assert estimate_mi_class(bx, sample.labels) == ref_mi_class(x, sample.labels, 13)
         assert estimate_mi_class(bx, code_labels(sample.labels)) == ref_mi_class(
             x, sample.labels, 13)
         assert estimate_mi_features(bx, by) == ref_mi_features(x, y, 13)
@@ -358,8 +371,6 @@ def test_bin_codes_equal_searchsorted(m, exponent, mantissa, offset, inner):
 )
 @example(m=200, other=3, ranges=[(-5, 1.0, 1e15), (300, 9.9, 0.0), (-300, 1.0, -3.0)],
          inner=[0.3])
-@example(m=200, other=2, ranges=[(0, 1.0, 0.0), (-323, 1.0, 0.0), (0, 2.0, 5.0)],
-         inner=[])  # the middle row's m-bin step underflows to 0
 def test_row_blocks_equal_the_rows_alone(rows_per_block, m, other, ranges, inner):
     # every row is binned on its own edges in one multi-row call, whatever
     # the rows are grouped into; the one-row call (bin_column) is the reference
@@ -380,6 +391,25 @@ def test_row_blocks_equal_the_rows_alone(rows_per_block, m, other, ranges, inner
             assert b.width.hex() == alone.width.hex() == ((x.max() - x.min()) / count).hex()
             assert b.entropy.hex() == alone.entropy.hex()
             np.testing.assert_array_equal(alone.codes, expected)
+
+
+@pytest.mark.parametrize("budget", [1, estimation.BLOCK_CELLS])
+def test_a_range_too_narrow_for_its_bins_is_refused(budget):
+    # the middle row's width at 200 bins, 1e-323 / 200, underflows to 0, and
+    # its entropy's ln(width) term would not exist; at 2 bins it is binned
+    rows = np.array([[0.0, 1.0, 0.5], [0.0, 1e-323, 5e-324], [7.0, 7.0, 7.0]])
+    with mock.patch.object(estimation, "BLOCK_CELLS", budget):
+        for counts in ((200, 2), (2, 200)):
+            with pytest.raises(ValueError) as caught:
+                bin_rows(rows, counts)
+            assert type(caught.value) is ValueError  # not a degenerate sample
+            assert str(caught.value) == "range 1e-323 is too narrow for 200 bins"
+        with pytest.raises(ValueError, match="^column b: range 1e-323 is too narrow"):
+            bin_rows(rows, (200, 2), names="abc")
+        with pytest.raises(DegenerateSampleError, match="^column c: all observations"):
+            bin_rows(rows[::-1], (200, 2), names="cba")  # the first failing row decides
+        [[binned]] = bin_rows(rows[1:2], (2,))
+    assert binned.width == 5e-324 and binned.codes.tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("budget", [1, estimation.BLOCK_CELLS])
@@ -435,9 +465,9 @@ def test_sample_csv_bytes_do_not_depend_on_layout(tmp_path):
 def test_binning_rejects_non_finite_observations():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            estimate_entropy_1d(np.array([0.0, 1.0, bad, 2.0]))
+            entropy_1d(np.array([0.0, 1.0, bad, 2.0]))
     with pytest.raises(ValueError, match="finite range"):  # hi - lo overflows
-        estimate_entropy_1d(np.array([-1e308, 0.0, 1e308, 5.0]))
+        entropy_1d(np.array([-1e308, 0.0, 1e308, 5.0]))
 
 
 def test_bad_samples_fail_when_the_provider_is_built():

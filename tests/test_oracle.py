@@ -20,7 +20,7 @@ from miselect.oracle import (
     entropies,
     feature_labels,
     oracle_provider,
-    pairwise_mi,
+    pairwise_mis,
     mi_class_squared_feature,
     _log_ndtr,
     _ndtr,
@@ -57,6 +57,10 @@ def entropy(spec, f):
 
 def class_mi(spec, f):
     return class_mis(spec)[f - 1]
+
+
+def pairwise_mi(spec, i, j):
+    return pairwise_mis(spec)[i - 1, j - 1]
 
 
 def test_entropy_examples():
@@ -279,8 +283,9 @@ def test_provider_examples():
 def test_tables_hold_finite_floats_and_infinite_pairwise_mis():
     def tables(entropy=1.0, class_mi=0.5, pairwise=0.25):
         # the entry under test is the first entropy, class MI or pairwise MI
-        return MITables([entropy] + [1.0] * 9, [class_mi] + [0.5] * 9,
-                        lambda i, j: pairwise if (i, j) == (V.V1, V.V2) else 0.25)
+        matrix = np.full((10, 10), 0.25)
+        matrix[0, 1] = matrix[1, 0] = pairwise
+        return MITables([entropy] + [1.0] * 9, [class_mi] + [0.5] * 9, matrix)
 
     nan, inf = math.nan, math.inf
     refused = [{"entropy": v} for v in (nan, inf, -inf)]
@@ -297,15 +302,24 @@ def test_tables_hold_finite_floats_and_infinite_pairwise_mis():
     t = tables(np.float64(0.5), np.float64(0.25), np.float64(0.125))
     for v in (t.entropy(V.V1), t.class_mi(V.V1), t.pairwise_mi(V.V1, V.V2)):
         assert type(v) is float
+    shape = re.escape("got shapes ((10,), (10,), (10, 9))")
+    with pytest.raises(ValueError, match=shape):
+        MITables([1.0] * 10, [0.5] * 10, np.zeros((10, 9)))
+    with pytest.raises(ValueError, match="got shapes"):
+        MITables([1.0] * 9, [0.5] * 10, np.zeros((10, 10)))
+    asymmetric = np.zeros((10, 10))
+    asymmetric[0, 1] = 0.25
+    with pytest.raises(ValueError, match="^the pairwise-MI matrix is not symmetric$"):
+        MITables([1.0] * 10, [0.5] * 10, asymmetric)
 
 
-def test_pairwise_matrix_holds_one_object_per_pair():
+def test_pairwise_matrix_is_symmetric_bit_for_bit():
     sample = generate_sample(spec_i(), 200, np.random.default_rng(3))
     for tables in (oracle_provider(spec_i()), oracle_provider(spec_ii()),
                    estimated_provider(sample), random_provider(np.random.default_rng(4))):
         for i in FEATURES:
             for j in FEATURES:
-                assert tables.pairwise_mi(i, j) is tables.pairwise_mi(j, i)
+                assert tables.pairwise_mi(i, j).hex() == tables.pairwise_mi(j, i).hex()
 
 
 def test_spot_check_constants():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_first_feature(oracle_i_02, oracle_ii_08):
     zero = MITables(
         [1.0] * len(FEATURES),
         [0.0] * len(FEATURES),
-        lambda i, j: math.inf if i == j else 0.0,
+        np.where(np.eye(len(FEATURES), dtype=bool), math.inf, 0.0),
     )
     assert first_pick(zero) is V.V1  # ties go to the earliest feature
 
@@ -218,21 +219,24 @@ PAIRWISE = st.one_of(st.just(math.inf), FINITE)
 def mi_tables(draw) -> MITables:
     entropies = draw(st.lists(FINITE, min_size=10, max_size=10))
     class_mis = draw(st.lists(FINITE, min_size=10, max_size=10))
-    pairs = iter(draw(st.lists(PAIRWISE, min_size=55, max_size=55)))  # i <= j
-    return MITables(entropies, class_mis, lambda i, j: next(pairs))
+    pairs = iter(draw(st.lists(PAIRWISE, min_size=55, max_size=55)))
+    matrix = np.empty((10, 10))
+    for a, b in combinations_with_replacement(range(10), 2):  # i <= j
+        matrix[a, b] = matrix[b, a] = next(pairs)
+    return MITables(entropies, class_mis, matrix)
 
 
 # Tables on which some search halts, blocked by the form named
 BLOCKING_TABLES = {
     # MIFS with beta 0: 0 * inf against the first pick
     IndetKind.ZERO_TIMES_INF: MITables(
-        [1.0] * 10, [1.0] + [0.5] * 9, lambda i, j: math.inf),
+        [1.0] * 10, [1.0] + [0.5] * 9, np.full((10, 10), math.inf)),
     # NMIFS: NI is -inf against the first pick, whose entropy is negative,
     # and +inf against the second
     IndetKind.INF_MINUS_INF: MITables(
-        [-1.0] + [1.0] * 9, [1.0] + [0.5] * 9, lambda i, j: math.inf),
+        [-1.0] + [1.0] * 9, [1.0] + [0.5] * 9, np.full((10, 10), math.inf)),
     # MIFS-U and NMIFS: zero class MI and zero MI over zero entropy
-    IndetKind.ZERO_OVER_ZERO: MITables([0.0] * 10, [0.0] * 10, lambda i, j: 0.0),
+    IndetKind.ZERO_OVER_ZERO: MITables([0.0] * 10, [0.0] * 10, np.zeros((10, 10))),
 }
 
 
