@@ -20,10 +20,10 @@ from typing import Callable, Sequence, TextIO
 
 from .estimation import Sample, estimated_provider
 from .oracle import MITables, Scenario, ScenarioSpec, feature_labels, oracle_provider
-from .reference import run_all_checks
+from .reference import ALL_CHECKS, CheckFailed
 from .relevance import LabeledJoint, RelevanceClass
 from .selection import MethodSpec, SelectionTrace, select_all
-from .simlab import ExperimentConfig, emit_csv, run_experiment
+from .simlab import ExperimentConfig, emit_csv, emit_traces_json, run_experiment
 
 
 class CliError(Exception):
@@ -240,7 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = ExperimentConfig(k_values=values.pop("k"), n_values=values.pop("n"), **values)
     except ValueError as exc:
         raise CliError(exc)
-    traces = [] if args.traces is None else [(args.traces, _write_traces_json)]
+    traces = [] if args.traces is None else [(args.traces, emit_traces_json)]
     outputs = [(out, emit_csv)] + traces
     _check_outputs(outputs)
     try:
@@ -257,17 +257,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     print(f"wrote {out} in {result.runtime:.1f}s")
     return 0
-
-
-def _write_traces_json(result, fh: TextIO) -> None:
-    import json
-
-    cells = [{"scenario": result.config.scenario.value, "k": k, "n": n,
-              "method": mspec.method.value, "beta": mspec.beta,
-              "replicates": [{"selected": [f.name for f in t.selected], "halt": t.halt.value}
-                             for t in traces]}
-             for (mspec, k, n), traces in result.traces.items()]
-    json.dump({"seed": result.config.seed, "cells": cells}, fh, indent=1)
 
 
 def cmd_relevance(args: argparse.Namespace) -> int:
@@ -298,10 +287,14 @@ def cmd_relevance(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(_: argparse.Namespace) -> int:
-    results = run_all_checks()
-    for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    return 0 if all(r.ok for r in results) else 1
+    status = 0
+    for name, check in ALL_CHECKS.items():
+        try:
+            print(f"PASS {name}: {check()}")
+        except CheckFailed as exc:
+            print(f"FAIL {name}: {exc}")
+            status = 1
+    return status
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged

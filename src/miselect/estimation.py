@@ -105,8 +105,10 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
     row's codes offset past the rows before.  Each row's result equals
     that of the row alone.  The first row, in row order, whose range is
     not finite, is empty, or is so narrow that its width at the largest
-    count underflows to 0 raises; ``names`` names the rows in the message
-    of the latter two.
+    count underflows to 0 raises.  A row of finite values whose range
+    ``max - min`` overflows raises with its min and max, and a row holding
+    NaN or inf raises without them; ``names`` names the rows in every
+    message but the latter.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
@@ -121,9 +123,11 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
         bad = ~((span / finest > 0.0) & (span < math.inf))  # NaN fails both
         if bad.any():
             r = int(bad.argmax())
-            if not math.isfinite(span[r]):
-                raise ValueError("observations must be finite, with a finite range")
             where = "" if names is None else f"column {names[first + r]}: "
+            if not (math.isfinite(lo[r]) and math.isfinite(hi[r])):
+                raise ValueError("observations must be finite, with a finite range")
+            if span[r] == math.inf:
+                raise ValueError(f"{where}range from {lo[r]:g} to {hi[r]:g} overflows")
             if span[r] == 0.0:
                 raise DegenerateSampleError(where + "all observations are equal")
             raise ValueError(f"{where}range {float(span[r])!r} is too narrow for {finest} bins")
@@ -286,8 +290,8 @@ def estimated_provider(sample: Sample) -> MITables:
     the self-MI I(X;X) of a feature, is the entropy of its q-binned column,
     the value ``estimate_mi_features`` gives for a column paired with
     itself.  Raises :class:`DegenerateSampleError` for a constant column and
-    ``ValueError`` for a single-class sample or a column whose range is too
-    narrow for its bins.
+    ``ValueError`` for a single-class sample or for a column whose range is
+    too narrow for its bins or overflows, naming the column.
     """
     m = bin_count(sample.n)
     q = pair_bin_count(sample.n)

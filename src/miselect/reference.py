@@ -8,15 +8,15 @@ objective semantics and is listed in ``EXCLUDED_CELLS``.
 
 Each check in ``ALL_CHECKS`` returns the detail of its PASS line or raises
 :class:`CheckFailed` with the detail of its FAIL line; ``miselect verify``
-prints one line per check, and the acceptance suite asserts the same
-checks.  The checks are deterministic (seeded where randomness is involved).
+runs them in turn and prints each line as its check returns, and the
+acceptance suite asserts the same checks.  The checks are deterministic
+(seeded where randomness is involved).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -316,20 +316,3 @@ ALL_CHECKS: dict[str, Callable[[], str]] = {
     "zero-mi-of-square": check_zero_mi_of_square,
     "ordering-tables": check_ordering_tables,
 }
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-def run_all_checks() -> list[CheckResult]:
-    results = []
-    for name, check in ALL_CHECKS.items():
-        try:
-            results.append(CheckResult(name, True, check()))
-        except CheckFailed as exc:
-            results.append(CheckResult(name, False, str(exc)))
-    return results

@@ -4,13 +4,16 @@ Each replicate draws a fresh sample, builds its histogram-estimate
 tables, runs every configured selection method on it, and scores
 whether the first two selected features form a relevance-optimal pair.
 Replicate RNG streams are derived from (master seed, cell, replicate),
-so results do not depend on execution order.
+so results do not depend on execution order.  A run's result is one cell
+per (k, n, method), which also holds its orderings when they are kept.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -76,7 +79,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.k_values or not self.n_values or not self.methods:
             raise ValueError("k, n and method grids must be nonempty")
-        # results and traces are keyed by (method, k, n): a repeat would merge
+        # a repeated value would give two cells of one (k, n, method)
         for name, grid in (("k", self.k_values), ("n", self.n_values),
                            ("method", self.methods)):
             for i, v in enumerate(grid):
@@ -88,6 +91,9 @@ class ExperimentConfig:
                 raise ValueError(f"sample size {n} below the supported minimum 50")
         for k in self.k_values:
             self.spec_for(k)  # raises on a bad slope, delta or a
+        if self.scenario is Scenario.UNIFORM and not math.isfinite(2.0 * self.delta):
+            raise ValueError(f"delta {self.delta:g}: the uniform draws span 2*delta, "
+                             "which overflows")
 
     def spec_for(self, k: float) -> ScenarioSpec:
         return ScenarioSpec(self.scenario, k, self.delta, self.a, self.b, self.d)
@@ -95,6 +101,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One method's score at one (k, n), and, if the run keeps them, its
+    ordering on each scored replicate: a degenerate replicate adds none."""
+
     scenario: Scenario
     k: float
     n: int
@@ -102,6 +111,7 @@ class CellResult:
     hits: int
     replicates: int
     degenerate: int
+    traces: tuple[SelectionTrace, ...] = ()
 
     @property
     def frequency(self) -> float:
@@ -117,7 +127,6 @@ class CellResult:
 class ExperimentResult:
     config: ExperimentConfig
     cells: list[CellResult]
-    traces: dict[tuple, list[SelectionTrace]] = field(default_factory=dict)
     runtime: float = 0.0
 
 
@@ -127,11 +136,11 @@ def run_experiment(
     """Run all (k, n) cells; every method sees the same per-replicate sample."""
     start = time.perf_counter()
     cells: list[CellResult] = []
-    traces: dict[tuple, list[SelectionTrace]] = {}
     for ki, k in enumerate(config.k_values):
         spec = config.spec_for(k)
         for ni, n in enumerate(config.n_values):
             hits = {m: 0 for m in config.methods}
+            traces: dict[MethodSpec, list[SelectionTrace]] = {m: [] for m in config.methods}
             degenerate = 0
             for r in range(config.replicates):
                 rng = np.random.default_rng(
@@ -145,16 +154,13 @@ def run_experiment(
                         if optimal_pair_hit(trace):
                             hits[m] += 1
                         if keep_traces:
-                            traces.setdefault((m, k, n), []).append(trace)
+                            traces[m].append(trace)
                 except DegenerateSampleError:
                     degenerate += 1  # counted as a miss for every method
             for m in config.methods:
-                cells.append(
-                    CellResult(
-                        config.scenario, k, n, m, hits[m], config.replicates, degenerate
-                    )
-                )
-    return ExperimentResult(config, cells, traces, time.perf_counter() - start)
+                cells.append(CellResult(config.scenario, k, n, m, hits[m],
+                                        config.replicates, degenerate, tuple(traces[m])))
+    return ExperimentResult(config, cells, time.perf_counter() - start)
 
 
 CSV_COLUMNS = "scenario,k,n,method,beta,frequency,replicates,seed"
@@ -170,3 +176,13 @@ def emit_csv(result: ExperimentResult, fh: TextIO) -> None:
             f"{c.frequency:.4f},{c.replicates},{result.config.seed}"
         )
     fh.write("\n".join(lines) + "\n")
+
+
+def emit_traces_json(result: ExperimentResult, fh: TextIO) -> None:
+    """Write each cell's orderings to ``fh`` as JSON, one entry per CSV row, in row order."""
+    cells = [{"scenario": c.scenario.value, "k": c.k, "n": c.n,
+              "method": c.method.method.value, "beta": c.method.beta,
+              "replicates": [{"selected": [f.name for f in t.selected], "halt": t.halt.value}
+                             for t in c.traces]}
+             for c in result.cells]
+    json.dump({"seed": result.config.seed, "cells": cells}, fh, indent=1)

@@ -187,6 +187,13 @@ def test_oracle_rejects_endpoint_k(capsys):
     pytest.param(("simulate", "--delta", "1e200", "--n", "50", "--replicates", "2"),
                  "simulated sample: non-finite value inf in row 1, column v3",
                  id="simulate-delta-overflow"),
+    pytest.param(("simulate", "--delta", "9e307", "--n", "50", "--replicates", "2"),
+                 "delta 9e+307: the uniform draws span 2*delta, which overflows",
+                 id="simulate-delta-span-overflow"),
+    pytest.param(("simulate", "--scenario", "II", "--a", "5e307", "--n", "50",
+                  "--replicates", "2"),
+                 "simulated sample: column v2: range from -1.66403e+308 to 7.7738e+307 "
+                 "overflows", id="simulate-a-range-overflow"),
     # exabytes, beyond any address space, so the allocation fails at once
     pytest.param(("simulate", "--n", str(10**17), "--replicates", "1"),
                  "simulated sample: Unable to allocate 2.78 EiB for an array with shape "
@@ -314,8 +321,8 @@ def test_simulate_boxes_no_objective(monkeypatch):
                                      replicates=3, seed=4)
     result = simlab.run_experiment(config, keep_traces=True)
     simlab.emit_csv(result, io.StringIO())
-    cli._write_traces_json(result, io.StringIO())
-    step = result.traces[(methods[0], 0.2, 200)][0].steps[-1]
+    simlab.emit_traces_json(result, io.StringIO())
+    step = result.cells[0].traces[0].steps[-1]
     with pytest.raises(AssertionError, match="boxed"):
         step.objectives  # the patch is live: a reader of objectives boxes
 
@@ -360,6 +367,8 @@ def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
      "sample {path}: need both class labels in the sample"),
     ("constant-column", slice(None), 4, 0.25,
      "sample {path}: column v5: all observations are equal"),
+    ("wide-column", slice(0, 2), 4, (1e308, -1e308),  # each value finite, max - min not
+     "sample {path}: column v5: range from -1e+308 to 1e+308 overflows"),
     ("header-only", None, None, None,
      "cannot read sample {path}: the sample has no observations"),
 ])
@@ -543,7 +552,7 @@ def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("writer, path", [("emit_csv", "o.csv"),
-                                          ("_write_traces_json", "t.json")])
+                                          ("emit_traces_json", "t.json")])
 def test_a_failed_output_leaves_every_output_as_it_was(tmp_path, monkeypatch, capsys,
                                                        experiment_configs, writer, path):
     monkeypatch.chdir(tmp_path)
@@ -569,7 +578,7 @@ def test_an_output_that_raises_leaves_no_part_behind(tmp_path, monkeypatch,
     def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_write_traces_json", interrupt)
+    monkeypatch.setattr(cli, "emit_traces_json", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--out", "o.csv", "--traces", "t.json"])
     assert (tmp_path / "t.json").read_text() == '{"old": 1}\n'
@@ -712,6 +721,22 @@ def test_simulate_traces_json(tmp_path, capsys):
     cell = doc["cells"][0]
     assert cell["method"] == "mrmr" and len(cell["replicates"]) == 3
     assert all(r["selected"][0] for r in cell["replicates"])
+
+
+def test_simulate_traces_json_lists_every_cell(tmp_path, monkeypatch, capsys):
+    import json
+
+    monkeypatch.chdir(tmp_path)
+    # W + d rounds to the constant d, so every replicate is degenerate
+    code, _ = run(capsys, "simulate", "--n", "50", "--replicates", "2", "--d", "1e17",
+                  "--k", "0.2,0.8", "--methods", "mrmr,nmifs", "--traces", "t.json")
+    assert code == 0
+    rows = [line.split(",")[1:4] for line in Path("experiment.csv").read_text().splitlines()[1:]]
+    cells = json.loads(Path("t.json").read_text())["cells"]
+    assert [[format(c["k"], "g"), str(c["n"]), c["method"]] for c in cells] == rows == [
+        ["0.2", "50", "mrmr"], ["0.2", "50", "nmifs"], ["0.8", "50", "mrmr"],
+        ["0.8", "50", "nmifs"]]
+    assert all(c["replicates"] == [] for c in cells)
 
 
 def test_simulate_summary_counts_degenerate_replicates(tmp_path, monkeypatch, capsys):

@@ -97,10 +97,10 @@ def test_run_experiment_is_seed_deterministic():
     r1 = run_experiment(small_config(), keep_traces=True)
     r2 = run_experiment(small_config(), keep_traces=True)
     assert [c.frequency for c in r1.cells] == [c.frequency for c in r2.cells]
-    assert r1.traces == r2.traces
+    assert [c.traces for c in r1.cells] == [c.traces for c in r2.cells]
     # seeds 123 and 124 happen to give equal hits, so compare the orderings
     r3 = run_experiment(small_config(seed=124), keep_traces=True)
-    assert r1.traces != r3.traces
+    assert [c.traces for c in r1.cells] != [c.traces for c in r3.cells]
     for c in r1.cells:
         assert 0.0 <= c.frequency <= 1.0
         assert c.replicates == 6
@@ -109,17 +109,18 @@ def test_run_experiment_is_seed_deterministic():
 
 def test_methods_share_the_replicate_sample():
     result = run_experiment(small_config(), keep_traces=True)
+    traces = {(c.method, c.k, c.n): c.traces for c in result.cells}
     key1 = (MethodSpec(Method.MIFS, 1.0), 0.8, 50)
     key2 = (MethodSpec(Method.MRMR), 0.8, 50)
-    first1 = [t.selected[0] for t in result.traces[key1]]
-    first2 = [t.selected[0] for t in result.traces[key2]]
+    first1 = [t.selected[0] for t in traces[key1]]
+    first2 = [t.selected[0] for t in traces[key2]]
     assert first1 == first2  # identical relevance ranking on identical data
 
 
 def test_traces_have_no_indeterminates_for_robust_methods():
     result = run_experiment(small_config(), keep_traces=True)
-    for traces in result.traces.values():
-        for trace in traces:
+    for cell in result.cells:
+        for trace in cell.traces:
             for step in trace.steps:
                 assert not any(v.is_indet for v in step.objectives.values())
 
@@ -161,7 +162,8 @@ def test_replicate_seams_are_module_attributes_called_once_per_replicate(monkeyp
     config = small_config(k_values=(0.8, 0.2), replicates=3)
     wrapped = run_experiment(config, keep_traces=True)
     monkeypatch.undo()
-    assert wrapped.traces == run_experiment(config, keep_traces=True).traces
+    unwrapped = run_experiment(config, keep_traces=True)
+    assert [c.traces for c in wrapped.cells] == [c.traces for c in unwrapped.cells]
     per_replicate = ["generate_sample", "estimated_provider"] + ["select_all"] * 2
     assert events == per_replicate * (2 * 3)
 
