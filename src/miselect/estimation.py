@@ -11,10 +11,12 @@ Every estimate goes through one kernel: columns are turned into integer
 bin codes (:func:`bin_rows`), the class labels into class indices
 (:func:`code_labels`), and all counts are ``np.bincount`` of those codes,
 split by class label or combined as ``ci * q + cj`` for a pair.  The
-codes follow the counting rule of ``np.histogram``, so the estimates
-equal the histogram ones bit for bit.  The ``estimate_*`` functions take
-binned columns and coded labels only; a binned column carries its own
-resolution.
+entropy of those counts reads its terms from one table of ``p * log(p)``
+per total, p = c / total (:func:`count_entropy`).  The codes follow the
+counting rule of ``np.histogram``, and each term is numpy's own result
+for its count, so the estimates equal the histogram ones bit for bit.
+The ``estimate_*`` functions take binned columns and coded labels only;
+a binned column carries its own resolution.
 
 A :class:`Sample` holds its columns feature-major, each column's values
 contiguous.  :func:`estimated_provider` bins all ten columns at both
@@ -31,11 +33,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .infotheory import plugin_entropy
 from .oracle import FEATURES, FeatureId, MITables
 
 CSV_HEADER = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
@@ -64,6 +66,33 @@ def bin_count(n: int) -> int:
 def pair_bin_count(n: int) -> int:
     """Per-axis bin count of a bivariate histogram with ~m cells in total."""
     return math.ceil(math.sqrt(bin_count(n)))
+
+
+@lru_cache(maxsize=4)  # a replicate's n and its two class sizes
+def plogp_table(total: int) -> np.ndarray:
+    """Read-only ``p * log(p)`` for p = c / total, c = 0 .. total; 0 at c = 0.
+
+    Each entry is numpy's own divide, log and multiply of its count: the
+    term ``infotheory.plugin_entropy`` computes for that count.
+    """
+    p = np.arange(1, total + 1) / total
+    table = np.zeros(total + 1)
+    table[1:] = p * np.log(p)
+    table.setflags(write=False)
+    return table
+
+
+def count_entropy(counts: np.ndarray, total: int) -> float:
+    """Plug-in entropy (nats) of integer bin ``counts`` of ``total`` observations.
+
+    Equal to ``infotheory.plugin_entropy(counts, total)`` bit for bit: the
+    same terms, sorted into the same order and summed over the same length.
+    A nonzero count's term is <= 0, so the empty bins' zeros sort last and
+    the slice drops them.
+    """
+    terms = plogp_table(total)[counts]
+    terms.sort()
+    return float(-terms[:np.count_nonzero(counts)].sum())
 
 
 @dataclass(frozen=True)
@@ -97,60 +126,67 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
     misses, on or next to an edge, are searched.  Searching every value
     instead makes an n = 5000 ``simulate`` run about 25% slower.
 
-    The rows are binned in blocks of at most ``BLOCK_CELLS`` values, so
-    that a block's temporaries stay in cache.  In a block, each row's
-    range and its values scaled to that range are taken once for all
-    counts, the edges of all rows come from one outer product per count,
-    and the bins of all rows from one ``np.bincount`` per count, each
-    row's codes offset past the rows before.  Each row's result equals
-    that of the row alone.  The first row, in row order, whose range is
-    not finite, is empty, or is so narrow that its width at the largest
-    count underflows to 0 raises.  A row of finite values whose range
-    ``max - min`` overflows raises with its min and max, and a row holding
-    NaN or inf raises without them; ``names`` names the rows in every
-    message but the latter.
+    Every row's range is taken, and checked, once before any row is binned.
+    The rows are then binned in blocks of at most ``BLOCK_CELLS`` values,
+    so that a block's temporaries stay in cache.  In a block, each row's
+    values scaled to its range are taken once for all counts, the edges of
+    all rows come from one outer product per count, and the bins of all
+    rows from one ``np.bincount`` per count, each row's codes offset past
+    the rows before.  The entropies of a block's bins are one gather from
+    :func:`plogp_table` and one sort per row, then one sum per row over
+    its occupied bins, as :func:`count_entropy` takes them.  Each row's
+    result equals that of the row alone.  The first row, in row order,
+    whose range is not finite, is empty, or is so narrow that its width at
+    the largest count underflows to 0 raises.  A row of finite values whose
+    range ``max - min`` overflows raises with its min and max, and a row
+    holding NaN or inf raises without them; ``names`` names the rows in
+    every message but the latter.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
-    step = max(1, BLOCK_CELLS // max(1, n))
     finest = max(counts)
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    with np.errstate(over="ignore"):  # an infinite range is refused below
+        span = hi - lo
+    bad = ~((span / finest > 0.0) & (span < math.inf))  # NaN fails both
+    if bad.any():
+        r = int(bad.argmax())
+        where = "" if names is None else f"column {names[r]}: "
+        if not (math.isfinite(lo[r]) and math.isfinite(hi[r])):
+            raise ValueError("observations must be finite, with a finite range")
+        if span[r] == math.inf:
+            raise ValueError(f"{where}range from {lo[r]:g} to {hi[r]:g} overflows")
+        if span[r] == 0.0:
+            raise DegenerateSampleError(where + "all observations are equal")
+        raise ValueError(f"{where}range {float(span[r])!r} is too narrow for {finest} bins")
+    plogp = plogp_table(n)
+    step = max(1, BLOCK_CELLS // max(1, n))
     out: list[list[BinnedColumn]] = [[] for _ in counts]
     for first in range(0, len(rows), step):
-        block = rows[first:first + step]
-        lo, hi = block.min(axis=1), block.max(axis=1)
-        with np.errstate(over="ignore"):  # an infinite range is refused below
-            span = hi - lo
-        bad = ~((span / finest > 0.0) & (span < math.inf))  # NaN fails both
-        if bad.any():
-            r = int(bad.argmax())
-            where = "" if names is None else f"column {names[first + r]}: "
-            if not (math.isfinite(lo[r]) and math.isfinite(hi[r])):
-                raise ValueError("observations must be finite, with a finite range")
-            if span[r] == math.inf:
-                raise ValueError(f"{where}range from {lo[r]:g} to {hi[r]:g} overflows")
-            if span[r] == 0.0:
-                raise DegenerateSampleError(where + "all observations are equal")
-            raise ValueError(f"{where}range {float(span[r])!r} is too narrow for {finest} bins")
+        block, block_lo, block_span = (a[first:first + step] for a in (rows, lo, span))
         row = np.arange(len(block))[:, None]
-        unit = block - lo[:, None]
-        unit /= span[:, None]
+        unit = block - block_lo[:, None]
+        unit /= block_span[:, None]
         for count, binned in zip(counts, out):
-            width, last, stride = span / count, count - 1, count + 1
+            width, last, stride = block_span / count, count - 1, count + 1
             edges = (np.multiply.outer(width, np.arange(stride, dtype=float))
-                     + lo[:, None]).ravel()
+                     + block_lo[:, None]).ravel()
             edges[count::stride] = math.inf  # the top bin is closed: no value lies past it
             codes = (unit * count).astype(np.intp)
             np.minimum(codes, last, out=codes)
             at = codes + row * stride
-            miss = (block < edges[at]) | (block >= edges[1:][at])
+            miss = (block < edges.take(at)) | (block >= edges[1:].take(at))
             if miss.any():
                 for r in np.flatnonzero(miss.any(axis=1)):
                     own, x = edges[r * stride:(r + 1) * stride], block[r, miss[r]]
                     codes[r, miss[r]] = np.searchsorted(own, x, side="right") - 1
                     at[r] = codes[r] + r * stride
-            bins = np.bincount(at.ravel(), minlength=len(block) * stride)
-            binned += [BinnedColumn(count, w, c, plugin_entropy(b, n))
-                       for w, c, b in zip(width.tolist(), codes, bins.reshape(-1, stride))]
+            bins = np.bincount(at.ravel(), minlength=len(block) * stride).reshape(-1, stride)
+            terms = plogp[bins]
+            terms.sort(axis=1)
+            occupied = np.count_nonzero(bins, axis=1).tolist()
+            binned += [BinnedColumn(count, w, c, float(-t[:k].sum()))
+                       for w, c, t, k in zip(width.tolist(), codes, terms, occupied)]
     return out
 
 
@@ -169,11 +205,20 @@ class CodedLabels:
 
 
 def code_labels(labels) -> CodedLabels:
-    """Index the classes of ``labels``; refuses labels of a single class."""
-    values, index = np.unique(np.asarray(labels), return_inverse=True)
-    if values.size < 2:
+    """The 0/1 ``labels`` as class indices, with the two class sizes.
+
+    Refuses labels of a single class, and any label but 0 and 1.
+    """
+    index = np.asarray(labels)
+    try:
+        sizes = np.bincount(index, minlength=2).tolist()
+    except (TypeError, ValueError):  # a negative, fractional or non-numeric label
+        sizes = []
+    if len(sizes) != 2:
+        raise ValueError("labels must be 0/1")
+    if 0 in sizes:
         raise ValueError("need both class labels in the sample")
-    return CodedLabels(index, np.bincount(index).tolist())
+    return CodedLabels(index, sizes)
 
 
 def estimate_entropy_1d(b: BinnedColumn) -> float:
@@ -194,7 +239,7 @@ def estimate_mi_features(bx: BinnedColumn, by: BinnedColumn) -> float:
     if bx.count != by.count:
         raise ValueError("columns are binned at different resolutions")
     joint = np.bincount(bx.codes * bx.count + by.codes, minlength=bx.count * bx.count)
-    return bx.entropy + by.entropy - plugin_entropy(joint, bx.codes.size)
+    return bx.entropy + by.entropy - count_entropy(joint, bx.codes.size)
 
 
 def estimate_mi_class(b: BinnedColumn, classes: CodedLabels) -> float:
@@ -202,7 +247,8 @@ def estimate_mi_class(b: BinnedColumn, classes: CodedLabels) -> float:
 
     The class-conditional histograms reuse the pooled edges, so that an
     independent pair centers on zero instead of inheriting a per-class
-    rebinning offset.
+    rebinning offset.  Each class's entropy is :func:`count_entropy` of its
+    column of the (bin, class) counts, over the class size.
     """
     n = b.codes.size
     if classes.index.size != n:
@@ -213,7 +259,7 @@ def estimate_mi_class(b: BinnedColumn, classes: CodedLabels) -> float:
     log_width = math.log(b.width)
     mi = b.entropy + log_width
     for c, size in enumerate(classes.sizes):
-        mi -= (size / n) * (plugin_entropy(counts[:, c], size) + log_width)
+        mi -= (size / n) * (count_entropy(counts[:, c], size) + log_width)
     return mi
 
 

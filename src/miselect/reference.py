@@ -33,7 +33,7 @@ from .oracle import (
     oracle_provider,
 )
 from .selection import HaltReason, Method, MethodSpec, select_all
-from .xreal import IndetKind, XPair, box, fadd, fdiv, fmul, fsub
+from .xreal import IndetKind, XValue, box, fadd, fdiv, fmul, fsub
 
 V = FeatureId
 
@@ -180,31 +180,33 @@ def _passed(ok: bool, detail: str) -> str:
     return detail
 
 
-def _sample_values() -> list[XPair]:
-    finites = [(v, None) for v in (-2.5, -2.0, -1.0, 0.0, 0.5, 0.7, 3.0)]
-    indets = [(math.nan, k) for k in IndetKind]
-    return finites + [(math.inf, None), (-math.inf, None)] + indets
+def _sample_values() -> list[XValue]:
+    finites = [-2.5, -2.0, -1.0, 0.0, 0.5, 0.7, 3.0]
+    return finites + [math.inf, -math.inf] + list(IndetKind)
+
+
+def _indet(v: XValue) -> bool:
+    return isinstance(v, IndetKind)
 
 
 def check_xreal_algebra() -> str:
-    """The laws of the pair operations that selection runs, on a value grid."""
+    """The laws of the value operations that selection runs, on a value grid."""
     values = _sample_values()
     cases = 0
     for op, a, b in itertools.product((fadd, fsub, fmul, fdiv), values, values):
         cases += 1
         r1 = op(a, b)
         # absorption
-        if (a[1] is not None or b[1] is not None) and r1[1] is None:
+        if (_indet(a) or _indet(b)) and not _indet(r1):
             raise CheckFailed(f"{op.__name__}({box(a)},{box(b)}) = {box(r1)}")
         # commutativity of add/mul up to indeterminate-ness
         if op in (fadd, fmul):
             r2 = op(b, a)
-            if (r1[1] is None) != (r2[1] is None) or (r1[1] is None and r1[0] != r2[0]):
+            if _indet(r1) != _indet(r2) or (not _indet(r1) and r1 != r2):
                 raise CheckFailed(f"{op.__name__} not commutative on {box(a)},{box(b)}")
-    zero: XPair = (0.0, None)
     for v in values:
         # negation is subtraction from zero
-        if v[1] is None and fsub(zero, fsub(zero, v))[0] != v[0]:
+        if not _indet(v) and fsub(0.0, fsub(0.0, v)) != v:
             raise CheckFailed(f"negation not involutive on {box(v)}")
     return f"{cases} operator cases"
 

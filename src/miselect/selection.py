@@ -19,17 +19,18 @@ mMIFS-U) and NI_is = I_is / min(h_i, h_s) (NMIFS, MICC).  QMIFS is
 rel_i - sum_k [phi_ik - 1/2 sum_{j in S, j != k} phi_ij phi_jk] * I_ck with
 phi_lm = I_lm / h_m.
 
-The search reads the tables once, as (value, None) float pairs
-(``xreal.XPair``), and keeps, for every remaining candidate, the running
-aggregate as a pair, extended with the new pick's term once per step: a
-step costs O(d) for d features (O(d * |S|) for QMIFS, which keeps one
-inner sum per candidate and selected k and refolds the outer sum).  The
-sums are left folds from 0.0 in selection order, so every objective is
-the same IEEE result, indeterminate kind included, as evaluating the
-formula above from scratch with the pair operations.  A step keeps its
-objectives as those pairs; they are boxed into XReal values only when a
-reader asks for ``SelectionStep.objectives``, so a caller that reads only
-the picks and the halt (``simulate``) never builds an XReal.
+The search reads the tables once, as bare floats (``xreal.XValue``), and
+keeps, for every remaining candidate, the running aggregate as a float or
+the ``IndetKind`` that absorbed it, extended with the new pick's term once
+per step: a step costs O(d) for d features (O(d * |S|) for QMIFS, which
+keeps one inner sum per candidate and selected k and refolds the outer
+sum).  The sums are left folds from 0.0 in selection order, so every
+objective is the same IEEE result, indeterminate kind included, as
+evaluating the formula above from scratch with the xreal operations.  A
+step keeps its objectives as those values; they are boxed into XReal
+values only when a reader asks for ``SelectionStep.objectives``, so a
+caller that reads only the picks and the halt (``simulate``) never builds
+an XReal.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from math import inf
 from typing import Mapping
 
 from .oracle import FeatureId, MITables
-from .xreal import XPair, XReal, box, fadd, fdiv, fmax, fmin, fmul, fsub
+from .xreal import IndetKind, XReal, XValue, box, fadd, fdiv, fmax, fmin, fmul, fsub
 
-HALF: XPair = (0.5, None)
+HALF = 0.5
 
 
 class Method(Enum):
@@ -109,16 +110,17 @@ class HaltReason(Enum):
 class SelectionStep:
     """One evaluation round; ``winner`` is None for the halting round.
 
-    ``pairs`` holds each candidate's objective, in feature order, as the
-    engine's (value, kind) pair; ``objectives`` boxes them anew on every read.
+    ``values`` holds each candidate's objective, in feature order, as the
+    engine's float or ``IndetKind``; ``objectives`` boxes them anew on every
+    read.
     """
 
     winner: FeatureId | None
-    pairs: Mapping[FeatureId, XPair]
+    values: Mapping[FeatureId, XValue]
 
     @property
     def objectives(self) -> dict[FeatureId, XReal]:
-        return {f: box(v) for f, v in self.pairs.items()}
+        return {f: box(v) for f, v in self.values.items()}
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,11 @@ class _RunningAggregate:
     """Every criterion but QMIFS: one sum or max of t(i, s) per candidate."""
 
     def __init__(
-        self, m: MethodSpec, rel: list[XPair], h: list[XPair], mi: list[list[XPair]]
+        self, m: MethodSpec, rel: list[float], h: list[float], mi: list[list[float]]
     ):
         method = m.method
         self.method = method
-        self.beta: XPair | None = None if m.beta is None else (float(m.beta), None)
+        self.beta = None if m.beta is None else float(m.beta)
         self.rel = rel
         if method in (Method.MIFS, Method.MRMR, Method.MAX_MIFS):
             self.term = lambda i, s: mi[i][s]
@@ -147,17 +149,17 @@ class _RunningAggregate:
         else:  # NMIFS, MICC: the normalised MI
             self.term = lambda i, s: fdiv(mi[i][s], fmin(h[i], h[s]))
         if method in _MAX_METHODS:
-            self.fold, start = fmax, (-inf, None)
+            self.fold, start = fmax, -inf
         else:
-            self.fold, start = fadd, (0.0, None)
-        self.aggregate: list[XPair] = [start] * len(rel)
+            self.fold, start = fadd, 0.0
+        self.aggregate: list[XValue] = [start] * len(rel)
 
-    def step(self, picked: list[int], remaining: list[int]) -> dict[int, XPair]:
+    def step(self, picked: list[int], remaining: list[int]) -> dict[int, XValue]:
         s, agg, rel = picked[-1], self.aggregate, self.rel
         fold, term = self.fold, self.term
         for i in remaining:
             agg[i] = fold(agg[i], term(i, s))
-        weight = self.beta if self.beta is not None else (1.0 / len(picked), None)
+        weight = self.beta if self.beta is not None else 1.0 / len(picked)
         if self.method is Method.MICC:
             return {i: fsub(fdiv(rel[i], fmul(weight, agg[i])), rel[i]) for i in remaining}
         if self.method in _MAX_METHODS:
@@ -166,16 +168,16 @@ class _RunningAggregate:
 
 
 class _QMIFS:
-    """QMIFS: one inner pair sum per (candidate, selected k), the outer sum refolded."""
+    """QMIFS: one inner sum per (candidate, selected k), the outer sum refolded."""
 
-    def __init__(self, rel: list[XPair], h: list[XPair], mi: list[list[XPair]]):
+    def __init__(self, rel: list[float], h: list[float], mi: list[list[float]]):
         d = len(rel)
         self.rel = rel
         self.phi = [[fdiv(mi[l][k], h[k]) for k in range(d)] for l in range(d)]
         # inner[i][k] = sum over j in S, j != k, in selection order, of phi_ij phi_jk
-        self.inner: list[list[XPair]] = [[(0.0, None)] * d for _ in range(d)]
+        self.inner: list[list[XValue]] = [[0.0] * d for _ in range(d)]
 
-    def step(self, picked: list[int], remaining: list[int]) -> dict[int, XPair]:
+    def step(self, picked: list[int], remaining: list[int]) -> dict[int, XValue]:
         s, earlier = picked[-1], picked[:-1]
         phi, rel = self.phi, self.rel
         # read once per step: the new pick's row and column, the picks' relevances
@@ -204,8 +206,8 @@ def _best(values, positions) -> int | None:
     """Position of the largest determinate value; the earliest wins a tie."""
     best, best_x = None, 0.0
     for a in positions:
-        x, kind = values[a]
-        if kind is None and (best is None or x > best_x):
+        x = values[a]
+        if x.__class__ is not IndetKind and (best is None or x > best_x):
             best, best_x = a, x
     return best
 
@@ -213,9 +215,9 @@ def _best(values, positions) -> int | None:
 def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     """Run the forward search to exhaustion or until nothing is admissible."""
     order = p.feature_order
-    rel: list[XPair] = [(p.class_mi(f), None) for f in order]
-    h: list[XPair] = [(p.entropy(f), None) for f in order]
-    mi = [[(p.pairwise_mi(i, j), None) for j in order] for i in order]
+    rel = [p.class_mi(f) for f in order]
+    h = [p.entropy(f) for f in order]
+    mi = [[p.pairwise_mi(i, j) for j in order] for i in order]
     if m.method is Method.QMIFS:
         engine = _QMIFS(rel, h, mi)
     else:
@@ -229,14 +231,14 @@ def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     while remaining:
         values = engine.step(picked, remaining)
         winner = _best(values, remaining)
-        pairs = {order[a]: values[a] for a in remaining}
+        objectives = {order[a]: values[a] for a in remaining}
         if winner is None:
             # keep the all-inadmissible evaluation: it shows which
             # indeterminate form blocked each remaining candidate
-            steps.append(SelectionStep(None, pairs))
+            steps.append(SelectionStep(None, objectives))
             halt = HaltReason.NO_ADMISSIBLE_CANDIDATE
             break
-        steps.append(SelectionStep(order[winner], pairs))
+        steps.append(SelectionStep(order[winner], objectives))
         picked.append(winner)
         remaining.remove(winner)
     return SelectionTrace(m, tuple(order[a] for a in picked), tuple(steps), halt)

@@ -7,16 +7,17 @@ forms (0*inf, inf-inf, 0/0, inf/inf).  Floating-point NaN silently
 poisons comparisons, so indeterminates are first-class tagged values
 here: every operation is total, and an indeterminate operand absorbs.
 
-A value is one float plus a tag.  +inf and -inf are the IEEE
-infinities, so an operation on two determinate operands is one float
-operation: IEEE 754 infinity arithmetic gives the extended-real result
-and signals each indeterminate form as NaN, which becomes the tag of
-the operation's form.  A finite result that overflows is +inf or -inf.
-Only division by zero has a rule of its own (0/0, else the sign of the
-numerator).  The rules are written once, as operations on (value, kind)
-float pairs.  The MI tables are plain floats; the selection engine folds
-them as pairs and keeps each step's objectives as pairs, boxed into
-:class:`XReal` only when a reader asks for them.
+A value is a bare float, or the :class:`IndetKind` member that names its
+indeterminate form.  +inf and -inf are the IEEE infinities, so an
+operation on two determinate operands is one float operation: IEEE 754
+infinity arithmetic gives the extended-real result and signals each
+indeterminate form as NaN, which becomes the kind of the operation's
+form.  A finite result that overflows is +inf or -inf.  Only division by
+zero has a rule of its own (0/0, else the sign of the numerator).  The
+rules are written once, as operations on those values (``XValue``).  The
+MI tables are plain floats; the selection engine folds them as they are
+and keeps each step's objectives as values, boxed into :class:`XReal`
+only when a reader asks for them.
 """
 
 from __future__ import annotations
@@ -72,84 +73,84 @@ _INDETS = {kind: XReal(nan, kind) for kind in IndetKind}
 
 
 # ---------------------------------------------------------------------------
-# Float-level form: an extended real as a (value, kind) pair
+# Float-level form: an extended real as a bare float or an IndetKind
 #
-# The rules live here once.  ``value`` is a float and ``kind`` is None, or
-# ``value`` is NaN and ``kind`` names the indeterminate form.  The pair
-# operations neither collapse -0.0 nor allocate an XReal, so a running fold
-# stays a plain float.  The sign of a zero changes nothing but the sign of a
-# zero result (x/0 takes the sign of x, not of the zero), so collapsing -0.0
-# once, when a fold's result is boxed, gives the same XReal as collapsing it
-# at every step.
+# The rules live here once.  A value is a float (finite or an IEEE infinity),
+# or the IndetKind member that names its indeterminate form.  Indeterminacy
+# is tested as ``v.__class__ is IndetKind``: a numpy float64 is a float
+# subclass and is determinate.  The operations neither collapse -0.0 nor
+# allocate an XReal, so a running fold stays a plain float.  The sign of a
+# zero changes nothing but the sign of a zero result (x/0 takes the sign of
+# x, not of the zero), so collapsing -0.0 once, when a fold's result is
+# boxed, gives the same XReal as collapsing it at every step.
 # ---------------------------------------------------------------------------
 
-XPair = tuple[float, IndetKind | None]
+XValue = float | IndetKind
 
 
-def box(p: XPair) -> XReal:
-    """The XReal of a pair; -0.0 collapses, ±inf and indeterminates are singletons."""
-    x, kind = p
-    if kind is not None:
-        return _INDETS[kind]
-    if isfinite(x):
-        return XReal(x) if x else ZERO
-    return POS_INF if x > 0.0 else NEG_INF
+def box(v: XValue) -> XReal:
+    """The XReal of a value; -0.0 collapses, ±inf and indeterminates are singletons."""
+    if v.__class__ is IndetKind:
+        return _INDETS[v]
+    if isfinite(v):
+        return XReal(v) if v else ZERO
+    return POS_INF if v > 0.0 else NEG_INF
 
 
-def fadd(a: XPair, b: XPair) -> XPair:
-    if a[1] is not None:
+def fadd(a: XValue, b: XValue) -> XValue:
+    if a.__class__ is IndetKind:
         return a
-    if b[1] is not None:
+    if b.__class__ is IndetKind:
         return b
-    x = a[0] + b[0]
-    return (x, None) if x == x else (x, IndetKind.INF_MINUS_INF)
+    x = a + b
+    return x if x == x else IndetKind.INF_MINUS_INF
 
 
-def fsub(a: XPair, b: XPair) -> XPair:
-    if a[1] is not None:
+def fsub(a: XValue, b: XValue) -> XValue:
+    if a.__class__ is IndetKind:
         return a
-    if b[1] is not None:
+    if b.__class__ is IndetKind:
         return b
-    x = a[0] - b[0]
-    return (x, None) if x == x else (x, IndetKind.INF_MINUS_INF)
+    x = a - b
+    return x if x == x else IndetKind.INF_MINUS_INF
 
 
-def fmul(a: XPair, b: XPair) -> XPair:
-    if a[1] is not None:
+def fmul(a: XValue, b: XValue) -> XValue:
+    if a.__class__ is IndetKind:
         return a
-    if b[1] is not None:
+    if b.__class__ is IndetKind:
         return b
-    x = a[0] * b[0]
-    return (x, None) if x == x else (x, IndetKind.ZERO_TIMES_INF)
+    x = a * b
+    return x if x == x else IndetKind.ZERO_TIMES_INF
 
 
-def fdiv(a: XPair, b: XPair) -> XPair:
-    if a[1] is not None:
+def fdiv(a: XValue, b: XValue) -> XValue:
+    if a.__class__ is IndetKind:
         return a
-    if b[1] is not None:
+    if b.__class__ is IndetKind:
         return b
-    if b[0] == 0.0:
-        if a[0] == 0.0:
-            return (nan, IndetKind.ZERO_OVER_ZERO)
+    if b == 0.0:
+        if a == 0.0:
+            return IndetKind.ZERO_OVER_ZERO
         # one-sided limit convention: sign of the numerator
-        return (inf, None) if a[0] > 0.0 else (-inf, None)
-    x = a[0] / b[0]
-    return (x, None) if x == x else (x, IndetKind.INF_OVER_INF)
+        return inf if a > 0.0 else -inf
+    x = a / b
+    return x if x == x else IndetKind.INF_OVER_INF
 
 
-def fmax(a: XPair, b: XPair) -> XPair:
+def fmax(a: XValue, b: XValue) -> XValue:
     """The larger operand, ``a`` on a tie; the first indeterminate operand absorbs."""
-    if a[1] is not None:
+    if a.__class__ is IndetKind:
         return a
-    if b[1] is not None:
+    if b.__class__ is IndetKind:
         return b
-    return b if b[0] > a[0] else a
+    return b if b > a else a
 
 
-def fmin(a: XPair, b: XPair) -> XPair:
+def fmin(a: XValue, b: XValue) -> XValue:
     """The smaller operand, ``a`` on a tie; the first indeterminate operand absorbs."""
-    if a[1] is not None:
+    if a.__class__ is IndetKind:
         return a
-    if b[1] is not None:
+    if b.__class__ is IndetKind:
         return b
-    return b if b[0] < a[0] else a
+    return b if b < a else a

@@ -253,7 +253,7 @@ def test_example_tables_block_on_their_form():
 def test_ni_examples():
     assert box(ni(0.5, 0.5, 0.0)) is POS_INF
     assert box(ni(math.inf, 1.0986, -1.6932)) is NEG_INF
-    assert box(ni(0.3, 1.0, 2.0)) == box((0.3, None))
+    assert box(ni(0.3, 1.0, 2.0)) == box(0.3)
 
 
 def test_ni_zero_over_zero_is_indeterminate():
