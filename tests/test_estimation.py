@@ -16,12 +16,15 @@ from miselect.estimation import (
     bin_count,
     bin_rows,
     code_labels,
+    count_entropy,
     estimate_entropy_1d,
     estimate_mi_class,
     estimate_mi_features,
     estimated_provider,
     pair_bin_count,
+    plogp_table,
 )
+from miselect.infotheory import plugin_entropy
 from miselect.oracle import FEATURES, FeatureId, Scenario, ScenarioSpec
 from miselect.selection import Method, MethodSpec, select_all
 from miselect.simlab import generate_sample
@@ -131,6 +134,49 @@ def test_mi_class_independent_labels():
 def test_mi_class_requires_both_labels():
     with pytest.raises(ValueError):
         mi_class(np.arange(100.0), np.zeros(100, dtype=int))
+
+
+def test_code_labels_counts_the_two_classes_and_refuses_other_labels():
+    coded = code_labels(np.array([1, 0, 1, 1, 0]))
+    assert coded.index.tolist() == [1, 0, 1, 1, 0] and coded.sizes == [2, 3]
+    for bad in ([0, 1, 2], [0, 1, -1], [0.0, 1.0, 0.5]):
+        with pytest.raises(ValueError, match="^labels must be 0/1$"):
+            code_labels(np.array(bad))
+    with pytest.raises(ValueError, match="need both class labels"):
+        code_labels(np.ones(5, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20_000), st.integers(1, 80),
+       st.sampled_from(["spread", "one full bin", "all occupied"]),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, "one full bin", 0)
+@example(20_000, 80, "all occupied", 0)
+@example(7, 80, "spread", 0)
+def test_count_entropy_is_the_plugin_entropy_bit_for_bit(total, bins, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "one full bin":
+        counts = np.zeros(bins, dtype=np.intp)
+        counts[rng.integers(bins)] = total
+    elif layout == "all occupied":
+        bins = min(bins, total)
+        counts = 1 + rng.multinomial(total - bins, np.full(bins, 1 / bins))
+    else:  # a sparse Dirichlet leaves bins empty
+        counts = rng.multinomial(total, rng.dirichlet(np.full(bins, 0.3)))
+    assert counts.sum() == total
+    grid = rng.integers(0, total + 1, size=(bins, 3))
+    grid[:, 1] = counts  # a strided column view, as estimate_mi_class passes
+    for view in (counts, grid[:, 1]):
+        assert float.hex(count_entropy(view, total)) == float.hex(plugin_entropy(view, total))
+
+
+def test_plogp_table_is_read_only_and_cached():
+    table = plogp_table(200)
+    assert plogp_table(200) is table
+    assert table[0] == 0.0 and table[200] == 0.0 and (table[1:200] < 0.0).all()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[1] = 0.0
 
 
 def test_estimator_consistency_trend():

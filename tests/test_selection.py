@@ -293,6 +293,19 @@ def test_engine_equals_the_reference_on_generated_tables(p):
         assert IndetKind.INF_OVER_INF not in kinds
 
 
+def test_step_values_are_bare_floats_or_kinds():
+    tables = [oracle_provider(ScenarioSpec(s, k)) for s in Scenario for k in (0.2, 0.8)]
+    rng = np.random.default_rng(6)
+    tables += [estimated_provider(generate_sample(ScenarioSpec(s, 0.8), 200, rng))
+               for s in Scenario]
+    kinds = set()
+    for p in tables:
+        for m in ALL_SPECS:
+            for step in select_all(m, p).steps:
+                kinds |= {type(v) for v in step.values.values()}
+    assert kinds == {float, IndetKind}
+
+
 def test_engine_equals_the_reference_on_oracle_and_estimated_tables():
     tables = [oracle_provider(ScenarioSpec(s, k)) for s in Scenario for k in (0.2, 0.8)]
     rng = np.random.default_rng(5)
