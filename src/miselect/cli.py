@@ -251,7 +251,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for c in result.cells:
         degenerate = f", {c.degenerate} degenerate" if c.degenerate else ""
         print(
-            f"{c.scenario.value} k={c.k:g} n={c.n} {c.method.label()}: "
+            f"{config.scenario.value} k={c.k:g} n={c.n} {c.method.label()}: "
             f"frequency {c.frequency:.4f} (se {c.stderr():.4f}, "
             f"{c.replicates} replicates{degenerate})"
         )

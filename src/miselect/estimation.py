@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .oracle import FEATURES, FeatureId, MITables
+from .oracle import FEATURES, MITables
 
 CSV_HEADER = "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
 COLUMNS = CSV_HEADER.split(",")
@@ -190,12 +190,6 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
     return out
 
 
-def bin_column(x, count: int) -> BinnedColumn:
-    """Code x on ``count`` equal-width bins: :func:`bin_rows` of one row."""
-    [[column]] = bin_rows(np.asarray(x, dtype=float)[None], (count,))
-    return column
-
-
 @dataclass(frozen=True)
 class CodedLabels:
     """Class index of each observation and the size of each class."""
@@ -298,14 +292,6 @@ class Sample:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    def column(self, f: FeatureId) -> np.ndarray:
-        return self.features[:, f - 1]
-
-    def to_csv(self, path: str) -> None:
-        data = np.column_stack([self.features, self.labels])
-        fmt = ["%.17g"] * len(FEATURES) + ["%d"]
-        np.savetxt(path, data, delimiter=",", header=CSV_HEADER, comments="", fmt=fmt)
 
     @classmethod
     def from_csv(cls, path: str) -> "Sample":

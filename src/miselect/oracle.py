@@ -233,28 +233,14 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(-x / _SQRT2)
 
 
-# Abramowitz & Stegun 26.2.12: Phi(x) = phi(x)/(-x) * sum_n (-1)^n (2n-1)!! / x^(2n),
-# highest power first for np.polyval; at x <= -20 the first term left out is below 1e-19.
-_MILLS_SERIES = [(-1.0) ** n * math.prod(range(1, 2 * n, 2)) for n in range(11, -1, -1)]
-_MILLS_BELOW = -20.0
-
-
 def _log_ndtr(x: np.ndarray) -> np.ndarray:
-    """log Phi(x) of a 1-d array, finite far into the lower tail.
-
-    Above -20 it is the log of the erfc form (``log1p`` on the upper half,
-    where Phi is near 1); below, the Mills-ratio asymptotic series.
+    """log Phi(x) of a 1-d array: the log of the erfc form, through ``log1p``
+    on the upper half, where Phi is near 1.  It is -inf where Phi underflows
+    to 0, below about -38.5.
     """
-    out = np.empty(len(x))
-    tail = x < _MILLS_BELOW
-    body = x[~tail]
-    half_erfc = 0.5 * _erfc(np.abs(body) / _SQRT2)
-    with np.errstate(divide="ignore"):  # log(0) in the branch that is not taken
-        out[~tail] = np.where(body >= 0.0, np.log1p(-half_erfc), np.log(half_erfc))
-    t = x[tail]
-    out[tail] = (-0.5 * t * t - np.log(-t) - math.log(_SQRT_2PI)
-                 + np.log(np.polyval(_MILLS_SERIES, 1.0 / (t * t))))
-    return out
+    half_erfc = 0.5 * _erfc(np.abs(x) / _SQRT2)
+    with np.errstate(divide="ignore"):  # log(0): the branch not taken, or Phi underflows
+        return np.where(x >= 0.0, np.log1p(-half_erfc), np.log(half_erfc))
 
 
 def _norm_pdf(t: np.ndarray) -> np.ndarray:
@@ -289,13 +275,15 @@ def _skew_pair_mi(alpha: float) -> float:
     sum over a = +-alpha of 1/2 * int 2 phi(t) Phi(a t) ln(2 Phi(a t)) dt on
     [-8, 8] with the exact standard-normal marginal.  The -alpha integral is
     the mirror image (t -> -t) of the +alpha one, so on the symmetric rule
-    one sign gives the sum.  The integrand is written through log Phi, so it
-    underflows to zero instead of NaN in the tails.
+    one sign gives the sum.  The integrand is written through log Phi; where
+    Phi underflows (log Phi is -inf) it takes its limit 0 instead of NaN.
     """
     alpha = min(alpha, _MAX_SKEW)
     t, w = _gauss_legendre(_skew_edges(alpha))
     lc = _log_ndtr(alpha * t)
-    return float(np.dot(w, 2.0 * _norm_pdf(t) * np.exp(lc) * (LN2 + lc)))
+    with np.errstate(invalid="ignore"):  # 0 * -inf where Phi underflows
+        terms = np.where(lc > -math.inf, 2.0 * _norm_pdf(t) * np.exp(lc) * (LN2 + lc), 0.0)
+    return float(np.dot(w, terms))
 
 
 # Reference values for MI(C_k, X-Y) in the Gaussian scenario at the two

@@ -194,7 +194,6 @@ class LabeledJoint(Joint):
 
     def relevance_optimal_sets(self) -> list[tuple[int, ...]]:
         """All minimum-size maximally informative subsets, lexicographic."""
-        self.check_search_bound()
         for size in range(len(self.features) + 1):
             found = [
                 subset

@@ -41,7 +41,7 @@ from math import inf
 from typing import Mapping
 
 from .oracle import FeatureId, MITables
-from .xreal import IndetKind, XReal, XValue, box, fadd, fdiv, fmax, fmin, fmul, fsub
+from .xreal import IndetKind, XReal, XValue, box, fadd, fdiv, fmax, fmul, fsub
 
 HALF = 0.5
 
@@ -146,8 +146,8 @@ class _RunningAggregate:
         elif method in (Method.MIFS_U, Method.MMIFS_U):
             ratio = [fdiv(c, e) for c, e in zip(rel, h)]  # where 0/0 and x/0 arise
             self.term = lambda i, s: fmul(ratio[s], mi[i][s])
-        else:  # NMIFS, MICC: the normalised MI
-            self.term = lambda i, s: fdiv(mi[i][s], fmin(h[i], h[s]))
+        else:  # NMIFS, MICC: the normalised MI; entropies are plain floats
+            self.term = lambda i, s: fdiv(mi[i][s], min(h[i], h[s]))
         if method in _MAX_METHODS:
             self.fold, start = fmax, -inf
         else:

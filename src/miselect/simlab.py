@@ -104,7 +104,6 @@ class CellResult:
     """One method's score at one (k, n), and, if the run keeps them, its
     ordering on each scored replicate: a degenerate replicate adds none."""
 
-    scenario: Scenario
     k: float
     n: int
     method: MethodSpec
@@ -158,7 +157,7 @@ def run_experiment(
                 except DegenerateSampleError:
                     degenerate += 1  # counted as a miss for every method
             for m in config.methods:
-                cells.append(CellResult(config.scenario, k, n, m, hits[m],
+                cells.append(CellResult(k, n, m, hits[m],
                                         config.replicates, degenerate, tuple(traces[m])))
     return ExperimentResult(config, cells, time.perf_counter() - start)
 
@@ -172,7 +171,7 @@ def emit_csv(result: ExperimentResult, fh: TextIO) -> None:
     for c in result.cells:
         beta = "" if c.method.beta is None else format(c.method.beta, "g")
         lines.append(
-            f"{c.scenario.value},{c.k:g},{c.n},{c.method.method.value},{beta},"
+            f"{result.config.scenario.value},{c.k:g},{c.n},{c.method.method.value},{beta},"
             f"{c.frequency:.4f},{c.replicates},{result.config.seed}"
         )
     fh.write("\n".join(lines) + "\n")
@@ -180,7 +179,7 @@ def emit_csv(result: ExperimentResult, fh: TextIO) -> None:
 
 def emit_traces_json(result: ExperimentResult, fh: TextIO) -> None:
     """Write each cell's orderings to ``fh`` as JSON, one entry per CSV row, in row order."""
-    cells = [{"scenario": c.scenario.value, "k": c.k, "n": c.n,
+    cells = [{"scenario": result.config.scenario.value, "k": c.k, "n": c.n,
               "method": c.method.method.value, "beta": c.method.beta,
               "replicates": [{"selected": [f.name for f in t.selected], "halt": t.halt.value}
                              for t in c.traces]}

@@ -146,11 +146,3 @@ def fmax(a: XValue, b: XValue) -> XValue:
         return b
     return b if b > a else a
 
-
-def fmin(a: XValue, b: XValue) -> XValue:
-    """The smaller operand, ``a`` on a tie; the first indeterminate operand absorbs."""
-    if a.__class__ is IndetKind:
-        return a
-    if b.__class__ is IndetKind:
-        return b
-    return b if b < a else a

@@ -4,6 +4,7 @@ from math import inf
 import numpy as np
 import pytest
 
+from miselect.estimation import CSV_HEADER
 from miselect.oracle import FEATURES, MITables, Scenario, ScenarioSpec, oracle_provider
 
 
@@ -14,6 +15,13 @@ def random_provider(rng: np.random.Generator, inf_prob: float = 0.15) -> MITable
     for a, b in combinations(range(len(FEATURES)), 2):
         matrix[a, b] = matrix[b, a] = inf if rng.random() < inf_prob else rng.uniform(0.0, 1.2)
     return MITables(entropies, class_mis, matrix)
+
+
+def write_csv(sample, path) -> None:
+    """Write ``sample`` as the CSV that ``Sample.from_csv`` reads."""
+    data = np.column_stack([sample.features, sample.labels])
+    np.savetxt(path, data, delimiter=",", header=CSV_HEADER, comments="",
+               fmt=["%.17g"] * len(FEATURES) + ["%d"])
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from miselect.selection import (
     SelectionStep,
     SelectionTrace,
 )
-from miselect.xreal import XReal, XValue, box, fadd, fdiv, fmax, fmin, fmul, fsub
+from miselect.xreal import XReal, XValue, box, fadd, fdiv, fmax, fmul, fsub
 
 HALF = 0.5
 
@@ -100,7 +100,7 @@ def ni(mi_xy: float, h_x: float, h_y: float) -> XValue:
     entropies the quotient can be negative, infinite, or indeterminate,
     which is exactly what the selection objectives must see.
     """
-    return fdiv(mi_xy, fmin(h_x, h_y))
+    return fdiv(mi_xy, min(h_x, h_y))
 
 
 def _ni(i: FeatureId, s: FeatureId, p: MITables) -> XValue:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_csv
 import miselect
 from miselect import cli, reference, selection, simlab
 from miselect.cli import main, parse_config_file
@@ -348,7 +349,7 @@ def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
     sample = generate_sample(ScenarioSpec(Scenario.UNIFORM, 0.2), 400,
                              np.random.default_rng(21))
     path = tmp_path / "sample.csv"
-    sample.to_csv(str(path))
+    write_csv(sample, path)
     _, out1 = run(capsys, "order", "--method", "mifs", "--beta", "1",
                   "--data", str(path))
     _, out2 = run(capsys, "order", "--method", "mifs", "--beta", "1",

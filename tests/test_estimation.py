@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_csv
 from miselect import estimation
 from miselect.estimation import (
     DegenerateSampleError,
     Sample,
-    bin_column,
     bin_count,
     bin_rows,
     code_labels,
@@ -33,20 +33,26 @@ F = FeatureId
 SPEC_I = ScenarioSpec(Scenario.UNIFORM, 0.2)
 
 
+def one_row(x, count):
+    """x on ``count`` equal-width bins: :func:`bin_rows` of one row."""
+    [[column]] = bin_rows(np.asarray(x)[None], (count,))
+    return column
+
+
 def entropy_1d(x):
     """The entropy estimate of a raw column, binned at m bins."""
-    return estimate_entropy_1d(bin_column(x, bin_count(np.size(x))))
+    return estimate_entropy_1d(one_row(x, bin_count(np.size(x))))
 
 
 def mi_features(x, y):
     """The MI estimate of two raw columns, each binned at q bins."""
     q = pair_bin_count(np.size(x))
-    return estimate_mi_features(bin_column(x, q), bin_column(y, q))
+    return estimate_mi_features(one_row(x, q), one_row(y, q))
 
 
 def mi_class(x, labels):
     """The class-MI estimate of a raw column, binned at m bins, and raw labels."""
-    return estimate_mi_class(bin_column(x, bin_count(np.size(x))), code_labels(labels))
+    return estimate_mi_class(one_row(x, bin_count(np.size(x))), code_labels(labels))
 
 
 def replicate_mean(fn, reps, n, seed):
@@ -68,7 +74,7 @@ def test_bin_counts():
 
 def test_binning_scheme_assigns_max_to_last_bin():
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    codes = bin_column(x, 4).codes
+    codes = one_row(x, 4).codes
     assert codes.tolist() == [0, 1, 2, 3, 3]  # 0.75 and the max 1.0
     counts, _ = np.histogram(x, bins=np.linspace(0.0, 1.0, 5))
     np.testing.assert_array_equal(np.bincount(codes, minlength=4), counts)
@@ -100,7 +106,7 @@ def test_mi_features_independent_pair_near_zero():
 
 def test_mi_features_replicate_mean_independent_pair():
     mean = replicate_mean(
-        lambda s: mi_features(s.column(F.V1), s.column(F.V3)),
+        lambda s: mi_features(s.features[:, F.V1 - 1], s.features[:, F.V3 - 1]),
         reps=150, n=1000, seed=61,
     )
     assert mean == pytest.approx(0.0107, abs=0.01)
@@ -115,11 +121,11 @@ def test_mi_features_symmetry_is_exact():
 
 def test_mi_class_replicate_means():
     mean1 = replicate_mean(
-        lambda s: mi_class(s.column(F.V1), s.labels), reps=150, n=1000, seed=62
+        lambda s: mi_class(s.features[:, F.V1 - 1], s.labels), reps=150, n=1000, seed=62
     )
     assert mean1 == pytest.approx(0.5932, abs=0.02)
     mean3 = replicate_mean(
-        lambda s: mi_class(s.column(F.V3), s.labels), reps=150, n=1000, seed=63
+        lambda s: mi_class(s.features[:, F.V3 - 1], s.labels), reps=150, n=1000, seed=63
     )
     assert mean3 == pytest.approx(0.0075, abs=0.01)
 
@@ -182,10 +188,10 @@ def test_plogp_table_is_read_only_and_cached():
 def test_estimator_consistency_trend():
     # replicate-mean absolute error shrinks with n, up to Monte Carlo noise
     targets = {
-        "h1": (lambda s: entropy_1d(s.column(F.V1)), 0.0),
-        "cmi1": (lambda s: mi_class(s.column(F.V1), s.labels), 0.59315),
+        "h1": (lambda s: entropy_1d(s.features[:, F.V1 - 1]), 0.0),
+        "cmi1": (lambda s: mi_class(s.features[:, F.V1 - 1], s.labels), 0.59315),
         "fmi14": (
-            lambda s: mi_features(s.column(F.V1), s.column(F.V4)),
+            lambda s: mi_features(s.features[:, F.V1 - 1], s.features[:, F.V4 - 1]),
             0.5,
         ),
     }
@@ -209,8 +215,9 @@ def test_estimator_consistency_trend():
 def test_reproducibility_bit_identical():
     a = generate_sample(SPEC_I, 500, np.random.default_rng(77))
     b = generate_sample(SPEC_I, 500, np.random.default_rng(77))
-    assert entropy_1d(a.column(F.V1)) == entropy_1d(b.column(F.V1))
-    assert mi_class(a.column(F.V4), a.labels) == mi_class(b.column(F.V4), b.labels)
+    assert entropy_1d(a.features[:, F.V1 - 1]) == entropy_1d(b.features[:, F.V1 - 1])
+    assert (mi_class(a.features[:, F.V4 - 1], a.labels)
+            == mi_class(b.features[:, F.V4 - 1], b.labels))
 
 
 def test_sample_validation():
@@ -231,7 +238,7 @@ def test_sample_validation():
 def test_sample_csv_round_trip(tmp_path):
     sample = generate_sample(SPEC_I, 64, np.random.default_rng(5))
     path = tmp_path / "s.csv"
-    sample.to_csv(str(path))
+    write_csv(sample, path)
     header = path.read_text().splitlines()[0]
     assert header == "v1,v2,v3,v4,v5,v6,v7,v8,v9,v10,class"
     back = Sample.from_csv(str(path))
@@ -338,27 +345,27 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
         sample = generate_sample(ScenarioSpec(scenario, k), n, np.random.default_rng(seed))
         p = estimated_provider(sample)
         for f in FEATURES:
-            x = sample.column(f)
+            x = sample.features[:, f - 1]
             assert p.entropy(f) == ref_entropy_1d(x, m)
             assert p.class_mi(f) == ref_mi_class(x, sample.labels, m)
         for i, j in combinations(FEATURES, 2):
-            x, y = sample.column(i), sample.column(j)
+            x, y = sample.features[:, i - 1], sample.features[:, j - 1]
             assert p.pairwise_mi(i, j) == ref_mi_features(x, y, q)
         for f in FEATURES:  # the self-MI I(X;X) on the pair grid
-            x = sample.column(f)
+            x = sample.features[:, f - 1]
             assert p.pairwise_mi(f, f) == ref_mi_features(x, x, q)
         # the public functions share the kernel: a binned column keeps its
         # own resolution, m, q or any other
-        x, y = sample.column(F.V1), sample.column(F.V4)
+        x, y = sample.features[:, F.V1 - 1], sample.features[:, F.V4 - 1]
         assert entropy_1d(x) == ref_entropy_1d(x, m)
         assert mi_class(x, sample.labels) == ref_mi_class(x, sample.labels, m)
         assert mi_features(x, y) == ref_mi_features(x, y, q)
-        bx, by = bin_column(x, 13), bin_column(y, 13)
+        bx, by = one_row(x, 13), one_row(y, 13)
         assert estimate_entropy_1d(bx) == ref_entropy_1d(x, 13)
         assert estimate_mi_class(bx, code_labels(sample.labels)) == ref_mi_class(
             x, sample.labels, 13)
         assert estimate_mi_features(bx, by) == ref_mi_features(x, y, 13)
-        assert estimate_mi_features(bin_column(x, 5), bin_column(y, 5)) == ref_mi_features(
+        assert estimate_mi_features(one_row(x, 5), one_row(y, 5)) == ref_mi_features(
             x, y, 5)
 
 
@@ -398,7 +405,7 @@ def test_bin_codes_equal_searchsorted(m, exponent, mantissa, offset, inner):
     x = edge_row(m, exponent, mantissa, offset, inner)
     lo, hi = x[0], x[1]
     edges = np.linspace(lo, hi, m + 1)
-    binned = bin_column(x, m)
+    binned = one_row(x, m)
     assert binned.count == m and binned.width == (hi - lo) / m
     codes = binned.codes
     expected = np.minimum(np.searchsorted(edges, x, side="right") - 1, m - 1)
@@ -419,7 +426,7 @@ def test_bin_codes_equal_searchsorted(m, exponent, mantissa, offset, inner):
          inner=[0.3])
 def test_row_blocks_equal_the_rows_alone(rows_per_block, m, other, ranges, inner):
     # every row is binned on its own edges in one multi-row call, whatever
-    # the rows are grouped into; the one-row call (bin_column) is the reference
+    # the rows are grouped into; the one-row call is the reference
     rows = np.array([edge_row(m, e, mant, off, inner) for e, mant, off in ranges])
     budget = estimation.BLOCK_CELLS if rows_per_block is None else rows_per_block
     if rows_per_block == 3:
@@ -432,7 +439,7 @@ def test_row_blocks_equal_the_rows_alone(rows_per_block, m, other, ranges, inner
             edges = np.linspace(x.min(), x.max(), count + 1)
             expected = np.minimum(np.searchsorted(edges, x, side="right") - 1, count - 1)
             np.testing.assert_array_equal(b.codes, expected)
-            alone = bin_column(x, count)
+            alone = one_row(x, count)
             assert b.count == count
             assert b.width.hex() == alone.width.hex() == ((x.max() - x.min()) / count).hex()
             assert b.entropy.hex() == alone.entropy.hex()
@@ -503,7 +510,7 @@ def test_sample_csv_bytes_do_not_depend_on_layout(tmp_path):
         path = tmp_path / f"{i}.csv"
         layout = Sample(features, sample.labels)
         assert layout.features.flags.f_contiguous
-        layout.to_csv(str(path))
+        write_csv(layout, path)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
     assert Sample.from_csv(str(tmp_path / "1.csv")).features.flags.f_contiguous
@@ -531,6 +538,6 @@ def test_bad_samples_fail_when_the_provider_is_built():
 def test_coded_inputs_must_match_the_requested_resolution():
     x = np.random.default_rng(12).uniform(size=100)
     with pytest.raises(ValueError, match="different resolutions"):
-        estimate_mi_features(bin_column(x, 10), bin_column(x, 4))
+        estimate_mi_features(one_row(x, 10), one_row(x, 4))
     with pytest.raises(ValueError, match="length mismatch"):
-        estimate_mi_class(bin_column(x, 10), code_labels(np.arange(50) % 2))
+        estimate_mi_class(one_row(x, 10), code_labels(np.arange(50) % 2))

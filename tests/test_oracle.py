@@ -156,9 +156,11 @@ def test_quadrature_stability():
 
 
 def test_log_ndtr_matches_scipy():
-    # both sides of the switch to the Mills-ratio series at -20
-    x = np.linspace(-45.0, 8.0, 53_001)
+    # down to where Phi is still a normal float
+    x = np.linspace(-37.0, 8.0, 45_001)
     assert np.max(np.abs(_log_ndtr(x) - log_ndtr(x))) <= 1e-12
+    # -inf, not NaN, where Phi underflows to 0
+    assert (_log_ndtr(np.linspace(-45.0, -39.0, 601)) == -math.inf).all()
 
 
 def test_ndtr_matches_scipy():
@@ -180,7 +182,7 @@ def quad_skew_pair_mi(alpha):
                for a in (alpha, -alpha))
 
 
-@pytest.mark.parametrize("k", [1e-3, 0.01, 0.05, 0.2, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("k", [1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.2, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
 def test_gaussian_class_mi_matches_adaptive_quadrature(k):
     # V1 and V7 are these integrals; V4's is one too, pinned at k = 0.2 and 0.8
     mis = class_mis(spec_ii(k))
@@ -188,6 +190,13 @@ def test_gaussian_class_mi_matches_adaptive_quadrature(k):
     assert mis[V.V7 - 1] == _skew_pair_mi(k)
     for alpha in (1.0 / k, k, (1.0 - k) / (1.0 + k)):
         assert abs(_skew_pair_mi(alpha) - quad_skew_pair_mi(alpha)) <= 1e-12
+
+
+def test_gaussian_class_mi_at_the_smallest_slope():
+    # alpha = 1/k is capped at _MAX_SKEW; X then splits the class at 0 exactly
+    mis = class_mis(spec_ii(1e-300))
+    assert all(math.isfinite(v) for v in mis)
+    assert abs(mis[V.V1 - 1] - LN2) <= 1e-15
 
 
 def test_affine_invariance_is_exact():

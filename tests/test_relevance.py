@@ -145,7 +145,7 @@ def test_validation():
     degenerate[:, 1] = 0.5
     with pytest.raises(ValueError):
         LabeledJoint.from_dense(degenerate)  # single-state class
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="13 features exceed the exhaustive-search bound"):
         LabeledJoint.from_dense(np.full((2,) * 14, 1.0 / 2**14)).relevance_optimal_sets()
 
 

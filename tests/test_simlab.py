@@ -30,10 +30,10 @@ def make_trace(*selected):
 def test_generate_sample_supports_and_transforms():
     rng = np.random.default_rng(0)
     s = generate_sample(SPEC_I, 4000, rng)
-    v1 = s.column(F.V1)
+    v1 = s.features[:, F.V1 - 1]
     assert np.all((v1 >= -0.5) & (v1 <= 0.5))
-    np.testing.assert_array_equal(s.column(F.V2), 3.0 * v1 + 1.0)
-    np.testing.assert_array_equal(s.column(F.V8), v1 * v1)
+    np.testing.assert_array_equal(s.features[:, F.V2 - 1], 3.0 * v1 + 1.0)
+    np.testing.assert_array_equal(s.features[:, F.V8 - 1], v1 * v1)
     # balanced classes within 3 binomial standard errors
     p1 = s.labels.mean()
     assert abs(p1 - 0.5) <= 3.0 * math.sqrt(0.25 / s.n)
@@ -44,7 +44,7 @@ def test_generate_sample_supports_and_transforms():
 def test_generate_sample_gaussian_branch():
     rng = np.random.default_rng(1)
     s = generate_sample(ScenarioSpec(Scenario.GAUSSIAN, 0.8), 4000, rng)
-    assert s.column(F.V1).std() == pytest.approx(1.0, abs=0.05)
+    assert s.features[:, F.V1 - 1].std() == pytest.approx(1.0, abs=0.05)
     assert abs(s.labels.mean() - 0.5) <= 3.0 * math.sqrt(0.25 / s.n)
 
 

@@ -15,7 +15,6 @@ from miselect.xreal import (
     fadd,
     fdiv,
     fmax,
-    fmin,
     fmul,
     fsub,
 )
@@ -85,20 +84,17 @@ def test_neg_examples():
 
 
 def test_ordering():
-    # fmax and fmin order -inf < finite < +inf and keep the first operand on a tie
+    # fmax orders -inf < finite < +inf and keeps the first operand on a tie
     assert boxed(fmax, NEG_INF, box(-1e9)) == box(-1e9)
-    assert boxed(fmin, box(-1e9), box(0.0)) == box(-1e9)
     assert boxed(fmax, box(0.0), POS_INF) is POS_INF
     a, b = float("inf"), float("inf")
-    assert fmax(a, b) is a and fmin(a, b) is a
+    assert fmax(a, b) is a
     # an indeterminate operand is not ordered: it absorbs
     assert boxed(fmax, ALL_INDETS[0], box(0.0)) is ALL_INDETS[0]
-    assert boxed(fmin, box(0.0), ALL_INDETS[0]) is ALL_INDETS[0]
 
 
 def test_extrema():
     assert fold(fmax, [NEG_INF, box(1.0), box(3.0)]) == box(3.0)
-    assert fold(fmin, [box(1.0), NEG_INF]) is NEG_INF
     assert fold(fmax, [box(1.0), ALL_INDETS[2]]).is_indet
 
 
@@ -258,19 +254,19 @@ def ref_compare(a, b):
     return 0
 
 
-def ref_extremum(values, sign):
+def ref_maximum(values):
     best = None
     indet = None
     for v in values:
         if v.is_indet:
             indet = indet or v
             continue
-        if best is None or sign * ref_compare(v, best) > 0:
+        if best is None or ref_compare(v, best) > 0:
             best = v
     if indet is not None:
         return indet
     if best is None:
-        raise ValueError("extremum of an empty sequence")
+        raise ValueError("maximum of an empty sequence")
     return best
 
 
@@ -302,22 +298,18 @@ def test_operations_equal_the_case_analysis(a, b):
     assert_same(boxed(fsub, ZERO, a), ref_xneg(a))
     for op, ref in BINARY:
         assert_same(boxed(op, a, b), ref(a, b))
-    # the order fmax and fmin keep; an indeterminate operand absorbs
+    # the order fmax keeps; an indeterminate operand absorbs
     pa, pb = raw(a), raw(b)
     if a.is_indet or b.is_indet:
-        first = pa if a.is_indet else pb
-        assert fmax(pa, pb) is first and fmin(pa, pb) is first
+        assert fmax(pa, pb) is (pa if a.is_indet else pb)
     else:
-        order = ref_compare(a, b)
-        assert fmax(pa, pb) is (pb if order < 0 else pa)
-        assert fmin(pa, pb) is (pb if order > 0 else pa)
+        assert fmax(pa, pb) is (pb if ref_compare(a, b) < 0 else pa)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(XREALS, min_size=1, max_size=6))
 def test_extrema_equal_the_case_analysis(values):
-    assert_same(fold(fmax, values), ref_extremum(values, 1))
-    assert_same(fold(fmin, values), ref_extremum(values, -1))
+    assert_same(fold(fmax, values), ref_maximum(values))
 
 
 @settings(max_examples=300, deadline=None)
@@ -336,7 +328,6 @@ def test_first_indeterminate_operand_wins(a, b):
         assert boxed(op, a, b) is a
     assert fold(fadd, [box(1.0), a, POS_INF, b], ZERO) is a
     assert fold(fmax, [box(1.0), a, b]) is a
-    assert fold(fmin, [b, NEG_INF, a]) is b
 
 
 @settings(max_examples=300, deadline=None)
