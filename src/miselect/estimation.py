@@ -73,7 +73,7 @@ def plogp_table(total: int) -> np.ndarray:
     """Read-only ``p * log(p)`` for p = c / total, c = 0 .. total; 0 at c = 0.
 
     Each entry is numpy's own divide, log and multiply of its count: the
-    term ``infotheory.plugin_entropy`` computes for that count.
+    term ``infotheory.plugin_entropy`` computes for the frequency c / total.
     """
     p = np.arange(1, total + 1) / total
     table = np.zeros(total + 1)
@@ -85,7 +85,7 @@ def plogp_table(total: int) -> np.ndarray:
 def count_entropy(counts: np.ndarray, total: int) -> float:
     """Plug-in entropy (nats) of integer bin ``counts`` of ``total`` observations.
 
-    Equal to ``infotheory.plugin_entropy(counts, total)`` bit for bit: the
+    Equal to ``infotheory.plugin_entropy(counts / total)`` bit for bit: the
     same terms, sorted into the same order and summed over the same length.
     A nonzero count's term is <= 0, so the empty bins' zeros sort last and
     the slice drops them.

@@ -5,11 +5,9 @@ cell indices and one mass vector, so desk-scale tables with millions of
 cells but a few hundred atoms stay fast.  All information measures are in
 nats with the convention 0*ln(0) = 0.
 
-Projecting the atoms on a sorted variable subset groups them, and the
-groupings form a lattice: a subset's grouping is built from its cached
-parent, the subset less its last variable, by one multiply-add of the
-parent ids with that variable and a dense relabel of the codes present,
-so groups are numbered in code order.  Group masses are summed in atom
+Projecting the atoms on a sorted variable subset groups them: each atom's
+mixed-radix code over the subset is numbered densely in code order, and
+the grouping is cached once per subset.  Group masses are summed in atom
 order, so a conditional probability is the same float whichever grouping
 it comes from, and an entropy is the same float in any variable order.
 """
@@ -66,36 +64,23 @@ class Joint:
     def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Group id of each atom by its projection on ``variables``, and group masses.
 
-        Groups are numbered in the order of the projection's mixed-radix code.
-        A sorted key's grouping is built from its parent's, ``key[:-1]``: the
-        parent id times the last variable's arity plus the atom's value is a
-        code below ``n_parent * arity``, relabelled densely through the codes
-        present.  Each group's mass is summed in atom order, so a conditional
-        probability is the same float whichever grouping it comes from.
+        Groups are numbered in the order of the projection's mixed-radix code
+        over the sorted variables; a subset with more cells than the index
+        range holds is refused with ValueError.  Each group's mass is summed
+        in atom order, so a conditional probability is the same float
+        whichever grouping it comes from.
         """
         key = tuple(sorted(set(variables)))
-        end = len(key)
-        while key[:end] not in self._groupings:  # the empty key is always there
-            end -= 1
-        ids, mass = self._groupings[key[:end]]
-        for end in range(end + 1, len(key) + 1):
-            v = key[end - 1]
-            codes = ids * self.arities[v] + self.atoms[:, v]
-            present = np.zeros(len(mass) * self.arities[v], dtype=bool)
-            present[codes] = True
-            ids = np.cumsum(present)[codes] - 1
-            mass = np.bincount(ids, weights=self.mass)
-            self._groupings[key[:end]] = (ids, mass)
-        return ids, mass
+        if key not in self._groupings:  # the empty key is always there
+            codes = np.ravel_multi_index(self.atoms[:, key].T, np.take(self.arities, key))
+            ids = np.unique(codes, return_inverse=True)[1]
+            self._groupings[key] = (ids, np.bincount(ids, weights=self.mass))
+        return self._groupings[key]
 
 
-def plugin_entropy(counts: np.ndarray, total: float = 1.0) -> float:
-    """Entropy (nats) of the frequencies ``counts / total``; 0*ln(0) = 0.
-
-    Takes a probability mass (``total`` 1) or bin counts (``total`` the
-    number of observations), of any shape.
-    """
-    p = counts[counts > 0] / total
+def plugin_entropy(probs: np.ndarray) -> float:
+    """Entropy (nats) of the probability mass ``probs``, of any shape; 0*ln(0) = 0."""
+    p = probs[probs > 0]
     terms = p * np.log(p)
     terms.sort()  # canonical order: H(X,Y) == H(Y,X) to the last bit
     return float(-terms.sum())

@@ -92,71 +92,60 @@ FULL_ORDER = (V.V1, V.V7, V.V5, V.V9, V.V4, V.V10, V.V2, V.V3, V.V6, V.V8)
 _BETAS = (0.0, 0.4, 0.7, 1.0)
 
 
-def _methods_with_betas(rows: dict) -> dict[MethodSpec, tuple[FeatureId, ...]]:
-    out: dict[MethodSpec, tuple[FeatureId, ...]] = {}
-    for key, row in rows.items():
-        if isinstance(key, tuple):
-            method, beta = key
-            out[MethodSpec(method, beta)] = tuple(row)
-        else:
-            out[MethodSpec(key)] = tuple(row)
-    return out
-
-
 ORDERING_TABLE: dict[tuple[Scenario, float], dict[MethodSpec, tuple[FeatureId, ...]]] = {
-    (Scenario.UNIFORM, 0.2): _methods_with_betas({
-        (Method.MIFS, 0.0): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10),
-        **{(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
-        (Method.MIFS_U, 0.0): (V.V1,),
-        **{(Method.MIFS_U, b): (V.V1, V.V2, V.V4, V.V8) for b in _BETAS[1:]},
-        Method.MRMR: FULL_ORDER,
-        Method.MMIFS_U: (V.V1, V.V2, V.V4, V.V8),
-        Method.MICC: (V.V1, V.V8, V.V4, V.V3),
-        Method.QMIFS: (V.V1, V.V2),
-        Method.NMIFS: (V.V1, V.V8, V.V3, V.V6, V.V4),
-        Method.MAX_MIFS: FULL_ORDER,
-    }),
-    (Scenario.UNIFORM, 0.8): _methods_with_betas({
-        (Method.MIFS, 0.0): (V.V1, V.V7, V.V4, V.V5, V.V9, V.V10),
-        **{(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
-        (Method.MIFS_U, 0.0): (V.V1,),
-        **{(Method.MIFS_U, b): (V.V1, V.V2, V.V4, V.V8) for b in _BETAS[1:]},
-        Method.MRMR: FULL_ORDER,
-        Method.MMIFS_U: (V.V1, V.V2, V.V4, V.V8),
-        Method.MICC: (V.V1, V.V8, V.V4, V.V3),
-        Method.QMIFS: (V.V1, V.V2),
-        Method.NMIFS: (V.V1, V.V8, V.V2, V.V6, V.V4),
-        Method.MAX_MIFS: FULL_ORDER,
-    }),
-    (Scenario.GAUSSIAN, 0.2): _methods_with_betas({
-        (Method.MIFS, 0.0): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10),
-        **{(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
-        (Method.MIFS_U, 0.0): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10),
-        (Method.MIFS_U, 0.4): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10, V.V2, V.V3, V.V8),
-        (Method.MIFS_U, 0.7): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
-        (Method.MIFS_U, 1.0): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
-        Method.MRMR: FULL_ORDER,
-        Method.MMIFS_U: (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
-        Method.MICC: (V.V1, V.V7, V.V4, V.V3, V.V8, V.V2),
-        Method.QMIFS: (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4),
-        Method.NMIFS: FULL_ORDER,
-        Method.MAX_MIFS: FULL_ORDER,
-    }),
-    (Scenario.GAUSSIAN, 0.8): _methods_with_betas({
-        (Method.MIFS, 0.0): (V.V1, V.V7, V.V4, V.V5, V.V9, V.V10),
-        **{(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
-        (Method.MIFS_U, 0.0): (V.V1, V.V7, V.V4, V.V5, V.V9, V.V10),
+    (Scenario.UNIFORM, 0.2): {
+        MethodSpec(Method.MIFS, 0.0): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10),
+        **{MethodSpec(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
+        MethodSpec(Method.MIFS_U, 0.0): (V.V1,),
+        **{MethodSpec(Method.MIFS_U, b): (V.V1, V.V2, V.V4, V.V8) for b in _BETAS[1:]},
+        MethodSpec(Method.MRMR): FULL_ORDER,
+        MethodSpec(Method.MMIFS_U): (V.V1, V.V2, V.V4, V.V8),
+        MethodSpec(Method.MICC): (V.V1, V.V8, V.V4, V.V3),
+        MethodSpec(Method.QMIFS): (V.V1, V.V2),
+        MethodSpec(Method.NMIFS): (V.V1, V.V8, V.V3, V.V6, V.V4),
+        MethodSpec(Method.MAX_MIFS): FULL_ORDER,
+    },
+    (Scenario.UNIFORM, 0.8): {
+        MethodSpec(Method.MIFS, 0.0): (V.V1, V.V7, V.V4, V.V5, V.V9, V.V10),
+        **{MethodSpec(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
+        MethodSpec(Method.MIFS_U, 0.0): (V.V1,),
+        **{MethodSpec(Method.MIFS_U, b): (V.V1, V.V2, V.V4, V.V8) for b in _BETAS[1:]},
+        MethodSpec(Method.MRMR): FULL_ORDER,
+        MethodSpec(Method.MMIFS_U): (V.V1, V.V2, V.V4, V.V8),
+        MethodSpec(Method.MICC): (V.V1, V.V8, V.V4, V.V3),
+        MethodSpec(Method.QMIFS): (V.V1, V.V2),
+        MethodSpec(Method.NMIFS): (V.V1, V.V8, V.V2, V.V6, V.V4),
+        MethodSpec(Method.MAX_MIFS): FULL_ORDER,
+    },
+    (Scenario.GAUSSIAN, 0.2): {
+        MethodSpec(Method.MIFS, 0.0): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10),
+        **{MethodSpec(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
+        MethodSpec(Method.MIFS_U, 0.0): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10),
+        MethodSpec(Method.MIFS_U, 0.4): (V.V1, V.V4, V.V7, V.V5, V.V9, V.V10, V.V2, V.V3, V.V8),
+        MethodSpec(Method.MIFS_U, 0.7): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
+        MethodSpec(Method.MIFS_U, 1.0): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
+        MethodSpec(Method.MRMR): FULL_ORDER,
+        MethodSpec(Method.MMIFS_U): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
+        MethodSpec(Method.MICC): (V.V1, V.V7, V.V4, V.V3, V.V8, V.V2),
+        MethodSpec(Method.QMIFS): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4),
+        MethodSpec(Method.NMIFS): FULL_ORDER,
+        MethodSpec(Method.MAX_MIFS): FULL_ORDER,
+    },
+    (Scenario.GAUSSIAN, 0.8): {
+        MethodSpec(Method.MIFS, 0.0): (V.V1, V.V7, V.V4, V.V5, V.V9, V.V10),
+        **{MethodSpec(Method.MIFS, b): FULL_ORDER for b in _BETAS[1:]},
+        MethodSpec(Method.MIFS_U, 0.0): (V.V1, V.V7, V.V4, V.V5, V.V9, V.V10),
         **{
-            (Method.MIFS_U, b): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8)
+            MethodSpec(Method.MIFS_U, b): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8)
             for b in _BETAS[1:]
         },
-        Method.MRMR: FULL_ORDER,
-        Method.MMIFS_U: (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
-        Method.MICC: (V.V1, V.V7, V.V4, V.V3, V.V8, V.V2),
-        Method.QMIFS: (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4),
-        Method.NMIFS: FULL_ORDER,
-        Method.MAX_MIFS: FULL_ORDER,
-    }),
+        MethodSpec(Method.MRMR): FULL_ORDER,
+        MethodSpec(Method.MMIFS_U): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4, V.V2, V.V3, V.V8),
+        MethodSpec(Method.MICC): (V.V1, V.V7, V.V4, V.V3, V.V8, V.V2),
+        MethodSpec(Method.QMIFS): (V.V1, V.V7, V.V5, V.V9, V.V10, V.V4),
+        MethodSpec(Method.NMIFS): FULL_ORDER,
+        MethodSpec(Method.MAX_MIFS): FULL_ORDER,
+    },
 }
 
 # (scenario, k, method spec) -> 0-based positions whose reference value is

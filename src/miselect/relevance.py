@@ -91,8 +91,10 @@ class LabeledJoint(Joint):
         Yields per block of subsets their bitmasks (bit j for ``features[j]``),
         the conditionals (subsets, atoms, classes), and the level below as (row
         of each mask, group ids, P(class | group)).  A subset's groups are its
-        parent's, the subset less its highest bit, relabelled as
-        ``Joint._grouping`` does, each row's codes offset past the rows before.
+        parent's, the subset less its highest bit: the parent id times the
+        bit's arity plus the atom's value, each row's codes offset past the
+        rows before, relabelled densely through the codes present, so groups
+        are numbered in code order as ``Joint._grouping`` numbers them.
         """
         d, n = len(self.features), len(self.mass)
         bits = 1 << np.arange(d)
@@ -156,19 +158,20 @@ class LabeledJoint(Joint):
         A value of ``over`` absent under a key has probability 0 there.
         """
         # A wide ``over`` can have as many values as there are atoms, so no
-        # dense table over it: one row per (base, over) value present, one
-        # column per value of ``extra``, a single feature in has_markov_blanket.
+        # dense table over it: one row per (base, over) cell present, the
+        # grouping of base + over, and one column per value of ``extra``, a
+        # single feature in has_markov_blanket.  Each cell lies in one base
+        # group, which one scatter of the atoms' base ids finds.
         n_ids, n_mass = self._grouping(base)
         x_ids, x_mass = self._grouping(extra)
-        o_ids, o_mass = self._grouping(over)
-        n_x = len(x_mass)
-        cells, cell_ids = np.unique(n_ids * len(o_mass) + o_ids, return_inverse=True)
-        cell_base = cells // len(o_mass)
-        narrow = np.bincount(cell_ids, weights=self.mass) / n_mass[cell_base]
+        cell_ids, c_mass = self._grouping(tuple(base) + tuple(over))
+        n_x, cell_base = len(x_mass), np.empty(len(c_mass), dtype=np.intp)
+        cell_base[cell_ids] = n_ids
+        narrow = c_mass / n_mass[cell_base]
         wide_mass = np.bincount(n_ids * n_x + x_ids, weights=self.mass,
                                 minlength=len(n_mass) * n_x).reshape(-1, n_x)[cell_base]
         cell_mass = np.bincount(cell_ids * n_x + x_ids, weights=self.mass,
-                                minlength=len(cells) * n_x).reshape(-1, n_x)
+                                minlength=len(c_mass) * n_x).reshape(-1, n_x)
         rows, cols = np.nonzero(wide_mass)  # the (base, extra) keys present
         wide = cell_mass[rows, cols] / wide_mass[rows, cols]
         return not np.abs(wide - narrow[rows]).max() > PROB_TOLERANCE

@@ -125,7 +125,6 @@ class SelectionStep:
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    method: MethodSpec
     selected: tuple[FeatureId, ...]
     steps: tuple[SelectionStep, ...] = field(repr=False)
     halt: HaltReason = HaltReason.ALL_SELECTED
@@ -241,4 +240,4 @@ def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
         steps.append(SelectionStep(order[winner], objectives))
         picked.append(winner)
         remaining.remove(winner)
-    return SelectionTrace(m, tuple(order[a] for a in picked), tuple(steps), halt)
+    return SelectionTrace(tuple(order[a] for a in picked), tuple(steps), halt)

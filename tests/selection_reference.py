@@ -149,4 +149,4 @@ def reference_select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
             break
         steps.append(SelectionStep(winner, values))
         selected.append(winner)
-    return SelectionTrace(m, tuple(selected), tuple(steps), halt)
+    return SelectionTrace(tuple(selected), tuple(steps), halt)

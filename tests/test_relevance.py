@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miselect import relevance
-from miselect.infotheory import MASS_TOLERANCE, mass_total
+from miselect.infotheory import MASS_TOLERANCE, Joint, mass_total
 from miselect.oracle import Scenario, ScenarioSpec
 from miselect.relevance import (
     PROB_TOLERANCE,
@@ -456,13 +456,19 @@ def test_twelve_features_classify_at_the_search_bound():
             not differs(class_table(joint, joint.features), class_table(joint, subset)))
 
 
-def unique_grouping(joint, variables):
-    """Group ids and masses from each atom's mixed-radix code, sorted by np.unique."""
-    codes = np.zeros(len(joint.mass), dtype=np.int64)
-    for v in sorted(variables):
-        codes = codes * joint.arities[v] + joint.atoms[:, v]
-    _, ids = np.unique(codes, return_inverse=True)
-    return ids, np.bincount(ids, weights=joint.mass)
+def dict_grouping(joint, variables):
+    """Group ids and masses in pure Python: one group per distinct value tuple.
+
+    Groups are numbered in sorted-tuple order, which is mixed-radix code
+    order, and each group's mass is added up in atom order.
+    """
+    key = sorted(set(variables))
+    values = [tuple(int(atom[v]) for v in key) for atom in joint.atoms]
+    group = {value: g for g, value in enumerate(sorted(set(values)))}
+    mass = [0.0] * len(group)
+    for value, m in zip(values, joint.mass.tolist()):
+        mass[group[value]] += m
+    return [group[value] for value in values], mass
 
 
 @settings(max_examples=200, deadline=None)
@@ -474,15 +480,22 @@ def test_lattice_groupings_match_unique_codes(drawn):
     except ValueError:  # the class has a single state
         return
     variables = range(len(joint.arities))
-    subsets = [s for size in range(len(variables) + 1)
-               for s in itertools.combinations(variables, size)]
-    # largest first, so that most groupings are built along a chain of parents
-    for subset in reversed(subsets):
-        ids, mass = joint._grouping(reversed(subset))
-        ref_ids, ref_mass = unique_grouping(joint, subset)
-        # both number the groups in code order, so the same partition has the same ids
-        assert np.array_equal(ids, ref_ids)
-        assert np.array_equal(mass, ref_mass)  # bit-equal: summed in atom order
+    for size in range(len(variables) + 1):
+        for subset in itertools.combinations(variables, size):
+            ids, mass = joint._grouping(reversed(subset))
+            ref_ids, ref_mass = dict_grouping(joint, subset)
+            # both number the groups in code order, so the same partition has the same ids
+            assert ids.tolist() == ref_ids
+            assert mass.tolist() == ref_mass  # bit-equal: summed in atom order
+
+
+def test_grouping_refuses_more_cells_than_the_index_range():
+    # 2**40 * 2**40 cells: a mixed-radix code would wrap past int64
+    joint = Joint([1 << 40, 1 << 40, 2], np.array([[0, 1, 0], [1 << 39, 3, 1]]),
+                  np.array([0.5, 0.5]))
+    assert joint._grouping((0, 2))[0].tolist() == [0, 1]
+    with pytest.raises(ValueError):
+        joint._grouping((0, 1))
 
 
 def test_letters_of_true_and_false_outside_probs_load():

@@ -22,9 +22,7 @@ SPEC_I = ScenarioSpec(Scenario.UNIFORM, 0.2)
 
 
 def make_trace(*selected):
-    return SelectionTrace(
-        MethodSpec(Method.MRMR), tuple(selected), (), HaltReason.ALL_SELECTED
-    )
+    return SelectionTrace(tuple(selected), (), HaltReason.ALL_SELECTED)
 
 
 def test_generate_sample_supports_and_transforms():
