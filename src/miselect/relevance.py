@@ -11,11 +11,12 @@ A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
 support atoms and their subset lattice, with one variable designated as
 the class.  ``from_json`` reads the document's flat, row-major mass list
 into one dense float array and takes the atoms from it.  A plain
-document's list is scanned by byte masks: each token that is the
-canonical zero (``0.0`` after ``, ``) is an empty cell, and only the bytes
-of the other tokens go to ``json.loads``.  Any other document is parsed
-whole by ``json.loads``, which words every refusal; both routes fill the
-same array, so the masses are bit-equal.  Conditioning invariance
+document's list is scanned by byte masks, one cache-sized block of
+``SCAN_BYTES`` at a time: each token that is the canonical zero (``0.0``
+after ``, ``) is an empty cell, and only the bytes of the other tokens go
+to ``json.loads``.  Any other document is parsed whole by ``json.loads``,
+which words every refusal; both routes fill the same array, so the masses
+are bit-equal.  Conditioning invariance
 compares two conditionals, P(over | wide key) and P(over | narrow key),
 with 0 for a value absent under a key.  For the class, P(class | S-group
 of each atom) is built once for every feature subset S, one lattice level
@@ -44,6 +45,7 @@ from .oracle import ScenarioSpec, class_labels, feature_matrix
 PROB_TOLERANCE = 1e-9
 MAX_SEARCH_FEATURES = 12
 BLOCK_CELLS = 1 << 19  # (subset, member, atom) triples per block of the lattice
+SCAN_BYTES = 1 << 18  # bytes of a joint document's mass list per block of its scan
 
 
 class RelevanceClass(Enum):
@@ -365,10 +367,13 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     ``"probs"`` key, a list holding no ``[``, ``{`` or ``"``, and no escape
     elsewhere, so that no other key decodes to ``probs``.  ``json.loads``
     parses the rest of the text with the list cut to ``[]``.  The list is
-    scanned by byte masks, none per cell: one marks each canonical token
-    (``, 0.0`` before the next comma), an empty cell, and one its bytes; the
-    other bytes go to one ``json.loads``, so each value is json's own.  A
-    kept token's cell is its ordinal plus the canonical tokens before it.
+    scanned in blocks of ``SCAN_BYTES`` bytes, so that its masks stay in
+    cache and none spans the list.  In a block, one mask marks the starts of
+    the canonical tokens (``, 0.0`` before the next comma), empty cells, whose
+    bytes reach into it, and one keeps the bytes they do not cover.  The kept
+    bytes of all blocks go to one ``json.loads``, so each value is json's
+    own.  A kept token's cell is its ordinal plus the canonical tokens before
+    it.
     ``from_dense`` sums the dense float array as it sums the whole-document
     parse's.  Every refusal, and a list with no empty cell to skip, is left
     to ``_parsed_document``.
@@ -395,26 +400,32 @@ def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
     body = np.frombuffer(text.encode("ascii"), np.uint8, end + 2 - start, start - 1)  # [ to ]
     # token k > 0 runs from its comma to the next; the first holds [ and the last ], never canonical
     pattern = (_ZERO_TOKEN + ",").encode()  # a canonical token, then the next one's comma
-    n = len(body) - len(_ZERO_TOKEN)
-    canonical = body[:n] == pattern[0]  # at p: a canonical token starts at p
-    for i in range(1, len(pattern)):
-        canonical &= body[i:n + i] == pattern[i]
-    keep = np.ones(len(body), dtype=bool)  # the bytes of every other token
-    np.logical_not(canonical, out=canonical)
-    for i in range(len(_ZERO_TOKEN)):  # a canonical token holds one comma, so none overlap
-        keep[i:n + i] &= canonical
-    kept = body[keep]  # a JSON list
-    keep &= body == ord(",")
-    at = np.append(0, np.flatnonzero(keep))  # each kept token's start, in body and in kept
+    width = len(_ZERO_TOKEN)
+    n = len(body) - width  # a canonical token may start at p < n
+    pieces, starts = [], []
+    for a in range(0, len(body), SCAN_BYTES):
+        b = min(a + SCAN_BYTES, len(body))
+        lo, hi = max(a - width + 1, 0), min(b, n)  # the starts whose token reaches into [a, b)
+        other = body[lo:hi] != pattern[0]  # at q: no canonical token starts at lo + q
+        for i in range(1, len(pattern)):
+            other |= body[lo + i:hi + i] != pattern[i]
+        keep = np.ones(b + width - 1 - lo, dtype=bool)  # at j: byte lo + j is another token's
+        for i in range(width):  # a canonical token holds one comma, so none overlap
+            keep[i:i + len(other)] &= other
+        kept_at = np.flatnonzero(keep[a - lo:b - lo]) + a
+        pieces.append(body[kept_at])
+        starts.append(kept_at[pieces[-1] == ord(",")])
+    kept = np.concatenate(pieces)  # a JSON list
+    at = np.append(0, np.concatenate(starts))  # each kept token's start, in body and in kept
     cut_at = np.append(0, np.flatnonzero(kept == ord(",")))
-    if len(at) + (len(body) - len(kept)) // len(_ZERO_TOKEN) != size:
+    if len(at) + (len(body) - len(kept)) // width != size:
         raise ValueError("not one token per cell")
     values = json.loads(kept.tobytes())
     flat = np.asarray(values)
     if len(values) != len(at) or not _numbers(flat, values):  # an empty list has no token
         raise ValueError("not one number per kept token")
     dense = np.zeros(size)
-    dense[np.arange(len(at)) + (at - cut_at) // len(_ZERO_TOKEN)] = flat  # + tokens cut before
+    dense[np.arange(len(at)) + (at - cut_at) // width] = flat  # + tokens cut before
     return doc, dense
 
 

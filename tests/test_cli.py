@@ -832,13 +832,17 @@ BAD_JOINT_FILES = {
         '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1,"class_index":0}',
         "duplicate key 'class_index' in a JSON object"),
     "deep-nesting": ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+    "non-utf8": (b'{"arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5],"source":"\xff"}',
+                 "'utf-8' codec can't decode byte 0xff in position 56: invalid start byte"),
 }
 
 
 def test_relevance_bad_file(tmp_path, capsys):
     for label, (text, reason) in BAD_JOINT_FILES.items():
         path = tmp_path / f"{label}.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         line = run_error(capsys, "relevance", "--joint", str(path))
         assert line == f"error: cannot load joint {path}: {reason.format(path=path)}", label

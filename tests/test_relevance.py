@@ -159,12 +159,12 @@ def test_json_round_trip(example):
 
 @st.composite
 def dense_joints(draw):
-    """Dense tables with empty, tiny and ordinary cells, the class the last axis.
+    """Dense tables with empty (0.0 or -0.0), tiny and ordinary cells, the class the last axis.
 
     The total is off 1 by up to MASS_TOLERANCE, so dividing by it moves masses.
     """
     arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)) + [draw(st.integers(2, 3))]
-    cells = draw(st.lists(st.sampled_from((0.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0)),
+    cells = draw(st.lists(st.sampled_from((0.0, 0.0, -0.0, 1e-300, 1e-12, 0.3, 1.0, 7.0)),
                           min_size=int(np.prod(arities)), max_size=int(np.prod(arities))))
     probs = np.asarray(cells).reshape(arities)
     probs[(0,) * (len(arities) - 1) + (0,)] += 1.0  # two class states carry mass
@@ -525,14 +525,37 @@ def parsed_outcome(text):
         return load_outcome(text)
 
 
+def scan_outcome(text):
+    """The scanned document and its dense array's bytes, or the scan's refusal."""
+    try:
+        doc, flat = relevance._scanned_document(text)
+    except ValueError as exc:
+        return f"refused: {exc}"
+    return doc, flat.tobytes()
+
+
+def assert_scan_ignores_block_edges(text, sizes=range(1, 8)):
+    """The scan accepts and fills the same at each block size in ``sizes`` as by default.
+
+    Sizes 1 to 7 put a block edge at every byte of a canonical token and the
+    next one's comma, ``, 0.0,``.
+    """
+    expected = scan_outcome(text)
+    for size in sizes:
+        with mock.patch.object(relevance, "SCAN_BYTES", size):
+            assert scan_outcome(text) == expected, size
+
+
 @pytest.mark.parametrize("zero", ["0", "-0.0", "0e0", "0.00", "0.0"])
 @pytest.mark.parametrize("comma", [", ", ",", ",\t", ",\n"])
 def test_zero_spellings_load_the_same_atoms(zero, comma):
     canonical = LabeledJoint.from_json('{"arities":[2,3],"probs":[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]}')
     tokens = ["0.5", zero, "0.0", zero, zero, "0.5"]
-    joint = LabeledJoint.from_json('{"arities":[2,3],"probs":[' + comma.join(tokens) + "]}")
+    text = '{"arities":[2,3],"probs":[' + comma.join(tokens) + "]}"
+    joint = LabeledJoint.from_json(text)
     assert np.array_equal(joint.atoms, canonical.atoms)
     assert joint.mass.tobytes() == canonical.mass.tobytes()
+    assert_scan_ignores_block_edges(text)
 
 
 def test_grid_document_is_scanned(grid):
@@ -628,6 +651,7 @@ def boundary_document(probs):
 @explicit_example('{"arities":[1,1],"probs":[]}')
 def test_scan_agrees_with_whole_document_parse(text):
     assert load_outcome(text) == parsed_outcome(text)
+    assert_scan_ignores_block_edges(text)
     try:
         doc, flat = relevance._scanned_document(text)
     except ValueError:
@@ -661,11 +685,13 @@ def test_long_scan_agrees_with_whole_document_parse(text):
     parsed_doc, parsed_flat = relevance._parsed_document(text)
     assert doc.keys() == parsed_doc.keys() and doc["arities"] == parsed_doc["arities"]
     assert flat.tobytes() == parsed_flat.astype(float).tobytes()
+    assert_scan_ignores_block_edges(text, sizes=(64,))
 
 
 def test_scan_allocates_no_array_per_cell(grid):
-    # the dense result is 8 bytes a cell and the text about 5; per-cell integer
-    # arrays, 8 bytes a cell each, would push the peak past 6 bytes per byte
+    # the encoded text is 1 byte per byte and the dense result 8 bytes a cell,
+    # the text about 5; a mask or an integer array over the whole list would
+    # push the peak past 3 bytes per byte
     text = grid.to_json()
     tracemalloc.start()
     try:
@@ -673,4 +699,4 @@ def test_scan_allocates_no_array_per_cell(grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * len(text)
+    assert peak < 3 * len(text)
