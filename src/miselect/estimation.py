@@ -8,15 +8,15 @@ H(X) + H(Y) - H(X,Y) with all three entropies on that shared grid, and
 class MI evaluates H(V) - sum_c p(c) H(V | C=c) on pooled bin edges.
 
 Every estimate goes through one kernel: columns are turned into integer
-bin codes (:func:`bin_rows`), the class labels into class indices
-(:func:`code_labels`), and all counts are ``np.bincount`` of those codes,
-split by class label or combined as ``ci * q + cj`` for a pair.  The
-entropy of those counts reads its terms from one table of ``p * log(p)``
-per total, p = c / total (:func:`count_entropy`).  The codes follow the
-counting rule of ``np.histogram``, and each term is numpy's own result
-for its count, so the estimates equal the histogram ones bit for bit.
-The ``estimate_*`` functions take binned columns and coded labels only;
-a binned column carries its own resolution.
+bin codes (:func:`bin_rows`), and all counts are ``np.bincount`` of those
+codes, split by a :class:`Sample`'s 0/1 class labels or combined as
+``ci * q + cj`` for a pair.  The entropy of those counts reads its terms
+from one table of ``p * log(p)`` per total, p = c / total
+(:func:`count_entropy`).  The codes follow the counting rule of
+``np.histogram``, and each term is numpy's own result for its count, so
+the estimates equal the histogram ones bit for bit.  The ``estimate_*``
+functions take binned columns, and the class MI the sample whose labels
+split them; a binned column carries its own resolution.
 
 A :class:`Sample` holds its columns feature-major, each column's values
 contiguous.  :func:`estimated_provider` bins all ten columns at both
@@ -58,8 +58,6 @@ class DegenerateSampleError(ValueError):
 
 def bin_count(n: int) -> int:
     """Univariate bin count, m = ceil(sqrt(n))."""
-    if n < 4:
-        raise ValueError(f"need at least 4 observations, got {n}")
     return math.ceil(math.sqrt(n))
 
 
@@ -68,7 +66,7 @@ def pair_bin_count(n: int) -> int:
     return math.ceil(math.sqrt(bin_count(n)))
 
 
-@lru_cache(maxsize=4)  # a replicate's n and its two class sizes
+@lru_cache(maxsize=4)  # n hits across a cell's replicates; the class sizes vary
 def plogp_table(total: int) -> np.ndarray:
     """Read-only ``p * log(p)`` for p = c / total, c = 0 .. total; 0 at c = 0.
 
@@ -111,7 +109,7 @@ class BinnedColumn:
     entropy: float
 
 
-def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
+def bin_rows(rows, counts, names) -> list[list[BinnedColumn]]:
     """Code each row of ``rows`` on each of ``counts`` equal-width bins.
 
     Returns one list of binned rows per count.  A row's edges are
@@ -151,7 +149,7 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
     bad = ~((span / finest > 0.0) & (span < math.inf))  # NaN fails both
     if bad.any():
         r = int(bad.argmax())
-        where = "" if names is None else f"column {names[r]}: "
+        where = f"column {names[r]}: "
         if not (math.isfinite(lo[r]) and math.isfinite(hi[r])):
             raise ValueError("observations must be finite, with a finite range")
         if span[r] == math.inf:
@@ -190,31 +188,6 @@ def bin_rows(rows, counts, names=None) -> list[list[BinnedColumn]]:
     return out
 
 
-@dataclass(frozen=True)
-class CodedLabels:
-    """Class index of each observation and the size of each class."""
-
-    index: np.ndarray
-    sizes: list[int]
-
-
-def code_labels(labels) -> CodedLabels:
-    """The 0/1 ``labels`` as class indices, with the two class sizes.
-
-    Refuses labels of a single class, and any label but 0 and 1.
-    """
-    index = np.asarray(labels)
-    try:
-        sizes = np.bincount(index, minlength=2).tolist()
-    except (TypeError, ValueError):  # a negative, fractional or non-numeric label
-        sizes = []
-    if len(sizes) != 2:
-        raise ValueError("labels must be 0/1")
-    if 0 in sizes:
-        raise ValueError("need both class labels in the sample")
-    return CodedLabels(index, sizes)
-
-
 def estimate_entropy_1d(b: BinnedColumn) -> float:
     """Differential entropy estimate; may legitimately be negative."""
     return b.entropy + math.log(b.width)
@@ -236,23 +209,23 @@ def estimate_mi_features(bx: BinnedColumn, by: BinnedColumn) -> float:
     return bx.entropy + by.entropy - count_entropy(joint, bx.codes.size)
 
 
-def estimate_mi_class(b: BinnedColumn, classes: CodedLabels) -> float:
+def estimate_mi_class(b: BinnedColumn, sample: Sample) -> float:
     """MI between a feature and the class: H(V) - sum_c p(c) H(V|C=c).
 
     The class-conditional histograms reuse the pooled edges, so that an
     independent pair centers on zero instead of inheriting a per-class
     rebinning offset.  Each class's entropy is :func:`count_entropy` of its
-    column of the (bin, class) counts, over the class size.
+    column of the counts of ``b`` split by ``sample``'s labels, over its size.
     """
     n = b.codes.size
-    if classes.index.size != n:
+    if sample.n != n:
         raise ValueError("length mismatch")
-    k = len(classes.sizes)
-    counts = np.bincount(b.codes * k + classes.index, minlength=b.count * k)
+    k = len(sample.class_sizes)
+    counts = np.bincount(b.codes * k + sample.labels, minlength=b.count * k)
     counts = counts.reshape(b.count, k)
     log_width = math.log(b.width)
     mi = b.entropy + log_width
-    for c, size in enumerate(classes.sizes):
+    for c, size in enumerate(sample.class_sizes):
         mi -= (size / n) * (count_entropy(counts[:, c], size) + log_width)
     return mi
 
@@ -267,6 +240,8 @@ class Sample:
     ``features`` is an (n, 10) array held feature-major (Fortran order),
     so that each column, and each row of ``features.T``, is contiguous for
     the estimator; an array in any other layout is copied into it.
+    ``labels`` are the int64 class labels, checked to be 0/1, and
+    ``class_sizes`` the number of labels 0 and of labels 1.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
@@ -288,6 +263,7 @@ class Sample:
             )
         self.features = features
         self.labels = labels.astype(np.int64)
+        self.class_sizes = np.bincount(self.labels, minlength=2).tolist()
 
     @property
     def n(self) -> int:
@@ -316,21 +292,22 @@ def estimated_provider(sample: Sample) -> MITables:
 
     One :func:`bin_rows` call bins each column at the univariate
     resolution m (entropy and class MI) and at the pair resolution
-    q = ceil(sqrt(m)), in row blocks of the feature-major sample; the labels
-    are coded once, and the 10 entropies, 10 class MIs and 45 pairwise MIs
-    are estimated from those codes.  The diagonal of the pairwise matrix,
+    q = ceil(sqrt(m)), in row blocks of the feature-major sample, and the
+    10 entropies, 10 class MIs and 45 pairwise MIs are estimated from those
+    codes and the sample's labels.  The diagonal of the pairwise matrix,
     the self-MI I(X;X) of a feature, is the entropy of its q-binned column,
     the value ``estimate_mi_features`` gives for a column paired with
     itself.  Raises :class:`DegenerateSampleError` for a constant column and
-    ``ValueError`` for a single-class sample or for a column whose range is
-    too narrow for its bins or overflows, naming the column.
+    ``ValueError`` for a single-class sample, before binning, or for a column
+    whose range is too narrow for its bins or overflows, naming the column.
     """
+    if 0 in sample.class_sizes:
+        raise ValueError("need both class labels in the sample")
     m = bin_count(sample.n)
     q = pair_bin_count(sample.n)
-    labels = code_labels(sample.labels)
     fine, coarse = bin_rows(sample.features.T, (m, q), COLUMNS)
     entropies = [estimate_entropy_1d(b) for b in fine]
-    class_mis = [estimate_mi_class(b, labels) for b in fine]
+    class_mis = [estimate_mi_class(b, sample) for b in fine]
     matrix = np.diag([b.entropy for b in coarse])
     for a, b in combinations(range(len(coarse)), 2):
         matrix[a, b] = matrix[b, a] = estimate_mi_features(coarse[a], coarse[b])

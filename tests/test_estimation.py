@@ -15,7 +15,6 @@ from miselect.estimation import (
     Sample,
     bin_count,
     bin_rows,
-    code_labels,
     count_entropy,
     estimate_entropy_1d,
     estimate_mi_class,
@@ -35,8 +34,14 @@ SPEC_I = ScenarioSpec(Scenario.UNIFORM, 0.2)
 
 def one_row(x, count):
     """x on ``count`` equal-width bins: :func:`bin_rows` of one row."""
-    [[column]] = bin_rows(np.asarray(x)[None], (count,))
+    [[column]] = bin_rows(np.asarray(x)[None], (count,), ["x"])
     return column
+
+
+def one_column_sample(x, labels):
+    """A :class:`Sample` of ``labels`` whose ten columns all hold ``x``."""
+    x = np.asarray(x, dtype=float)
+    return Sample(np.broadcast_to(x[:, None], (x.size, len(FEATURES))), labels)
 
 
 def entropy_1d(x):
@@ -52,7 +57,7 @@ def mi_features(x, y):
 
 def mi_class(x, labels):
     """The class-MI estimate of a raw column, binned at m bins, and raw labels."""
-    return estimate_mi_class(one_row(x, bin_count(np.size(x))), code_labels(labels))
+    return estimate_mi_class(one_row(x, bin_count(np.size(x))), one_column_sample(x, labels))
 
 
 def replicate_mean(fn, reps, n, seed):
@@ -68,8 +73,6 @@ def test_bin_counts():
     assert bin_count(1000) == 32
     assert bin_count(50) == 8
     assert pair_bin_count(1000) == 6
-    with pytest.raises(ValueError):
-        bin_count(3)
 
 
 def test_binning_scheme_assigns_max_to_last_bin():
@@ -138,18 +141,18 @@ def test_mi_class_independent_labels():
 
 
 def test_mi_class_requires_both_labels():
-    with pytest.raises(ValueError):
-        mi_class(np.arange(100.0), np.zeros(100, dtype=int))
+    sample = one_column_sample(np.arange(100.0), np.zeros(100, dtype=int))
+    with pytest.raises(ValueError, match="^need both class labels in the sample$"):
+        estimated_provider(sample)
 
 
-def test_code_labels_counts_the_two_classes_and_refuses_other_labels():
-    coded = code_labels(np.array([1, 0, 1, 1, 0]))
-    assert coded.index.tolist() == [1, 0, 1, 1, 0] and coded.sizes == [2, 3]
-    for bad in ([0, 1, 2], [0, 1, -1], [0.0, 1.0, 0.5]):
+def test_sample_counts_the_two_classes_and_refuses_other_labels():
+    sample = one_column_sample(np.arange(5.0), np.array([1, 0, 1, 1, 0]))
+    assert sample.labels.tolist() == [1, 0, 1, 1, 0] and sample.class_sizes == [2, 3]
+    assert one_column_sample(np.arange(5.0), np.ones(5)).class_sizes == [0, 5]
+    for bad in ([0, 1, 1, 0, 2], [0, 1, 1, 0, -1], [0.0, 1.0, 1.0, 0.0, 0.5]):
         with pytest.raises(ValueError, match="^labels must be 0/1$"):
-            code_labels(np.array(bad))
-    with pytest.raises(ValueError, match="need both class labels"):
-        code_labels(np.ones(5, dtype=np.int64))
+            one_column_sample(np.arange(5.0), np.array(bad))
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,11 +365,41 @@ def test_estimates_equal_the_histogram_reference(scenario, n):
         assert mi_features(x, y) == ref_mi_features(x, y, q)
         bx, by = one_row(x, 13), one_row(y, 13)
         assert estimate_entropy_1d(bx) == ref_entropy_1d(x, 13)
-        assert estimate_mi_class(bx, code_labels(sample.labels)) == ref_mi_class(
-            x, sample.labels, 13)
+        assert estimate_mi_class(bx, sample) == ref_mi_class(x, sample.labels, 13)
         assert estimate_mi_features(bx, by) == ref_mi_features(x, y, 13)
         assert estimate_mi_features(one_row(x, 5), one_row(y, 5)) == ref_mi_features(
             x, y, 5)
+
+
+@st.composite
+def uneven_classes(draw):
+    """(n, size of class 1): any split that leaves both classes present."""
+    n = draw(st.integers(4, 5000))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uneven_classes(), st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@example((4, 1), 1, 0.0, 0)
+@example((5000, 1), 3, 1.0, 1)
+@example((5000, 4999), 60, 0.5, 2)
+def test_class_mi_equals_the_histogram_reference_for_uneven_classes(
+        classes, distinct, on_edges, seed):
+    # the samples above have near-balanced classes; here class 1 holds from
+    # one observation to all but one, and the values are ties drawn from
+    # ``distinct`` values or lie on the m-bin edges
+    n, ones = classes
+    rng = np.random.default_rng(seed)
+    m = bin_count(n)
+    lo = rng.uniform(-10.0, 10.0)
+    hi = lo + rng.uniform(1e-3, 100.0)
+    pool = rng.uniform(lo, hi, distinct)
+    x = np.where(rng.random(n) < on_edges, rng.choice(np.linspace(lo, hi, m + 1), n),
+                 rng.choice(pool, n))
+    x[:2] = lo, hi
+    labels = np.zeros(n, dtype=np.int64)
+    labels[rng.choice(n, ones, replace=False)] = 1
+    assert mi_class(x, labels).hex() == ref_mi_class(x, labels, m).hex()
 
 
 def edge_row(m, exponent, mantissa, offset, inner):
@@ -432,7 +465,7 @@ def test_row_blocks_equal_the_rows_alone(rows_per_block, m, other, ranges, inner
     if rows_per_block == 3:
         budget *= rows.shape[1]
     with mock.patch.object(estimation, "BLOCK_CELLS", budget):
-        blocks = bin_rows(rows, (m, other))
+        blocks = bin_rows(rows, (m, other), "abcdefg")
     for count, binned in zip((m, other), blocks):
         assert len(binned) == len(rows)
         for x, b in zip(rows, binned):
@@ -454,14 +487,12 @@ def test_a_range_too_narrow_for_its_bins_is_refused(budget):
     with mock.patch.object(estimation, "BLOCK_CELLS", budget):
         for counts in ((200, 2), (2, 200)):
             with pytest.raises(ValueError) as caught:
-                bin_rows(rows, counts)
+                bin_rows(rows, counts, "abc")
             assert type(caught.value) is ValueError  # not a degenerate sample
-            assert str(caught.value) == "range 1e-323 is too narrow for 200 bins"
-        with pytest.raises(ValueError, match="^column b: range 1e-323 is too narrow"):
-            bin_rows(rows, (200, 2), names="abc")
+            assert str(caught.value) == "column b: range 1e-323 is too narrow for 200 bins"
         with pytest.raises(DegenerateSampleError, match="^column c: all observations"):
-            bin_rows(rows[::-1], (200, 2), names="cba")  # the first failing row decides
-        [[binned]] = bin_rows(rows[1:2], (2,))
+            bin_rows(rows[::-1], (200, 2), "cba")  # the first failing row decides
+        [[binned]] = bin_rows(rows[1:2], (2,), "b")
     assert binned.width == 5e-324 and binned.codes.tolist() == [0, 1, 1]
 
 
@@ -521,7 +552,7 @@ def test_binning_rejects_non_finite_observations():
         with pytest.raises(ValueError, match="^observations must be finite, with a finite range$"):
             entropy_1d(np.array([0.0, 1.0, bad, 2.0]))
     # every value is finite, but hi - lo overflows
-    with pytest.raises(ValueError, match=r"^range from -1e\+308 to 1e\+308 overflows$"):
+    with pytest.raises(ValueError, match=r"^column x: range from -1e\+308 to 1e\+308 overflows$"):
         entropy_1d(np.array([-1e308, 0.0, 1e308, 5.0]))
 
 
@@ -540,4 +571,4 @@ def test_coded_inputs_must_match_the_requested_resolution():
     with pytest.raises(ValueError, match="different resolutions"):
         estimate_mi_features(one_row(x, 10), one_row(x, 4))
     with pytest.raises(ValueError, match="length mismatch"):
-        estimate_mi_class(one_row(x, 10), code_labels(np.arange(50) % 2))
+        estimate_mi_class(one_row(x, 10), one_column_sample(x[:50], np.arange(50) % 2))
