@@ -6,7 +6,8 @@ Subcommands: ``oracle`` (print the analytic entropy/MI table), ``order``
 ``relevance`` (relevance analysis of a labeled joint), and ``verify``
 (self-checks, nonzero exit on failure).
 
-Bad input ends in one ``error: ...`` line on stderr and exit status 2.
+Bad input ends in one ``error: ...`` line on stderr and exit status 2; a
+closed stdout pipe ends quietly with status 1.
 """
 
 from __future__ import annotations
@@ -341,6 +342,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader left: end quietly, flushing into devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -200,9 +200,9 @@ def check_xreal_algebra() -> str:
     return f"{cases} operator cases"
 
 
-def random_table(rng: np.random.Generator, nvars: int = 3, max_arity: int = 4) -> Joint:
-    """A random joint of ``nvars`` variables, about a fifth of its cells empty."""
-    arities = rng.integers(2, max_arity + 1, size=nvars)
+def random_table(rng: np.random.Generator, nvars: int = 3) -> Joint:
+    """A random joint of ``nvars`` variables of 2 to 4 states, about a fifth of its cells empty."""
+    arities = rng.integers(2, 5, size=nvars)
     probs = rng.random(arities.prod()).reshape(arities)
     probs[rng.random(probs.shape) < 0.2] = 0.0  # exercise the 0*ln0 branch
     if probs.sum() == 0.0:

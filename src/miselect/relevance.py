@@ -30,6 +30,7 @@ feature subsets, which is bounded at ``MAX_SEARCH_FEATURES``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -73,7 +74,6 @@ class LabeledJoint(Joint):
         super().__init__(arities, atoms, mass)
         self.class_index = class_index
         self.features: tuple[int, ...] = tuple(v for v in range(nvars) if v != class_index)
-        self._lattice: tuple[dict[int, RelevanceClass], np.ndarray] | None = None
 
     # -- conditional machinery ---------------------------------------------
 
@@ -126,6 +126,7 @@ class LabeledJoint(Joint):
                 yield masks[p] | bits[k], np.take(conds[-1], group, axis=0), below
             masks, cond = masks[parent] | bits[new], np.concatenate(conds)
 
+    @functools.cached_property
     def _relevance(self) -> tuple[dict[int, RelevanceClass], np.ndarray]:
         """Each feature's class, and by bitmask whether each subset is maximally informative.
 
@@ -134,23 +135,21 @@ class LabeledJoint(Joint):
         weakly relevant when P[S with j] and P[S] do for some S (Kohavi and John
         1997).  S is maximally informative when P[S] is within it of P[full].
         """
-        if self._lattice is None:
-            self.check_search_bound()
-            d, (ids, mass) = len(self.features), self._grouping(self.features)
-            full = np.take(self._class_conditional(ids[None], len(mass)), ids, axis=0)
-            bits, informative, weak = 1 << np.arange(d), np.zeros(1 << d, bool), np.zeros(d, bool)
-            for masks, cond, below in self._lattice_blocks():
-                informative[masks] = ~_differs(cond, full)
-                if below is not None:  # P[S] against P[S less j] for each j in S not known weak
-                    row, ids, narrow = below
-                    r, k = np.nonzero(masks[:, None] & np.where(weak, 0, bits))
-                    narrow = np.take(narrow, np.take(ids, row[masks[r] ^ bits[k]], axis=0), axis=0)
-                    weak[k[_differs(narrow, np.take(cond, r, axis=0))]] = True
-            strong = ~informative[bits.sum() ^ bits]  # the full set less j is not informative
-            self._lattice = ({f: RelevanceClass.SR if s else RelevanceClass.WR if w
-                              else RelevanceClass.IRRELEVANT
-                              for f, s, w in zip(self.features, strong, weak)}, informative)
-        return self._lattice
+        self.check_search_bound()
+        d, (ids, mass) = len(self.features), self._grouping(self.features)
+        full = np.take(self._class_conditional(ids[None], len(mass)), ids, axis=0)
+        bits, informative, weak = 1 << np.arange(d), np.zeros(1 << d, bool), np.zeros(d, bool)
+        for masks, cond, below in self._lattice_blocks():
+            informative[masks] = ~_differs(cond, full)
+            if below is not None:  # P[S] against P[S less j] for each j in S not known weak
+                row, ids, narrow = below
+                r, k = np.nonzero(masks[:, None] & np.where(weak, 0, bits))
+                narrow = np.take(narrow, np.take(ids, row[masks[r] ^ bits[k]], axis=0), axis=0)
+                weak[k[_differs(narrow, np.take(cond, r, axis=0))]] = True
+        strong = ~informative[bits.sum() ^ bits]  # the full set less j is not informative
+        return ({f: RelevanceClass.SR if s else RelevanceClass.WR if w
+                 else RelevanceClass.IRRELEVANT
+                 for f, s, w in zip(self.features, strong, weak)}, informative)
 
     def _conditioning_invariant(
         self, extra: Sequence[int], base: Sequence[int], over: Sequence[int]
@@ -183,11 +182,11 @@ class LabeledJoint(Joint):
     def is_maximally_informative(self, subset: Iterable[int]) -> bool:
         subset = set(subset)
         self._check_features(tuple(subset))
-        return bool(self._relevance()[1][sum(1 << self.features.index(f) for f in subset)])
+        return bool(self._relevance[1][sum(1 << self.features.index(f) for f in subset)])
 
     def classify_feature(self, i: int) -> RelevanceClass:
         self._check_features((i,))
-        return self._relevance()[0][i]
+        return self._relevance[0][i]
 
     def check_search_bound(self) -> None:
         """Raise ValueError when there are too many features for exhaustive search."""

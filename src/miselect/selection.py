@@ -26,11 +26,11 @@ per step: a step costs O(d) for d features (O(d * |S|) for QMIFS, which
 keeps one inner sum per candidate and selected k and refolds the outer
 sum).  The sums are left folds from 0.0 in selection order, so every
 objective is the same IEEE result, indeterminate kind included, as
-evaluating the formula above from scratch with the xreal operations.  A
-step keeps its objectives as those values; they are boxed into XReal
-values only when a reader asks for ``SelectionStep.objectives``, so a
-caller that reads only the picks and the halt (``simulate``) never builds
-an XReal.
+evaluating the formula above from scratch with the xreal operations.
+The search is one loop; a step keeps the values dict it got, keyed by
+feature position (the class MIs first, the engine's after), and the halt
+follows from whether candidates remain.  Values are boxed into XReal only
+when ``SelectionStep.objectives`` is read, so ``simulate`` never boxes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from enum import Enum
 from math import inf
 from typing import Mapping
 
-from .oracle import FeatureId, MITables
+from .oracle import FEATURES, FeatureId, MITables
 from .xreal import IndetKind, XReal, XValue, box, fadd, fdiv, fmax, fmul, fsub
 
 HALF = 0.5
@@ -110,24 +110,25 @@ class HaltReason(Enum):
 class SelectionStep:
     """One evaluation round; ``winner`` is None for the halting round.
 
-    ``values`` holds each candidate's objective, in feature order, as the
-    engine's float or ``IndetKind``; ``objectives`` boxes them anew on every
-    read.
+    ``values`` is the dict the round returned, keyed by feature position in
+    feature order: the class MIs on the first step, after that the engine's
+    float or ``IndetKind`` per remaining candidate.  ``objectives`` boxes
+    them anew on every read, keyed by ``FeatureId``.
     """
 
     winner: FeatureId | None
-    values: Mapping[FeatureId, XValue]
+    values: Mapping[int, XValue]
 
     @property
     def objectives(self) -> dict[FeatureId, XReal]:
-        return {f: box(v) for f, v in self.values.items()}
+        return {FEATURES[a]: box(v) for a, v in self.values.items()}
 
 
 @dataclass(frozen=True)
 class SelectionTrace:
     selected: tuple[FeatureId, ...]
     steps: tuple[SelectionStep, ...] = field(repr=False)
-    halt: HaltReason = HaltReason.ALL_SELECTED
+    halt: HaltReason
 
 
 class _RunningAggregate:
@@ -201,11 +202,10 @@ class _QMIFS:
         return out
 
 
-def _best(values, positions) -> int | None:
+def _best(values: dict[int, XValue]) -> int | None:
     """Position of the largest determinate value; the earliest wins a tie."""
     best, best_x = None, 0.0
-    for a in positions:
-        x = values[a]
+    for a, x in values.items():
         if x.__class__ is not IndetKind and (best is None or x > best_x):
             best, best_x = a, x
     return best
@@ -222,22 +222,17 @@ def select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     else:
         engine = _RunningAggregate(m, rel, h, mi)
 
-    # the class MIs are finite, so the first step has a winner
-    picked = [_best(rel, range(len(order)))]
-    steps = [SelectionStep(order[picked[0]], dict(zip(order, rel)))]
-    remaining = [a for a in range(len(order)) if a != picked[0]]
-    halt = HaltReason.ALL_SELECTED
+    picked: list[int] = []
+    remaining = list(range(len(order)))
+    steps: list[SelectionStep] = []
     while remaining:
-        values = engine.step(picked, remaining)
-        winner = _best(values, remaining)
-        objectives = {order[a]: values[a] for a in remaining}
+        values = engine.step(picked, remaining) if picked else dict(enumerate(rel))
+        winner = _best(values)
+        # a step without a winner is kept: it shows what blocked each candidate
+        steps.append(SelectionStep(None if winner is None else order[winner], values))
         if winner is None:
-            # keep the all-inadmissible evaluation: it shows which
-            # indeterminate form blocked each remaining candidate
-            steps.append(SelectionStep(None, objectives))
-            halt = HaltReason.NO_ADMISSIBLE_CANDIDATE
             break
-        steps.append(SelectionStep(order[winner], objectives))
         picked.append(winner)
         remaining.remove(winner)
+    halt = HaltReason.NO_ADMISSIBLE_CANDIDATE if remaining else HaltReason.ALL_SELECTED
     return SelectionTrace(tuple(order[a] for a in picked), tuple(steps), halt)

@@ -3,10 +3,10 @@
 ``objective`` evaluates one candidate from scratch, folding its redundancy
 over the whole selected set with the extended-real operations and boxing
 the result, and ``reference_select_all`` is the forward search built on it;
-its steps keep the values that ``objective`` boxes, as ``SelectionStep``
-stores them.  The incremental engine must reproduce both
-exactly: the same objectives by ``==``, indeterminate kind and rendering,
-the same winners and halts.
+its steps keep the values that ``objective`` boxes, keyed by feature
+position (``f - 1``), as ``SelectionStep`` stores them.  The incremental
+engine must reproduce both exactly: the same objectives by ``==``,
+indeterminate kind and rendering, the same winners and halts.
 """
 
 from __future__ import annotations
@@ -133,16 +133,16 @@ def reference_select_all(m: MethodSpec, p: MITables) -> SelectionTrace:
     halt = HaltReason.ALL_SELECTED
     while len(selected) < len(order):
         values = {
-            f: _objective(m, f, selected, p) for f in order if f not in selected
+            f - 1: _objective(m, f, selected, p) for f in order if f not in selected
         }
         winner: FeatureId | None = None
         winner_val: XReal | None = None
-        for f, value in values.items():
+        for a, value in values.items():
             v = box(value)
             if v.is_indet:
                 continue
             if winner_val is None or v.value > winner_val.value:
-                winner, winner_val = f, v
+                winner, winner_val = order[a], v
         if winner is None:
             steps.append(SelectionStep(None, values))
             halt = HaltReason.NO_ADMISSIBLE_CANDIDATE

@@ -875,6 +875,21 @@ def test_relevance_reads_the_joint_as_utf8_in_any_locale(tmp_path):
     assert proc.stdout.splitlines()[0] == "SR: V1"
 
 
+def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
+    # each line is written at once, so the write after the reader leaves fails
+    src = str(Path(miselect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.Popen([sys.executable, "-m", "miselect", "verify"], cwd=tmp_path,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("PASS ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert stderr == ""
+
+
 def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch,
                                                             capsys):
     def analysis(*args, **kwargs):
