@@ -262,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_relevance(args: argparse.Namespace) -> int:
     try:
-        with open(args.joint, encoding="utf-8") as fh:
+        with open(args.joint, "rb") as fh:
             joint = LabeledJoint.from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load joint {args.joint}: {exc}")
@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,14 +9,15 @@ set by backward elimination.
 
 A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
 support atoms and their subset lattice, with one variable designated as
-the class.  ``from_json`` reads the document's flat, row-major mass list
-into one dense float array and takes the atoms from it.  A plain
-document's list is scanned by byte masks, one cache-sized block of
-``SCAN_BYTES`` at a time: each token that is the canonical zero (``0.0``
-after ``, ``) is an empty cell, and only the bytes of the other tokens go
-to ``json.loads``.  Any other document is parsed whole by ``json.loads``,
-which words every refusal; both routes fill the same array, so the masses
-are bit-equal.  Conditioning invariance
+the class.  ``from_json`` takes the document file's bytes, reads its flat,
+row-major mass list into one dense float array, and takes the atoms from
+it.  A plain document's list is scanned in place, one cache-sized block
+of ``SCAN_BYTES`` at a time, without decoding it: each token that is the
+canonical zero (``0.0`` after ``, ``) is an empty cell, and only the bytes
+of the other tokens go to ``json.loads``.  Any other document is decoded
+as a text-mode read decodes it and parsed whole by ``json.loads``, which
+words every refusal; both routes fill the same array, so the masses are
+bit-equal.  Conditioning invariance
 compares two conditionals, P(over | wide key) and P(over | narrow key),
 with 0 for a value absent under a key.  For the class, P(class | S-group
 of each atom) is built once for every feature subset S, one lattice level
@@ -284,17 +285,18 @@ class LabeledJoint(Joint):
                            "class_index": self.class_index})
 
     @classmethod
-    def from_json(cls, text: str) -> "LabeledJoint":
+    def from_json(cls, data: bytes) -> "LabeledJoint":
         """Parse ``{"arities": [...], "probs": [...flat row-major...], "class_index": ...}``.
 
-        A plain document is scanned (``_scanned_document``); any other is
-        parsed whole (``_parsed_document``), which words every refusal.
+        ``data`` is the document file's bytes.  A plain document is scanned
+        (``_scanned_document``); any other is decoded and parsed whole
+        (``_parsed_document``), which words every refusal.
         """
         try:
             try:
-                doc, flat = _scanned_document(text)
-            except ValueError:
-                doc, flat = _parsed_document(text)
+                doc, flat = _scanned_document(data)
+            except (ValueError, RecursionError):  # the parse words the refusal
+                doc, flat = _parsed_document(data)
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
         return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
@@ -311,9 +313,9 @@ def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # The joint document
 # ---------------------------------------------------------------------------
 
-_PROBS_KEY = '"probs"'
-_LIST_OPENING = re.compile(r"\s*:\s*\[")
-_ZERO_TOKEN = ", 0.0"  # how json.dumps writes each empty cell after the first
+_PROBS_KEY = b'"probs"'
+_LIST_OPENING = re.compile(rb"\s*:\s*\[")
+_ZERO_TOKEN = b", 0.0"  # how json.dumps writes each empty cell after the first
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -347,8 +349,13 @@ def _numbers(flat: np.ndarray, values: list) -> bool:
     return flat.dtype.kind in "iuf" and bool not in set(map(type, values))
 
 
-def _parsed_document(text: str) -> tuple[dict, np.ndarray]:
-    """The document and its flat mass array, by ``json.loads`` of the whole text."""
+def _parsed_document(data: bytes) -> tuple[dict, np.ndarray]:
+    """The document and its flat mass array, by ``json.loads`` of the whole text.
+
+    ``data`` is decoded as ``open(path, encoding="utf-8")`` decodes a file,
+    with universal newlines, so that each refusal is worded as for its text.
+    """
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     doc = json.loads(text, object_pairs_hook=_unique_keys)
     size = _cell_count(doc)
     probs = doc.get("probs")
@@ -359,67 +366,87 @@ def _parsed_document(text: str) -> tuple[dict, np.ndarray]:
     return doc, flat
 
 
-def _scanned_document(text: str) -> tuple[dict, np.ndarray]:
+def _scanned_document(data: bytes) -> tuple[dict, np.ndarray]:
     """The same as ``_parsed_document`` for a plain, valid document, else ValueError.
 
-    Plain means an ASCII text, as ``json.dumps`` writes, with one literal
-    ``"probs"`` key, a list holding no ``[``, ``{`` or ``"``, and no escape
-    elsewhere, so that no other key decodes to ``probs``.  ``json.loads``
-    parses the rest of the text with the list cut to ``[]``.  The list is
-    scanned in blocks of ``SCAN_BYTES`` bytes, so that its masks stay in
-    cache and none spans the list.  In a block, one mask marks the starts of
-    the canonical tokens (``, 0.0`` before the next comma), empty cells, whose
-    bytes reach into it, and one keeps the bytes they do not cover.  The kept
-    bytes of all blocks go to one ``json.loads``, so each value is json's
-    own.  A kept token's cell is its ordinal plus the canonical tokens before
-    it.
+    Plain means one literal ``"probs"`` key, a list holding no ``[``, ``{``
+    or ``"``, and no escape elsewhere, so that no other key decodes to
+    ``probs``.  ``json.loads`` parses the rest of the document, decoded as
+    strict UTF-8, with the list cut to ``[]``.  The list's bytes are
+    scanned in place, in blocks of ``SCAN_BYTES``, so that what a block
+    holds stays bounded however the list is spelled.  A canonical token
+    (``, 0.0`` before the next comma) is an empty cell.  Where the list
+    repeats with period 5 (``body[p] == body[p + 5]``), the canonical
+    tokens of that run form one stride-5 chain, which starts at the last
+    comma of the run's first five bytes if ``, 0.0`` is spelled there.  The
+    bytes between chains are kept, and go to one ``json.loads``, so each
+    value is json's own.  A kept token's cell is its ordinal plus the
+    canonical tokens before it.
     ``from_dense`` sums the dense float array as it sums the whole-document
     parse's.  Every refusal, and a list with no empty cell to skip, is left
     to ``_parsed_document``.
     """
-    if not text.isascii():  # so a character's index is its byte's
-        raise ValueError("not an ASCII document")
-    key = text.find(_PROBS_KEY)
-    opening = _LIST_OPENING.match(text, key + len(_PROBS_KEY)) if key >= 0 else None
+    key = data.find(_PROBS_KEY)
+    opening = _LIST_OPENING.match(data, key + len(_PROBS_KEY)) if key >= 0 else None
     if opening is None:
         raise ValueError("no probs list")
     start = opening.end()
-    end = text.find("]", start)
-    if end < 0 or any(text.find(c, start, end) >= 0 for c in '[{"'):
+    end = data.find(b"]", start)
+    if end < 0:
         raise ValueError("probs is not a flat list")
-    if text.find(_ZERO_TOKEN + ",", start, end) < 0:  # the last token holds the ]
+    if data.find(_ZERO_TOKEN + b",", start, end) < 0:  # the last token holds the ]
         raise ValueError("no canonical zero to skip")
-    rest = text[:start] + text[end:]  # the list holds no quote, so every key is here
-    if rest.count(_PROBS_KEY) > 1 or "\\" in rest:
+    rest = data[:start] + data[end:]  # a list with a quote is refused below: every key is here
+    if rest.count(_PROBS_KEY) > 1 or b"\\" in rest:
         raise ValueError("another key may be probs")
-    doc = json.loads(rest, object_pairs_hook=_unique_keys)
+    doc = json.loads(rest.decode("utf-8"), object_pairs_hook=_unique_keys)
     size = _cell_count(doc)
     if doc.get("probs") != []:
         raise ValueError("the top-level probs is not the list cut out")
-    body = np.frombuffer(text.encode("ascii"), np.uint8, end + 2 - start, start - 1)  # [ to ]
+    body = np.frombuffer(data, np.uint8, end + 2 - start, start - 1)  # [ to ], not copied
     # token k > 0 runs from its comma to the next; the first holds [ and the last ], never canonical
-    pattern = (_ZERO_TOKEN + ",").encode()  # a canonical token, then the next one's comma
     width = len(_ZERO_TOKEN)
     n = len(body) - width  # a canonical token may start at p < n
-    pieces, starts = [], []
+    pieces, starts, covered = [], [], 0  # body[:covered] is scanned
     for a in range(0, len(body), SCAN_BYTES):
-        b = min(a + SCAN_BYTES, len(body))
-        lo, hi = max(a - width + 1, 0), min(b, n)  # the starts whose token reaches into [a, b)
-        other = body[lo:hi] != pattern[0]  # at q: no canonical token starts at lo + q
-        for i in range(1, len(pattern)):
-            other |= body[lo + i:hi + i] != pattern[i]
-        keep = np.ones(b + width - 1 - lo, dtype=bool)  # at j: byte lo + j is another token's
-        for i in range(width):  # a canonical token holds one comma, so none overlap
-            keep[i:i + len(other)] &= other
-        kept_at = np.flatnonzero(keep[a - lo:b - lo]) + a
+        b, c = min(a + SCAN_BYTES, len(body)), max(min(a + SCAN_BYTES, n), a)
+        # where body[p] == body[p + 5] for lo <= p < hi, the list repeats with period 5
+        # up to hi + 5, so from a run's first canonical token every fifth start is one;
+        # a run cut at a block edge still repeats, so its chain goes on in the next block
+        broken = body[a:c] != body[a + width:c + width]
+        if np.count_nonzero(broken) * 16 > len(broken):  # many breaks: where runs start and stop
+            edges = np.flatnonzero(np.diff(broken, prepend=True, append=True)) + a
+            lo, hi = edges[::2], edges[1::2]
+        else:  # few: a run, maybe empty, between each two breaks
+            breaks = np.flatnonzero(broken) + a
+            lo, hi = np.append(a, breaks + 1), np.append(breaks, c)
+        chain = (hi - lo > 1) | (hi - lo == 1) & (body[lo] == _ZERO_TOKEN[0])  # one byte: a comma
+        lo, hi = lo[chain], hi[chain]
+        # the token holds one comma, so a chain starts at the last comma of the run's first period
+        phases = lo[:, None] + np.arange(width)
+        commas = (body[phases] == _ZERO_TOKEN[0]) & (phases < hi[:, None])
+        chain = commas.any(1)
+        first = np.where(chain, phases[:, -1] - commas[:, ::-1].argmax(1), lo)
+        for i in range(1, width):
+            chain &= body[first + i] == _ZERO_TOKEN[i]
+        first, hi = first[chain], hi[chain]
+        stop = first + width * ((hi - first + width - 1) // width)  # past the chain's last token
+        lo, hi = np.append(covered, stop), np.append(first, b)  # the kept gaps
+        covered = max(lo[-1], b)  # the last chain may end in the next block
+        lo[-1] = min(lo[-1], b)
+        length = hi - lo
+        kept_at = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
         pieces.append(body[kept_at])
         starts.append(kept_at[pieces[-1] == ord(",")])
     kept = np.concatenate(pieces)  # a JSON list
+    listed = kept.tobytes()
+    if any(listed.find(c, 1) >= 0 for c in (b"[", b"{", b'"')):
+        raise ValueError("probs is not a flat list")
     at = np.append(0, np.concatenate(starts))  # each kept token's start, in body and in kept
     cut_at = np.append(0, np.flatnonzero(kept == ord(",")))
     if len(at) + (len(body) - len(kept)) // width != size:
         raise ValueError("not one token per cell")
-    values = json.loads(kept.tobytes())
+    values = json.loads(listed)
     flat = np.asarray(values)
     if len(values) != len(at) or not _numbers(flat, values):  # an empty list has no token
         raise ValueError("not one number per kept token")

@@ -832,8 +832,26 @@ BAD_JOINT_FILES = {
         '{"arities":[2,2],"probs":[0.25,0.25,0.25,0.25],"class_index":1,"class_index":0}',
         "duplicate key 'class_index' in a JSON object"),
     "deep-nesting": ("[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+    "deep-nesting-after-a-listed-string": (  # the list's ] is in the string
+        '{"arities":[1],"probs":["a, 0.0, 0.0, 0.0], "x": ' + "[" * 100000 + "]" * 100000 + "}",
+        "Expecting ',' delimiter: line 1 column 46 (char 45)"),
+    # worded for the text a text-mode read gives: UTF-8, every line end one \n
     "non-utf8": (b'{"arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5],"source":"\xff"}',
                  "'utf-8' codec can't decode byte 0xff in position 56: invalid start byte"),
+    "crlf-parse-error": (b'{"arities":[2,2],\r\n"probs":[0.5,0.5,x]}',
+                         "Expecting value: line 2 column 18 (char 35)"),
+    "cr-parse-error": (b'{"arities":[2,2],\r"probs":[0.5,0.5,x]}',
+                       "Expecting value: line 2 column 18 (char 35)"),
+    "crlf-in-scanned-list": (b'{"arities":[2,2],"probs":[0.5, 0.0,\r\n 0.0, 0.0,\r\n x]}',
+                             "Expecting value: line 3 column 2 (char 48)"),
+    "utf8-bom": (b'\xef\xbb\xbf{"arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5]}',
+                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "non-ascii-source": (
+        '{"source":"été","arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5,]}'.encode(),
+        "Expecting value: line 1 column 61 (char 60)"),
+    "utf8-surrogate": (b'{"arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5],"source":"\xed\xa0\x80"}',
+                       "'utf-8' codec can't decode byte 0xed in position 56: invalid "
+                       "continuation byte"),
 }
 
 
@@ -888,6 +906,24 @@ def test_a_closed_stdout_pipe_ends_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=300) == 1
     assert stderr == ""
+
+
+def test_a_closed_buffered_stdout_pipe_ends_quietly(tmp_path):
+    # stdout is block-buffered, so the whole table meets the closed pipe when main flushes it
+    src = str(Path(miselect.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    read, write = os.pipe()
+    os.close(read)  # the reader has left before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "miselect", "oracle", "--scenario", "II"],
+                              cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypatch,

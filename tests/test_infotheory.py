@@ -126,7 +126,7 @@ def test_json_round_trip():
     t = random_table(rng)
     probs = np.zeros(t.arities)
     probs[tuple(t.atoms.T)] = t.mass
-    back = LabeledJoint.from_json(LabeledJoint.from_dense(probs, class_index=1).to_json())
+    back = LabeledJoint.from_json(LabeledJoint.from_dense(probs, class_index=1).to_json().encode())
     assert back.arities == t.arities
     assert back.class_index == 1
     assert np.array_equal(back.atoms, t.atoms)
@@ -137,7 +137,7 @@ def test_from_json_rejects_malformed_documents():
     for text in ("[0.5, 0.5]", '"table"', '{"arities": 2, "probs": [0.5, 0.5]}',
                  '{"arities": [-1, 2], "probs": [0.25, 0.25, 0.25, 0.25]}'):
         with pytest.raises(ValueError):
-            LabeledJoint.from_json(text)
+            LabeledJoint.from_json(text.encode())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -150,7 +151,7 @@ def test_validation():
 
 
 def test_json_round_trip(example):
-    back = LabeledJoint.from_json(example.to_json())
+    back = LabeledJoint.from_json(example.to_json().encode())
     assert back.class_index == example.class_index
     assert np.array_equal(back.atoms, example.atoms)  # the example's atoms are row-major
     assert np.array_equal(back.mass, example.mass)
@@ -179,7 +180,7 @@ def test_loaded_atoms_are_the_dense_tables_nonzero_cells(probs):
     normalised = probs / mass_total(probs)
     cells = np.argwhere(normalised > 0.0)
     document = json.dumps({"arities": list(probs.shape), "probs": probs.ravel().tolist()})
-    for joint in (LabeledJoint.from_json(document), LabeledJoint.from_dense(probs)):
+    for joint in (LabeledJoint.from_json(document.encode()), LabeledJoint.from_dense(probs)):
         assert joint.arities == probs.shape
         assert np.array_equal(joint.atoms, cells)
         assert np.array_equal(joint.mass, normalised[tuple(cells.T)])
@@ -500,7 +501,7 @@ def test_grouping_refuses_more_cells_than_the_index_range():
 
 def test_letters_of_true_and_false_outside_probs_load():
     # booleans are looked for among the parsed probabilities, not in the text
-    doc = '{"arities":[2,2],"probs":[0.5,0,0,0.5],"source":"uniform, fixed"}'
+    doc = b'{"arities":[2,2],"probs":[0.5,0,0,0.5],"source":"uniform, fixed"}'
     joint = LabeledJoint.from_json(doc)
     assert np.array_equal(joint.mass, [0.5, 0.5])
 
@@ -510,59 +511,112 @@ def test_letters_of_true_and_false_outside_probs_load():
 # ---------------------------------------------------------------------------
 
 
-def load_outcome(text):
+def load_outcome(data):
     """A loaded joint's arities, atoms, mass bytes and class, or the refusal."""
     try:
-        joint = LabeledJoint.from_json(text)
+        joint = LabeledJoint.from_json(data)
     except ValueError as exc:
         return f"error: {exc}"
     return joint.arities, joint.atoms.tolist(), joint.mass.tobytes(), joint.class_index
 
 
-def parsed_outcome(text):
+def parsed_outcome(data):
     """``load_outcome`` with the list scan refused, so json.loads reads the whole text."""
     with mock.patch.object(relevance, "_scanned_document", side_effect=ValueError):
-        return load_outcome(text)
+        return load_outcome(data)
 
 
-def scan_outcome(text):
+def scan_outcome(data):
     """The scanned document and its dense array's bytes, or the scan's refusal."""
     try:
-        doc, flat = relevance._scanned_document(text)
-    except ValueError as exc:
+        doc, flat = relevance._scanned_document(data)
+    except (ValueError, RecursionError) as exc:
         return f"refused: {exc}"
     return doc, flat.tobytes()
 
 
-def assert_scan_ignores_block_edges(text, sizes=range(1, 8)):
+def assert_scan_ignores_block_edges(data, sizes=range(1, 8)):
     """The scan accepts and fills the same at each block size in ``sizes`` as by default.
 
     Sizes 1 to 7 put a block edge at every byte of a canonical token and the
-    next one's comma, ``, 0.0,``.
+    next one's comma, ``, 0.0,``, so that a period-5 run is cut anywhere.
     """
-    expected = scan_outcome(text)
+    expected = scan_outcome(data)
     for size in sizes:
         with mock.patch.object(relevance, "SCAN_BYTES", size):
-            assert scan_outcome(text) == expected, size
+            assert scan_outcome(data) == expected, size
 
 
 @pytest.mark.parametrize("zero", ["0", "-0.0", "0e0", "0.00", "0.0"])
 @pytest.mark.parametrize("comma", [", ", ",", ",\t", ",\n"])
 def test_zero_spellings_load_the_same_atoms(zero, comma):
-    canonical = LabeledJoint.from_json('{"arities":[2,3],"probs":[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]}')
+    canonical = LabeledJoint.from_json(b'{"arities":[2,3],"probs":[0.5, 0.0, 0.0, 0.0, 0.0, 0.5]}')
     tokens = ["0.5", zero, "0.0", zero, zero, "0.5"]
-    text = '{"arities":[2,3],"probs":[' + comma.join(tokens) + "]}"
-    joint = LabeledJoint.from_json(text)
+    data = ('{"arities":[2,3],"probs":[' + comma.join(tokens) + "]}").encode()
+    joint = LabeledJoint.from_json(data)
     assert np.array_equal(joint.atoms, canonical.atoms)
     assert joint.mass.tobytes() == canonical.mass.tobytes()
-    assert_scan_ignores_block_edges(text)
+    assert_scan_ignores_block_edges(data)
+
+
+def scanned_list(data):
+    """The scan's dense array, and the bytes of the list it handed to ``json.loads``."""
+    loads = mock.Mock(wraps=json.loads)
+    with mock.patch.object(relevance.json, "loads", loads):
+        flat = relevance._scanned_document(data)[1]
+    return flat, loads.call_args.args[0]
+
+
+def list_less_canonical_tokens(data):
+    """The bytes from the list's ``[`` to its ``]`` less each ``, 0.0`` before a comma."""
+    listed = data[data.index(b"[", data.index(b"probs")):-1]  # the document ends in ]}
+    return re.sub(rb", 0\.0(?=,)", b"", listed)
+
+
+# label: a mass list as spelled; where the list repeats with period 5, the
+# canonical tokens (", 0.0" before a comma) form stride-5 chains
+PERIODIC_LISTS = {
+    "ones-before-a-zero": "0.5, 1.0, 1.0, 1.0, 0.0, 0.5",  # a periodic run with no , 0.0,
+    "ones-after-zeros": "0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0",
+    "halves-between-zeros": "0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0",  # 4 bytes of , 0.0
+    "two-decimal-zeros": "0.5, 0.00, 0.00, 0.00, 0.0, 0.0, 0.00, 0.5",
+    "zero-then-its-prefix": "0.5, 0.0, 0.0, 0.05, 0.45",
+    "alternating": "1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0",  # runs of 4 bytes
+    "run-of-four": "0.5, 0.0, 0.5",
+    "run-of-one": "0.5, 0.0,0.5",  # only the comma repeats 5 bytes on
+    "zero-space-zero": "0.5, 0.0 0.0, 0.0, 0.5",
+    "zero-space-zero-after": "0.5, 0.0, 0.0 0.0, 0.5",
+    "zeros-without-commas": "0.5, 0.0, 0.0  0.0  0.0  0.0, 0.5",  # "  0.0" repeats
+    "right-after-the-bracket": ", 0.0, 0.5",
+    "first-token-zero": "0.0, 0.0, 0.5",
+    "right-before-the-bracket": "0.5, 0.0, 0.0",
+    "trailing-comma": "0.5, 0.0,",
+    "kept-back-to-back": "0.0, 0.0, 0.5, 0.25, 0.125, 0.0, 0.0, 0.125",
+    "crlf-separators": "0.5, 0.0, 0.0,\r\n 0.0, 0.0,\r 0.5",
+}
+
+
+@pytest.mark.parametrize("probs", PERIODIC_LISTS.values(), ids=PERIODIC_LISTS.keys())
+def test_scan_of_period_5_runs(probs):
+    # each list has a canonical token, so the scan takes every valid one
+    data = ('{"arities": [%d], "probs": [%s]}' % (probs.count(",") + 1, probs)).encode()
+    assert_scan_ignores_block_edges(data)
+    try:
+        parsed = relevance._parsed_document(data)[1].astype(float).tobytes()
+    except ValueError:
+        with pytest.raises(ValueError):
+            relevance._scanned_document(data)
+        return
+    flat, kept = scanned_list(data)
+    assert flat.tobytes() == parsed
+    assert kept == list_less_canonical_tokens(data)
 
 
 def test_grid_document_is_scanned(grid):
-    text = grid.to_json()
+    data = grid.to_json().encode()
     with mock.patch.object(relevance, "_parsed_document", side_effect=AssertionError):
-        joint = LabeledJoint.from_json(text)
-    assert load_outcome(text) == parsed_outcome(text)
+        joint = LabeledJoint.from_json(data)
+    assert load_outcome(data) == parsed_outcome(data)
     assert np.array_equal(joint.atoms, grid.atoms)
     assert joint.mass.tobytes() == grid.mass.tobytes()
 
@@ -571,7 +625,7 @@ ZERO_TOKENS = ("0.0",) * 6 + ("0", "-0.0", "0e0", "0.00", "0E+3")
 ODD_TOKENS = ("NaN", "Infinity", "-Infinity", "true", "false", "null", '"0.5"', "[0.5]",
               "{}", "", "0.0 0.0", "-0.5", "1e400", "9223372036854775808",
               "-9223372036854775809", "18446744073709551615", "18446744073709551616")
-SEPARATORS = (", ",) * 4 + (",", ",\t", ",\n", " , ")
+SEPARATORS = (", ",) * 4 + (",", ",\t", ",\n", ",\r\n", " , ")
 
 
 @st.composite
@@ -644,19 +698,21 @@ def boundary_document(probs):
 @explicit_example(boundary_document("0.49, 0.5, 0.0, 0.01, 0.0, 0.0"))
 @explicit_example(boundary_document("0.5, 0.5, 0.0,0.0, 0.0, 0.0"))
 @explicit_example(boundary_document("1.0, 0.0, 0.0, 0.0, 0.0, 0.0"))  # canonical after the first
+@explicit_example(boundary_document("0.0, 0.0, 0.0, 0.0, 0.5, "))  # a block starts at the last comma
 @explicit_example('{"arities":[1,2],"meta":{"probs":[0.5, 0.5]},"prob\\u0073":[]}')
 @explicit_example('{"arities":[1,2],"probs":[0.5, 0.5],"prob\\u0073":[0.5, 0.5]}')
 @explicit_example('{"arities":[2],"probs":[12]}')
 @explicit_example('{"arities":[3,2],"source":"été","probs":[0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}')
 @explicit_example('{"arities":[1,1],"probs":[]}')
 def test_scan_agrees_with_whole_document_parse(text):
-    assert load_outcome(text) == parsed_outcome(text)
-    assert_scan_ignores_block_edges(text)
+    data = text.encode()
+    assert load_outcome(data) == parsed_outcome(data)
+    assert_scan_ignores_block_edges(data)
     try:
-        doc, flat = relevance._scanned_document(text)
+        doc, flat = relevance._scanned_document(data)
     except ValueError:
         return
-    parsed_doc, parsed_flat = relevance._parsed_document(text)  # what was scanned is valid
+    parsed_doc, parsed_flat = relevance._parsed_document(data)  # what was scanned is valid
     assert doc["arities"] == parsed_doc["arities"]
     assert doc.get("class_index") == parsed_doc.get("class_index")
     assert flat.tobytes() == parsed_flat.astype(float).tobytes()
@@ -675,28 +731,43 @@ def long_documents(draw):
         tokens += ["0.0"] * run + [token]
     tokens += ["0.0"] * draw(st.integers(0, 50))  # the last token holds the ]
     tokens[1:1] = ["0.0"] * max(0, 10**4 - len(tokens))
-    return '{"arities": [%d], "probs": [%s]}' % (len(tokens), ", ".join(tokens))
+    return ('{"arities": [%d], "probs": [%s]}' % (len(tokens), ", ".join(tokens))).encode()
 
 
 @settings(max_examples=50, deadline=None)
 @given(long_documents())
-def test_long_scan_agrees_with_whole_document_parse(text):
-    doc, flat = relevance._scanned_document(text)
-    parsed_doc, parsed_flat = relevance._parsed_document(text)
+def test_long_scan_agrees_with_whole_document_parse(data):
+    doc, flat = relevance._scanned_document(data)
+    parsed_doc, parsed_flat = relevance._parsed_document(data)
     assert doc.keys() == parsed_doc.keys() and doc["arities"] == parsed_doc["arities"]
     assert flat.tobytes() == parsed_flat.astype(float).tobytes()
-    assert_scan_ignores_block_edges(text, sizes=(64,))
+    assert scanned_list(data)[1] == list_less_canonical_tokens(data)
+    assert_scan_ignores_block_edges(data, sizes=(64,))
+
+
+def scan_peak(data):
+    """The tracemalloc peak of scanning ``data``, in bytes."""
+    tracemalloc.start()
+    try:
+        relevance._scanned_document(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_scan_allocates_no_array_per_cell(grid):
-    # the encoded text is 1 byte per byte and the dense result 8 bytes a cell,
-    # the text about 5; a mask or an integer array over the whole list would
-    # push the peak past 3 bytes per byte
-    text = grid.to_json()
-    tracemalloc.start()
-    try:
-        relevance._scanned_document(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * len(text)
+    # the list is read in place and scanned in blocks of SCAN_BYTES, and the
+    # dense result is 8 bytes a cell, the document about 5; a mask or an
+    # integer array over the whole list would push the peak past 3 bytes per byte
+    data = grid.to_json().encode()
+    assert scan_peak(data) < 3 * len(data)
+
+
+def test_scan_of_scattered_zeros_allocates_no_array_per_byte():
+    # 2% of 262,144 cells carry mass, each alone among canonical zeros, so the
+    # list breaks period 5 at most bytes of a kept token; an array a break
+    # over the whole list would push the peak far past 3 bytes per byte
+    rng = np.random.default_rng(0)
+    dense = rng.random([8] * 6) * (rng.random([8] * 6) < 0.02)
+    data = LabeledJoint.from_dense(dense / dense.sum()).to_json().encode()
+    assert scan_peak(data) < 3 * len(data)
