@@ -348,6 +348,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

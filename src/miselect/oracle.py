@@ -371,23 +371,19 @@ def mi_y2_xy_gaussian() -> float:
 # Zero-MI check for the squared driver
 # ---------------------------------------------------------------------------
 
-def mi_class_squared_feature(
-    k: float, base: str = "uniform", delta: float = 0.5
-) -> float:
-    """Numeric MI(C_k, X^2) for a symmetric driver distribution.
+def mi_class_squared_feature(spec: ScenarioSpec) -> float:
+    """Numeric MI(C_k, X^2) for the scenario's symmetric driver distribution.
 
     The squared driver carries no class information even though the
     driver itself defines the class.  This evaluates the mixed
     discrete-continuous MI directly from the joint density of (|X|, C),
     without the distributional identity that makes it vanish, so a ~0
-    result is genuine numerical evidence.  ``base`` is "uniform" (with
-    half-width ``delta``) or "normal".
+    result is genuine numerical evidence.  ``spec.scenario`` picks the
+    driver: uniform on [-delta, delta] for scenario I, standard normal
+    for scenario II.
     """
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"class slope k must lie in (0,1), got {k}")
-    if base == "uniform":
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
+    k, delta = spec.k, spec.delta
+    if spec.scenario is Scenario.UNIFORM:
 
         def pdf(t: np.ndarray) -> np.ndarray:
             return np.where(np.abs(t) <= delta, 1.0 / (2.0 * delta), 0.0)
@@ -397,12 +393,9 @@ def mi_class_squared_feature(
 
         # the densities below are piecewise linear: cdf(t/k) kinks at t = k*delta
         edges = [0.0, k * delta, delta]
-    elif base == "normal":
-        pdf = _norm_pdf
-        cdf = _ndtr
-        edges = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     else:
-        raise ValueError(f"unknown base distribution {base!r}")
+        pdf, cdf = _norm_pdf, _ndtr
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
     # t = sqrt(u) substitution removes the 1/sqrt(u) singularity at zero:
     # joint is the density of (|X|, C=c) on t >= 0, one class c per sign.

@@ -273,8 +273,9 @@ def check_pairwise_tables() -> str:
 
 
 def check_zero_mi_of_square() -> str:
-    worst = max(abs(mi_class_squared_feature(k, base, delta)) for k in (0.2, 0.8)
-                for base, delta in (("uniform", 0.5), ("uniform", 1.0), ("normal", 0.5)))
+    cases = ((Scenario.UNIFORM, 0.5), (Scenario.UNIFORM, 1.0), (Scenario.GAUSSIAN, 0.5))
+    worst = max(abs(mi_class_squared_feature(ScenarioSpec(scenario, k, delta)))
+                for k in (0.2, 0.8) for scenario, delta in cases)
     return _passed(worst <= 1e-3, f"6 cases, max |MI| {worst:.1e}")
 
 

@@ -23,10 +23,12 @@ with 0 for a value absent under a key.  For the class, P(class | S-group
 of each atom) is built once for every feature subset S, one lattice level
 at a time and in blocks of subsets, keeping only the level below; the
 relevance classes and the maximally-informative tests compare slices of
-it.  For the wider ``over`` of a Markov blanket test, there is one row per
-(narrow key, over) value present and one column per value of the extra
-feature.  Relevance-optimal sets come from an exhaustive search over
-feature subsets, which is bounded at ``MAX_SEARCH_FEATURES``.
+it.  A Markov blanket test of feature i takes the blanket as the narrow
+key, the blanket with i as the wide one, and for ``over`` the class with
+the other features in scope; it holds one row per (blanket, over) value
+present and one column per value of i.  Relevance-optimal sets come
+from an exhaustive search over feature subsets, which is bounded at
+``MAX_SEARCH_FEATURES``.
 """
 
 from __future__ import annotations
@@ -152,32 +154,6 @@ class LabeledJoint(Joint):
                  else RelevanceClass.IRRELEVANT
                  for f, s, w in zip(self.features, strong, weak)}, informative)
 
-    def _conditioning_invariant(
-        self, extra: Sequence[int], base: Sequence[int], over: Sequence[int]
-    ) -> bool:
-        """True iff P(over | base, extra) == P(over | base) for every value of ``over``.
-
-        A value of ``over`` absent under a key has probability 0 there.
-        """
-        # A wide ``over`` can have as many values as there are atoms, so no
-        # dense table over it: one row per (base, over) cell present, the
-        # grouping of base + over, and one column per value of ``extra``, a
-        # single feature in has_markov_blanket.  Each cell lies in one base
-        # group, which one scatter of the atoms' base ids finds.
-        n_ids, n_mass = self._grouping(base)
-        x_ids, x_mass = self._grouping(extra)
-        cell_ids, c_mass = self._grouping(tuple(base) + tuple(over))
-        n_x, cell_base = len(x_mass), np.empty(len(c_mass), dtype=np.intp)
-        cell_base[cell_ids] = n_ids
-        narrow = c_mass / n_mass[cell_base]
-        wide_mass = np.bincount(n_ids * n_x + x_ids, weights=self.mass,
-                                minlength=len(n_mass) * n_x).reshape(-1, n_x)[cell_base]
-        cell_mass = np.bincount(cell_ids * n_x + x_ids, weights=self.mass,
-                                minlength=len(c_mass) * n_x).reshape(-1, n_x)
-        rows, cols = np.nonzero(wide_mass)  # the (base, extra) keys present
-        wide = cell_mass[rows, cols] / wide_mass[rows, cols]
-        return not np.abs(wide - narrow[rows]).max() > PROB_TOLERANCE
-
     # -- definitions ---------------------------------------------------------
 
     def is_maximally_informative(self, subset: Iterable[int]) -> bool:
@@ -214,18 +190,34 @@ class LabeledJoint(Joint):
     ) -> bool:
         """Does ``blanket`` make feature ``i`` uninformative about the rest?
 
-        The test conditions the joint of (class, remaining features of
-        ``within``) on the blanket, with and without feature ``i``.
+        True iff P(over | blanket, i) == P(over | blanket) for every value of
+        ``over``: the class and the features of ``within`` (default all) not
+        in ``blanket`` or ``i``, with 0 for a value absent under a key.
         """
         blanket = tuple(blanket)
         scope = tuple(within) if within is not None else self.features
         self._check_features((i,) + blanket + scope)
         if i in blanket:
             raise ValueError("a feature cannot belong to its own blanket")
-        rest = tuple(f for f in scope if f != i and f not in blanket)
-        return self._conditioning_invariant(
-            (i,), blanket, (self.class_index,) + rest
-        )
+        over = (self.class_index,) + tuple(f for f in scope if f != i and f not in blanket)
+        # A wide ``over`` can have as many values as there are atoms, so no
+        # dense table over it: one row per (blanket, over) cell present, the
+        # grouping of blanket + over, and one column per value of ``i``.
+        # Each cell lies in one blanket group, which one scatter of the
+        # atoms' blanket ids finds.
+        n_ids, n_mass = self._grouping(blanket)
+        x_ids, x_mass = self._grouping((i,))
+        cell_ids, c_mass = self._grouping(blanket + over)
+        n_x, cell_base = len(x_mass), np.empty(len(c_mass), dtype=np.intp)
+        cell_base[cell_ids] = n_ids
+        narrow = c_mass / n_mass[cell_base]
+        wide_mass = np.bincount(n_ids * n_x + x_ids, weights=self.mass,
+                                minlength=len(n_mass) * n_x).reshape(-1, n_x)[cell_base]
+        cell_mass = np.bincount(cell_ids * n_x + x_ids, weights=self.mass,
+                                minlength=len(c_mass) * n_x).reshape(-1, n_x)
+        rows, cols = np.nonzero(wide_mass)  # the (blanket, i) keys present
+        wide = cell_mass[rows, cols] / wide_mass[rows, cols]
+        return not np.abs(wide - narrow[rows]).max() > PROB_TOLERANCE
 
     def markov_blanket_filter(self) -> tuple[int, ...]:
         """Backward elimination from the relevant features.
@@ -233,6 +225,7 @@ class LabeledJoint(Joint):
         At each round the highest-index feature possessing a blanket is
         removed, so the earliest of a group of mutually redundant
         features is the one kept; the result is a relevance-optimal set.
+        Blankets are tried by increasing size.
         """
         remaining = [
             f
@@ -240,22 +233,15 @@ class LabeledJoint(Joint):
             if self.classify_feature(f) is not RelevanceClass.IRRELEVANT
         ]
         while True:
-            removable = None
             for i in reversed(remaining):
-                if self._has_any_blanket(i, remaining):
-                    removable = i
+                others = [f for f in remaining if f != i]
+                if any(self.has_markov_blanket(i, blanket, within=remaining)
+                       for size in range(len(others) + 1)
+                       for blanket in itertools.combinations(others, size)):
+                    remaining.remove(i)
                     break
-            if removable is None:
+            else:
                 return tuple(remaining)
-            remaining.remove(removable)
-
-    def _has_any_blanket(self, i: int, scope: Sequence[int]) -> bool:
-        candidates = tuple(f for f in scope if f != i)
-        for size in range(len(candidates) + 1):
-            for blanket in itertools.combinations(candidates, size):
-                if self.has_markov_blanket(i, blanket, within=scope):
-                    return True
-        return False
 
     def partition(self, optimal_set: Iterable[int]) -> dict[int, RelevanceClass]:
         """Four-way split; WR features divide relative to ``optimal_set``."""

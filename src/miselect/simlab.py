@@ -61,12 +61,14 @@ def optimal_pair_hit(trace: SelectionTrace) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A simulation grid; ``cli.SIMULATE_SETTINGS`` holds the replicates and seed defaults."""
+
     scenario: Scenario
     k_values: tuple[float, ...]
     n_values: tuple[int, ...]
     methods: tuple[MethodSpec, ...]
-    replicates: int = 100
-    seed: int = 0
+    replicates: int
+    seed: int
     delta: float = ScenarioSpec.delta
     a: float = ScenarioSpec.a
     b: float = ScenarioSpec.b

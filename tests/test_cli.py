@@ -372,14 +372,16 @@ def test_order_from_sample_csv_is_deterministic(tmp_path, capsys):
      "sample {path}: column v5: range from -1e+308 to 1e+308 overflows"),
     ("header-only", None, None, None,
      "cannot read sample {path}: the sample has no observations"),
+    ("short-rows", None, 10, None,  # the header names 11 columns, each row holds 10
+     "cannot read sample {path}: expected 11 columns"),
 ])
 def test_order_rejects_bad_sample_csv(tmp_path, capsys, name, rows, col, value,
                                       message):
     sample = generate_sample(ScenarioSpec(Scenario.UNIFORM, 0.2), 100,
                              np.random.default_rng(22))
     data = np.column_stack([sample.features, sample.labels])
-    if value is None:  # no rows at all, only the header
-        data = data[:0]
+    if value is None:  # no rows at all, or no column ``col``; the header is kept
+        data = data[:0] if col is None else np.delete(data, col, axis=1)
     else:
         data[rows, col] = value
     path = tmp_path / f"{name}.csv"
@@ -455,6 +457,15 @@ def test_simulate_refuses_an_unknown_config_key(tmp_path, monkeypatch, capsys):
     line = run_error(capsys, "simulate", "--config", str(cfg))
     assert line == (f"error: {cfg}:2: unknown key 'replicate'; expected one of "
                     "scenario, k, n, methods, replicates, seed, delta, a, b, d, out")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_simulate_refuses_an_empty_config_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a run would write experiment.csv here
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 50\nk =\n")
+    line = run_error(capsys, "simulate", "--config", str(cfg))
+    assert line == f"error: {cfg}:2: empty key or value"
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -665,18 +676,50 @@ def test_simulate_reads_each_setting_from_its_flag_or_its_config_line(
     assert (config.replicates, config.seed, path) == (3, 5, "flag.csv")
 
 
-def test_acceptance_config_is_the_north_star_run(tmp_path, monkeypatch, capsys,
-                                                 experiment_configs):
+def assert_traces_leave_the_csv_as_it_is(capsys, cfg, out_csv, traced_csv):
+    """``simulate --config cfg --traces`` writes ``out_csv``'s bytes to ``traced_csv``."""
+    code, _ = run(capsys, "simulate", "--config", str(cfg), "--out", str(traced_csv),
+                  "--traces", str(traced_csv.with_suffix(".json")))
+    assert code == 0
+    assert traced_csv.read_bytes() == out_csv.read_bytes()
+
+
+def test_acceptance_config_is_the_north_star_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    configs = []
+
+    def run_experiment(config, keep_traces=False):
+        configs.append(config)
+        return simlab.run_experiment(config, keep_traces)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
     cfg = Path(__file__).resolve().parent.parent / "configs" / "acceptance.cfg"
     code, out = run(capsys, "simulate", "--config", str(cfg))
-    assert code == 0 and out.startswith("wrote acceptance_frequencies.csv in ")
-    (config,) = experiment_configs
+    assert code == 0 and out.splitlines()[-1].startswith("wrote acceptance_frequencies.csv in ")
+    (config,) = configs
     assert (config.scenario, config.k_values, config.n_values) == (
         Scenario.UNIFORM, (0.2, 0.8), (5000,))
     assert [m.label() for m in config.methods] == [
         "mifs(beta=1)", "mrmr", "maxmifs", "mifs(beta=0)", "mifsu(beta=0)", "nmifs"]
     assert (config.replicates, config.seed) == (100, 20250808)
+    # the north-star run passes no --traces; the pins and workloads all pass it
+    assert_traces_leave_the_csv_as_it_is(capsys, cfg, tmp_path / "acceptance_frequencies.csv",
+                                         tmp_path / "traced.csv")
+
+
+def test_gaussian_simulate_csv_is_the_same_with_and_without_traces(tmp_path, capsys):
+    (specs,) = {tuple(row) for row in reference.ORDERING_TABLE.values()}
+    assert len(specs) == 14
+    methods = ",".join(m.method.value + ("" if m.beta is None else f":{m.beta:g}")
+                       for m in specs)
+    cfg = tmp_path / "gaussian.cfg"
+    cfg.write_text(f"scenario = II\nk = 0.2, 0.8\nn = 50, 200\nmethods = {methods}\n"
+                   "replicates = 5\n")
+    out_csv = tmp_path / "plain.csv"
+    code, _ = run(capsys, "simulate", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 0
+    assert len(out_csv.read_text().splitlines()) == 1 + 2 * 2 * 14
+    assert_traces_leave_the_csv_as_it_is(capsys, cfg, out_csv, tmp_path / "traced.csv")
 
 
 def test_simulate_with_config_and_overrides(tmp_path, capsys):
@@ -815,6 +858,8 @@ BAD_JOINT_FILES = {
     "short-probs": ('{"arities":[2,2],"probs":[0.5,0.5]}', FLAT_4),
     "long-probs": ('{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}', FLAT_4),
     "empty-probs": ('{"arities":[1,1],"probs":[]}', "probs must be a flat list of 1 numbers"),
+    "class-only": ('{"arities":[2],"probs":[0.5,0.5],"class_index":0}',
+                   "need at least one feature besides the class"),
     "overflowing-mass": ('{"arities":[2,2],"probs":[1e308,1e308,0,0]}',
                          "total mass inf is not finite"),
     "trailing-comma": ('{"arities":[2,2],"probs":[0.5, 0.0, 0.0, 0.5,],"class_index":1}',

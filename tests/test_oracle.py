@@ -231,13 +231,11 @@ def test_pairwise_symmetry_and_diagonal():
 
 
 def test_squared_feature_zero_mi():
-    assert abs(mi_class_squared_feature(0.2, "uniform", 0.5)) < 1e-3
-    assert abs(mi_class_squared_feature(0.8, "uniform", 1.0)) < 1e-3
-    assert abs(mi_class_squared_feature(0.5, "normal")) < 1e-3
-    with pytest.raises(ValueError):
-        mi_class_squared_feature(1.2, "uniform")
-    with pytest.raises(ValueError):
-        mi_class_squared_feature(0.5, "cauchy")
+    assert abs(mi_class_squared_feature(spec_i(0.2, 0.5))) < 1e-3
+    assert abs(mi_class_squared_feature(spec_i(0.8, 1.0))) < 1e-3
+    assert abs(mi_class_squared_feature(spec_ii(0.5))) < 1e-3
+    with pytest.raises(ValueError, match="class slope"):  # ScenarioSpec refuses it
+        mi_class_squared_feature(spec_i(1.2))
 
 
 def quad_mi_class_squared_feature(k, base, delta):
@@ -276,7 +274,8 @@ def test_squared_feature_matches_adaptive_quadrature():
     # the six cases of `miselect verify`
     for k in (0.2, 0.8):
         for base, delta in (("uniform", 0.5), ("uniform", 1.0), ("normal", 0.5)):
-            got = mi_class_squared_feature(k, base, delta)
+            spec = spec_i(k, delta) if base == "uniform" else spec_ii(k)
+            got = mi_class_squared_feature(spec)
             assert abs(got - quad_mi_class_squared_feature(k, base, delta)) <= 1e-12
 
 
