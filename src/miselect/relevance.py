@@ -19,12 +19,13 @@ as a text-mode read decodes it and parsed whole by ``json.loads``, which
 words every refusal; both routes fill the same array, so the masses are
 bit-equal.  Conditioning invariance
 compares two conditionals, P(over | wide key) and P(over | narrow key),
-with 0 for a value absent under a key.  For the class, P(class | S-group
-of each atom) is built once for every feature subset S, one lattice level
-at a time and in blocks of subsets, keeping only the level below; the
-relevance classes and the maximally-informative tests compare slices of
-it.  A Markov blanket test of feature i takes the blanket as the narrow
-key, the blanket with i as the wide one, and for ``over`` the class with
+with 0 for a value absent under a key.  For the class, the feature
+subsets' partitions of the atoms are built one lattice level at a time, in
+blocks and keeping only the level below, as one row per distinct partition
+of the level; P(class | group) is built once per row, and the relevance
+classes and the maximally-informative tests compare each distinct pair of
+rows once.  A Markov blanket test of feature i takes the blanket as the
+narrow key, the blanket with i as the wide one, and for ``over`` the class with
 the other features in scope; it holds one row per (blanket, over) value
 present and one column per value of i.  Relevance-optimal sets come
 from an exhaustive search over feature subsets, which is bounded at
@@ -38,6 +39,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -48,7 +50,7 @@ from .oracle import ScenarioSpec, class_labels, feature_matrix
 
 PROB_TOLERANCE = 1e-9
 MAX_SEARCH_FEATURES = 12
-BLOCK_CELLS = 1 << 19  # (subset, member, atom) triples per block of the lattice
+BLOCK_CELLS = 1 << 16  # (partition, atom) cells per block of the lattice
 SCAN_BYTES = 1 << 18  # bytes of a joint document's mass list per block of its scan
 
 
@@ -85,49 +87,84 @@ class LabeledJoint(Joint):
         class_ids, class_mass = self._grouping((self.class_index,))
         n_class = len(class_mass)
         weights = np.tile(self.mass, len(ids))  # no group spans two rows: summed in atom order
-        joint = np.bincount((ids * n_class + class_ids).ravel(), weights=weights,
-                            minlength=n_groups * n_class)
+        cells = ids * n_class
+        cells += class_ids  # in place: a second array of this size costs as much again
+        joint = np.bincount(cells.ravel(), weights=weights, minlength=n_groups * n_class)
         mass = np.bincount(ids.ravel(), weights=weights, minlength=n_groups)
         return joint.reshape(-1, n_class) / mass[:, None]
 
-    def _lattice_blocks(self):
-        """P(class | S-group of each atom) of every feature subset S, level by level.
+    def _lattice(self):
+        """The partitions of the atoms by the feature subsets, one ``_Level`` per subset size.
 
-        Yields per block of subsets their bitmasks (bit j for ``features[j]``),
-        the conditionals (subsets, atoms, classes), and the level below as (row
-        of each mask, group ids, P(class | group)).  A subset's groups are its
-        parent's, the subset less its highest bit: the parent id times the
-        bit's arity plus the atom's value, each row's codes offset past the
-        rows before, relabelled densely through the codes present, so groups
-        are numbered in code order as ``Joint._grouping`` numbers them.
+        A subset's partition is the meet of its parent's, the subset less its
+        highest bit, with the bit's feature's: an atom's code is its parent
+        group times the bit's arity plus its value.  A meet is built once per
+        distinct (parent row, bit), ``BLOCK_CELLS`` // atoms of them per block.
+        Its groups are numbered in the order of their first atoms, so equal
+        partitions have equal rows; a meet equal to an earlier row of its
+        level, picked out by fingerprint and confirmed element by element,
+        adds no row.  P(class | group) is summed in atom order, so it is the
+        same float whichever subsets share the row, and each new row is
+        compared with the full feature set's while its block is at hand.
+        Only the level yielded and the one below are held.
         """
         d, n = len(self.features), len(self.mass)
+        ids, mass = self._grouping(self.features)
+        full = np.take(self._class_conditional(ids[None], len(mass)), ids, axis=0)
         bits = 1 << np.arange(d)
         arity, values = np.take(self.arities, self.features), self.atoms[:, self.features].T
-        masks, ids = np.zeros(1, dtype=np.intp), np.zeros((1, n), dtype=np.intp)
+        ids, zero = np.zeros((1, n), dtype=np.intp), np.zeros(1, np.intp)
         cond = self._class_conditional(ids, 1)
-        yield masks, np.take(cond, ids, axis=0), None
-        for size in range(1, d + 1):
-            row = np.zeros(1 << d, dtype=np.intp)
-            row[masks] = np.arange(len(masks))
-            below, low = (row, ids, cond), ids.min(axis=1)  # a row's groups are low, low + 1, ...
-            parent, new = np.nonzero(masks[:, None] < bits)  # new above every parent bit
-            step = max(1, BLOCK_CELLS // (n * size))
-            ids, conds, base = np.empty((len(parent), n), dtype=np.intp), [], 0
-            for at in range(0, len(parent), step):
-                p, k = parent[at:at + step], new[at:at + step]
-                local = below[1][p] - low[p, None]
-                span = (local.max(axis=1) + 1) * arity[k]
-                codes = local * arity[k, None] + values[k] + (np.cumsum(span) - span)[:, None]
-                present = np.zeros(span.sum(), dtype=bool)
-                present[codes] = True
-                dense = np.cumsum(present)
-                group = dense[codes] - 1
-                conds.append(self._class_conditional(group, dense[-1]))
-                ids[at:at + step] = group + base
-                base += dense[-1]
-                yield masks[p] | bits[k], np.take(conds[-1], group, axis=0), below
-            masks, cond = masks[parent] | bits[new], np.concatenate(conds)
+        level = _Level(zero, zero, ids, np.ones(1, np.intp), cond, ~_differs(cond[ids], full))
+        yield level
+        step = max(1, BLOCK_CELLS // n)
+        at = np.arange(step * n)  # each cell's position in a block's (meets, atoms) array
+        for _ in range(d):
+            parent, new = np.nonzero(level.masks[:, None] < bits)  # new above every parent bit
+            keys, key_of = np.unique(level.rows[parent] * d + new, return_inverse=True)
+            rows, k = np.divmod(keys, d)
+            ids, row_of = np.empty((len(keys), n), dtype=np.intp), np.empty(len(keys), np.intp)
+            counts, conds, fits, seen, stored = [], [], [], {}, 0
+            for a in range(0, len(keys), step):
+                r, b = rows[a:a + step], k[a:a + step]
+                span = level.counts[r] * arity[b]
+                codes = level.ids[r]
+                codes *= arity[b, None]
+                codes += values[b]
+                codes += (np.cumsum(span) - span)[:, None]  # each meet's codes past the last's
+                cells = at[:codes.size]
+                lead = np.full(span.sum(), codes.size)
+                np.minimum.at(lead, codes.ravel(), cells)  # flat: numpy 2.4 crashes on a 2-D index
+                lead = lead[codes]  # the cell of the first atom of each atom's group
+                first = np.flatnonzero(lead.ravel() == cells)  # the cells that start a group
+                end = np.searchsorted(first, (np.arange(len(r)) + 1) * n)  # meet i's end here
+                size = np.diff(end, prepend=0)
+                rank = np.empty(codes.size, dtype=np.intp)
+                rank[first] = np.arange(len(first)) - np.repeat(end - size, size)  # in its meet
+                block = ids[stored:stored + len(r)]
+                np.take(rank, lead, out=block, mode="clip")  # in range; "raise" buffers out
+                kept = []  # the meets that start a row, stored + 0, 1, ... when the block is done
+                for i, fingerprint in enumerate(_fingerprints(block).tolist()):
+                    same = seen.setdefault(fingerprint, [])
+                    for row in same:  # equal bytes: equal ids, atom by atom
+                        if block[i].tobytes() == (ids[row] if row < stored
+                                                  else block[kept[row - stored]]).tobytes():
+                            break
+                    else:
+                        row = stored + len(kept)
+                        same.append(row)
+                        kept.append(i)
+                    row_of[a + i] = row
+                if len(kept) < len(r):
+                    block[:len(kept)], size = block[kept], size[kept]
+                group = block[:len(kept)] + (np.cumsum(size) - size)[:, None]
+                counts.append(size)
+                conds.append(self._class_conditional(group, size.sum()))
+                fits.append(~_differs(np.take(conds[-1], group, axis=0), full))
+                stored += len(kept)
+            level = _Level(level.masks[parent] | bits[new], row_of[key_of], ids[:stored],
+                           *map(np.concatenate, (counts, conds, fits)))
+            yield level
 
     @functools.cached_property
     def _relevance(self) -> tuple[dict[int, RelevanceClass], np.ndarray]:
@@ -136,19 +173,30 @@ class LabeledJoint(Joint):
         With P[S] the conditionals of subset S, feature j is strongly relevant
         when P[full] and P[full less j] differ by more than PROB_TOLERANCE, else
         weakly relevant when P[S with j] and P[S] do for some S (Kohavi and John
-        1997).  S is maximally informative when P[S] is within it of P[full].
+        1997).  S is maximally informative when P[S] is within it of P[full]
+        (``_Level.fits``).  The weak tests compare each distinct pair of rows
+        once, ``BLOCK_CELLS`` // atoms pairs at a time, and skip a pair whose
+        partitions have as many groups: S with j refines S, so they are equal.
         """
         self.check_search_bound()
-        d, (ids, mass) = len(self.features), self._grouping(self.features)
-        full = np.take(self._class_conditional(ids[None], len(mass)), ids, axis=0)
+        d, step, below = len(self.features), max(1, BLOCK_CELLS // len(self.mass)), None
         bits, informative, weak = 1 << np.arange(d), np.zeros(1 << d, bool), np.zeros(d, bool)
-        for masks, cond, below in self._lattice_blocks():
-            informative[masks] = ~_differs(cond, full)
+        row = np.empty(1 << d, np.intp)
+        for level in self._lattice():
+            informative[level.masks], row[level.masks] = level.fits[level.rows], level.rows
             if below is not None:  # P[S] against P[S less j] for each j in S not known weak
-                row, ids, narrow = below
-                r, k = np.nonzero(masks[:, None] & np.where(weak, 0, bits))
-                narrow = np.take(narrow, np.take(ids, row[masks[r] ^ bits[k]], axis=0), axis=0)
-                weak[k[_differs(narrow, np.take(cond, r, axis=0))]] = True
+                r, k = np.nonzero(level.masks[:, None] & np.where(weak, 0, bits))
+                wide, narrow = level.rows[r], row[level.masks[r] ^ bits[k]]
+                split = level.counts[wide] != below.counts[narrow]
+                pairs, pair_of = np.unique(wide[split] * len(below.counts) + narrow[split],
+                                           return_inverse=True)
+                wide, narrow = np.divmod(pairs, len(below.counts))
+                differs = np.empty(len(pairs), bool)
+                for a in range(0, len(pairs), step):
+                    differs[a:a + step] = _differs(level.conditionals(wide[a:a + step]),
+                                                   below.conditionals(narrow[a:a + step]))
+                weak[k[split][differs[pair_of]]] = True
+            below = level
         strong = ~informative[bits.sum() ^ bits]  # the full set less j is not informative
         return ({f: RelevanceClass.SR if s else RelevanceClass.WR if w
                  else RelevanceClass.IRRELEVANT
@@ -286,6 +334,37 @@ class LabeledJoint(Joint):
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
         return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The distinct partitions of the atoms by the feature subsets of one size.
+
+    ``masks`` are the subsets (bit j for ``features[j]``) and ``rows`` the
+    row of each one's partition.  Row r numbers each atom's group in
+    ``ids[r]``, from 0 in the order of the groups' first atoms, and
+    ``cond`` holds P(class | group) of all rows' groups, ``counts[r]`` of
+    them for row r, in row order.  ``fits[r]`` is whether row r's P(class |
+    group of each atom) is within PROB_TOLERANCE of the full feature set's.
+    """
+
+    masks: np.ndarray
+    rows: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+    cond: np.ndarray
+    fits: np.ndarray
+
+    def conditionals(self, rows) -> np.ndarray:
+        """P(class | group of each atom) of ``rows``: (rows, atoms, classes)."""
+        low = np.cumsum(self.counts) - self.counts  # each row's first group in cond
+        return np.take(self.cond, self.ids[rows] + low[rows, None], axis=0)
+
+
+def _fingerprints(ids: np.ndarray) -> np.ndarray:
+    """An integer per row of ``ids``, the same for equal rows: a wrapping dot product."""
+    weights = np.arange(1, 2 * ids.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return ids @ weights.view(np.int64)
 
 
 def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -200,7 +200,7 @@ def test_classification_is_memoised(monkeypatch):
     def fail(*args):
         raise AssertionError("the lattice was built twice")
 
-    monkeypatch.setattr(joint, "_lattice_blocks", fail)
+    monkeypatch.setattr(joint, "_lattice", fail)
     monkeypatch.setattr(joint, "_class_conditional", fail)
     monkeypatch.setattr(joint, "_grouping", fail)
     assert [joint.classify_feature(f) for f in joint.features] == first
@@ -395,6 +395,13 @@ def class_table(joint, subset):
     return table[ids]
 
 
+def first_atom_numbering(joint, subset):
+    """The subset's group of each atom, numbered 0, 1, ... in the order of first atoms."""
+    _, first, inverse = np.unique(joint._grouping(subset)[0], return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def differs(wide, narrow):
     return np.abs(wide - narrow).max() > PROB_TOLERANCE
 
@@ -426,11 +433,18 @@ def test_lattice_agrees_with_per_test_search(drawn, block_cells):
     features = joint.features
     seen = set()
     with mock.patch.object(relevance, "BLOCK_CELLS", block_cells):
-        for masks, cond, _ in joint._lattice_blocks():
-            for mask, row in zip(masks.tolist(), cond):
+        full = class_table(joint, features)
+        for level in joint._lattice():
+            for mask, r, cond in zip(level.masks.tolist(), level.rows,
+                                     level.conditionals(level.rows)):
                 subset = tuple(f for j, f in enumerate(features) if mask >> j & 1)
-                assert row.tobytes() == class_table(joint, subset).tobytes()
+                assert np.array_equal(level.ids[r], first_atom_numbering(joint, subset))
+                assert cond.tobytes() == class_table(joint, subset).tobytes()
+                assert level.fits[r] == (not differs(full, cond))
                 seen.add(mask)
+            # rows are numbered canonically, so distinct rows are distinct partitions
+            assert len({ids.tobytes() for ids in level.ids}) == len(level.ids)
+            assert level.counts.tolist() == [len(np.unique(ids)) for ids in level.ids]
         assert seen == set(range(1 << len(features)))
         for i in features:
             assert joint.classify_feature(i) is ref.classify_feature(i)
@@ -447,14 +461,44 @@ def test_twelve_features_classify_at_the_search_bound():
     joint = relevance._equal_mass_joint([x, y, 1 - y, x % 2, x // 2, z, u, z ^ u, w % 2,
                                          x + z, w // 2, 3 * (w % 2), cls])
     assert len(joint.features) == relevance.MAX_SEARCH_FEATURES
-    # level 6 of the lattice does not fit in one block
-    assert len(joint.mass) * 6 * 924 > relevance.BLOCK_CELLS
-    classes = [joint.classify_feature(f) for f in joint.features]
+    with mock.patch.object(relevance, "BLOCK_CELLS", 1 << 12):
+        # the widest level's distinct partitions do not fit in one block
+        widest = max(len(level.counts) for level in joint._lattice())
+        assert widest * len(joint.mass) > relevance.BLOCK_CELLS
+        classes = [joint.classify_feature(f) for f in joint.features]
     assert classes == [per_test_class(joint, f) for f in joint.features]
     assert set(classes) == {RelevanceClass.SR, RelevanceClass.WR, RelevanceClass.IRRELEVANT}
     for subset in ((0, 1, 5, 6, 10), (0, 1, 5, 6), joint.features[1:]):
         assert joint.is_maximally_informative(subset) == (
             not differs(class_table(joint, joint.features), class_table(joint, subset)))
+
+
+def test_grid_lattice_agrees_with_per_subset_tables():
+    """All 1024 maximal-informativeness answers and the 10 classes of the grid joint."""
+    joint = grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.2))
+    full = class_table(joint, joint.features)
+    for size in range(len(joint.features) + 1):
+        for subset in itertools.combinations(joint.features, size):
+            assert joint.is_maximally_informative(subset) == (
+                not differs(full, class_table(joint, subset)))
+    assert [joint.classify_feature(f) for f in joint.features] == [
+        per_test_class(joint, f) for f in joint.features]
+
+
+@pytest.mark.parametrize("make", [
+    duplicated_features_example, lambda: grid_scenario_joint(ScenarioSpec(Scenario.UNIFORM, 0.2))])
+def test_colliding_fingerprints_keep_the_lattice(make, monkeypatch):
+    """With every fingerprint equal, the element-wise check alone tells the partitions apart."""
+    joint = make()
+    levels = [(level.rows, level.ids) for level in joint._lattice()]
+    assert sum(map(len, (ids for _, ids in levels))) < 1 << len(joint.features)  # some shared
+    classes, informative = joint._relevance
+    monkeypatch.setattr(relevance, "_fingerprints", lambda ids: np.zeros(len(ids), np.int64))
+    collided = make()
+    for (rows, ids), level in zip(levels, collided._lattice(), strict=True):
+        assert np.array_equal(level.rows, rows) and np.array_equal(level.ids, ids)
+    assert collided._relevance[0] == classes
+    assert collided._relevance[1].tobytes() == informative.tobytes()
 
 
 def dict_grouping(joint, variables):
