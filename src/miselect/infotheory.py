@@ -21,9 +21,13 @@ import numpy as np
 MASS_TOLERANCE = 1e-9
 
 
-def mass_total(probs: np.ndarray) -> float:
-    """Total of a mass array; ValueError unless non-negative, finite and near 1."""
-    if np.any(probs < 0.0):
+def mass_total(probs: np.ndarray, nonzero: np.ndarray | None = None) -> float:
+    """Total of a mass array; ValueError unless non-negative, finite and near 1.
+
+    ``nonzero``, when given, holds every nonzero value of ``probs``, so only
+    it is checked for a negative mass; the total is still ``probs.sum()``.
+    """
+    if np.any((probs if nonzero is None else nonzero) < 0.0):
         raise ValueError("negative probability mass")
     with np.errstate(over="ignore"):  # an overflowing total is refused below
         total = float(probs.sum())
@@ -56,10 +60,22 @@ class Joint:
         Further arguments go to the constructor.
         """
         probs = np.asarray(probs, dtype=float)
+        cells = np.flatnonzero(probs.ravel() != 0.0)  # a bool mask is scanned faster than floats
+        return cls.from_cells(probs, cells, *args, **kwargs)
+
+    @classmethod
+    def from_cells(cls, probs: np.ndarray, cells: np.ndarray, *args, **kwargs) -> "Joint":
+        """``from_dense`` of a float array whose nonzero cells are among ``cells``.
+
+        ``cells`` are ascending flat indices; only they are read, but the total
+        is summed over the whole array, so the masses are ``from_dense``'s.
+        """
         flat = probs.ravel()
-        cells = np.flatnonzero(flat != 0.0)  # a bool mask is scanned faster than floats
-        atoms = np.stack(np.unravel_index(cells, probs.shape)).T  # column_stack writes strided
-        return cls(probs.shape, atoms, flat[cells] / mass_total(flat), *args, **kwargs)
+        mass = flat[cells]
+        total = mass_total(flat, mass)
+        kept = mass != 0.0
+        atoms = np.stack(np.unravel_index(cells[kept], probs.shape)).T  # column_stack writes strided
+        return cls(probs.shape, atoms, mass[kept] / total, *args, **kwargs)
 
     def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Group id of each atom by its projection on ``variables``, and group masses.

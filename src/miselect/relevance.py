@@ -11,13 +11,16 @@ A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
 support atoms and their subset lattice, with one variable designated as
 the class.  ``from_json`` takes the document file's bytes, reads its flat,
 row-major mass list into one dense float array, and takes the atoms from
-it.  A plain document's list is scanned in place, one cache-sized block
-of ``SCAN_BYTES`` at a time, without decoding it: each token that is the
-canonical zero (``0.0`` after ``, ``) is an empty cell, and only the bytes
-of the other tokens go to ``json.loads``.  Any other document is decoded
-as a text-mode read decodes it and parsed whole by ``json.loads``, which
-words every refusal; both routes fill the same array, so the masses are
-bit-equal.  Conditioning invariance
+it.  A plain document's list is scanned in place without decoding it:
+each token that is the canonical zero (``0.0`` after ``, ``) is an empty
+cell, and only the bytes of the other tokens go to ``json.loads``.  The
+scan compares 8-byte words with the words five bytes on, and bytes only
+inside the words that differ, except in a cache-sized chunk of
+``SCAN_BYTES`` where many do; the atoms are taken from the kept tokens'
+cells alone.  Any other document is decoded as a text-mode read decodes
+it and parsed whole by ``json.loads``, which words every refusal; both
+routes fill the same array and divide by its whole sum, so the masses
+are bit-equal.  Conditioning invariance
 compares two conditionals, P(over | wide key) and P(over | narrow key),
 with 0 for a value absent under a key.  For the class, the feature
 subsets' partitions of the atoms are built one lattice level at a time, in
@@ -323,17 +326,19 @@ class LabeledJoint(Joint):
         """Parse ``{"arities": [...], "probs": [...flat row-major...], "class_index": ...}``.
 
         ``data`` is the document file's bytes.  A plain document is scanned
-        (``_scanned_document``); any other is decoded and parsed whole
-        (``_parsed_document``), which words every refusal.
+        (``_scanned_document``), and its atoms are taken from the cells of the
+        tokens the scan kept (``from_cells``); any other is decoded and parsed
+        whole (``_parsed_document``), which words every refusal.
         """
         try:
             try:
-                doc, flat = _scanned_document(data)
+                doc, flat, cells = _scanned_document(data)
             except (ValueError, RecursionError):  # the parse words the refusal
                 doc, flat = _parsed_document(data)
+                return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
-        return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
+        return cls.from_cells(flat.reshape(doc["arities"]), cells, doc.get("class_index"))
 
 
 @dataclass(frozen=True)
@@ -431,25 +436,25 @@ def _parsed_document(data: bytes) -> tuple[dict, np.ndarray]:
     return doc, flat
 
 
-def _scanned_document(data: bytes) -> tuple[dict, np.ndarray]:
+def _scanned_document(data: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
     """The same as ``_parsed_document`` for a plain, valid document, else ValueError.
 
     Plain means one literal ``"probs"`` key, a list holding no ``[``, ``{``
     or ``"``, and no escape elsewhere, so that no other key decodes to
     ``probs``.  ``json.loads`` parses the rest of the document, decoded as
     strict UTF-8, with the list cut to ``[]``.  The list's bytes are
-    scanned in place, in blocks of ``SCAN_BYTES``, so that what a block
-    holds stays bounded however the list is spelled.  A canonical token
-    (``, 0.0`` before the next comma) is an empty cell.  Where the list
-    repeats with period 5 (``body[p] == body[p + 5]``), the canonical
-    tokens of that run form one stride-5 chain, which starts at the last
-    comma of the run's first five bytes if ``, 0.0`` is spelled there.  The
-    bytes between chains are kept, and go to one ``json.loads``, so each
-    value is json's own.  A kept token's cell is its ordinal plus the
-    canonical tokens before it.
-    ``from_dense`` sums the dense float array as it sums the whole-document
-    parse's.  Every refusal, and a list with no empty cell to skip, is left
-    to ``_parsed_document``.
+    scanned in place, in blocks that ``_period_runs`` bounds by
+    ``SCAN_BYTES``, so that what a block holds stays bounded however the
+    list is spelled.  A canonical token (``, 0.0`` before the next comma)
+    is an empty cell.  Where the list repeats with period 5
+    (``body[p] == body[p + 5]``), the canonical tokens of that run form one
+    stride-5 chain, which starts at the last comma of the run's first five
+    bytes if ``, 0.0`` is spelled there.  The bytes between chains are
+    kept, and go to one ``json.loads``, so each value is json's own.  A
+    kept token's cell is its ordinal plus the canonical tokens before it.
+    The kept tokens' cells, ascending, are returned too: they hold every
+    nonzero cell of the dense array.  Every refusal, and a list with no
+    empty cell to skip, is left to ``_parsed_document``.
     """
     key = data.find(_PROBS_KEY)
     opening = _LIST_OPENING.match(data, key + len(_PROBS_KEY)) if key >= 0 else None
@@ -471,20 +476,11 @@ def _scanned_document(data: bytes) -> tuple[dict, np.ndarray]:
     body = np.frombuffer(data, np.uint8, end + 2 - start, start - 1)  # [ to ], not copied
     # token k > 0 runs from its comma to the next; the first holds [ and the last ], never canonical
     width = len(_ZERO_TOKEN)
-    n = len(body) - width  # a canonical token may start at p < n
     pieces, starts, covered = [], [], 0  # body[:covered] is scanned
-    for a in range(0, len(body), SCAN_BYTES):
-        b, c = min(a + SCAN_BYTES, len(body)), max(min(a + SCAN_BYTES, n), a)
+    for b, lo, hi in _period_runs(body, width):
         # where body[p] == body[p + 5] for lo <= p < hi, the list repeats with period 5
         # up to hi + 5, so from a run's first canonical token every fifth start is one;
         # a run cut at a block edge still repeats, so its chain goes on in the next block
-        broken = body[a:c] != body[a + width:c + width]
-        if np.count_nonzero(broken) * 16 > len(broken):  # many breaks: where runs start and stop
-            edges = np.flatnonzero(np.diff(broken, prepend=True, append=True)) + a
-            lo, hi = edges[::2], edges[1::2]
-        else:  # few: a run, maybe empty, between each two breaks
-            breaks = np.flatnonzero(broken) + a
-            lo, hi = np.append(a, breaks + 1), np.append(breaks, c)
         chain = (hi - lo > 1) | (hi - lo == 1) & (body[lo] == _ZERO_TOKEN[0])  # one byte: a comma
         lo, hi = lo[chain], hi[chain]
         # the token holds one comma, so a chain starts at the last comma of the run's first period
@@ -515,9 +511,57 @@ def _scanned_document(data: bytes) -> tuple[dict, np.ndarray]:
     flat = np.asarray(values)
     if len(values) != len(at) or not _numbers(flat, values):  # an empty list has no token
         raise ValueError("not one number per kept token")
+    cells = np.arange(len(at)) + (at - cut_at) // width  # + tokens cut before
     dense = np.zeros(size)
-    dense[np.arange(len(at)) + (at - cut_at) // width] = flat  # + tokens cut before
-    return doc, dense
+    dense[cells] = flat
+    return doc, dense, cells
+
+
+def _period_runs(body: np.ndarray, width: int):
+    """Per block ``[a, b)`` of ``body``, ``(b, lo, hi)``: where ``body[p] == body[p + width]``.
+
+    The runs ``lo <= p < hi`` (some may be empty) are maximal among the
+    ``a <= p < len(body) - width``.  Each ``SCAN_BYTES`` chunk first compares
+    whole words: word k, bytes 8k to 8k + 7, equals the word ``width`` bytes
+    on exactly when none of its bytes breaks the period.  A chunk where more
+    than one word in 16 differs compares its bytes and is a block.  The other
+    chunks join the block being built while it holds at most as many
+    differing words as such a chunk may, so that it stays bounded, and only
+    the bytes of those words, and any past the last whole word, are compared.
+    """
+    n = len(body) - width  # a canonical token may start at p < n
+    whole = n - n % 8  # body[:whole] is whole words
+    words, fives = body[:whole].view(np.uint64), body[width:width + whole].view(np.uint64)
+
+    def word_block(a, b, differ):  # body[a:b], its differing words' bytes compared one by one
+        c = max(min(b, n), a)
+        p = np.append((np.unique(np.concatenate(differ)) * 8)[:, None] + np.arange(8),
+                      np.arange(max(whole, a), c))
+        p = p[(a <= p) & (p < c)]
+        breaks = p[body[p] != body[p + width]]
+        return b, np.append(a, breaks + 1), np.append(breaks, c)
+
+    lead, differ, held = 0, [], 0  # the block being built starts at lead
+    for a in range(0, len(body), SCAN_BYTES):
+        b, c = min(a + SCAN_BYTES, len(body)), max(min(a + SCAN_BYTES, n), a)
+        span = slice(a // 8, -(-c // 8))  # the words that overlap body[a:c]
+        unequal = words[span] != fives[span]
+        if np.count_nonzero(unequal) * 16 > len(unequal):  # many differ: where runs start and stop
+            if lead < a:
+                yield word_block(lead, a, differ)
+            broken = body[a:c] != body[a + width:c + width]
+            edges = np.flatnonzero(np.diff(broken, prepend=True, append=True)) + a
+            yield b, edges[::2], edges[1::2]
+            lead, differ, held = b, [], 0
+            continue
+        moved = np.flatnonzero(unequal) + span.start
+        if (held + len(moved)) * 16 > SCAN_BYTES // 8 and lead < a:
+            yield word_block(lead, a, differ)
+            lead, differ, held = a, [], 0
+        differ.append(moved)
+        held += len(moved)
+    if lead < len(body):
+        yield word_block(lead, len(body), differ)
 
 
 # ---------------------------------------------------------------------------

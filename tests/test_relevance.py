@@ -174,8 +174,21 @@ def dense_joints(draw):
     return probs / probs.sum() * (1.0 + off * MASS_TOLERANCE)
 
 
+def last_bit_table():
+    """A [30, 2] table whose total, summed over all its cells, is not its eight masses' sum.
+
+    ``probs.sum()`` reads 0.9999999999999999 and the nonzero cells alone sum to
+    0.9999999999999998, so dividing by the latter moves 3 of the 8 masses.
+    """
+    probs = np.zeros((30, 2))
+    masses = np.array([0.1, 0.2, 0.1, 0.7, 0.5, 0.3, 0.2, 0.3])
+    probs.ravel()[[15, 17, 36, 37, 41, 42, 50, 52]] = masses / masses.sum()
+    return probs
+
+
 @settings(max_examples=200, deadline=None)
 @given(dense_joints())
+@explicit_example(last_bit_table())
 def test_loaded_atoms_are_the_dense_tables_nonzero_cells(probs):
     normalised = probs / mass_total(probs)
     cells = np.argwhere(normalised > 0.0)
@@ -571,12 +584,19 @@ def parsed_outcome(data):
 
 
 def scan_outcome(data):
-    """The scanned document and its dense array's bytes, or the scan's refusal."""
+    """The scanned document, its dense array's bytes and kept cells, or the scan's refusal."""
     try:
-        doc, flat = relevance._scanned_document(data)
+        doc, flat, cells = relevance._scanned_document(data)
     except (ValueError, RecursionError) as exc:
         return f"refused: {exc}"
-    return doc, flat.tobytes()
+    assert_kept_cells(flat, cells)
+    return doc, flat.tobytes(), cells.tolist()
+
+
+def assert_kept_cells(flat, cells):
+    """The scan's kept cells are ascending and hold every nonzero cell of its array."""
+    assert np.all(np.diff(cells) > 0)
+    assert np.isin(np.flatnonzero(flat), cells).all()
 
 
 def assert_scan_ignores_block_edges(data, sizes=range(1, 8)):
@@ -637,6 +657,8 @@ PERIODIC_LISTS = {
     "trailing-comma": "0.5, 0.0,",
     "kept-back-to-back": "0.0, 0.0, 0.5, 0.25, 0.125, 0.0, 0.0, 0.125",
     "crlf-separators": "0.5, 0.0, 0.0,\r\n 0.0, 0.0,\r 0.5",
+    # 12 tokens ", 0.5" repeat with period 5, and so word for word, over 60 bytes
+    "masses-equal-word-for-word": ", ".join(["0.0"] * 20 + ["0.5"] * 12 + ["0.0"] * 20),
 }
 
 
@@ -644,7 +666,7 @@ PERIODIC_LISTS = {
 def test_scan_of_period_5_runs(probs):
     # each list has a canonical token, so the scan takes every valid one
     data = ('{"arities": [%d], "probs": [%s]}' % (probs.count(",") + 1, probs)).encode()
-    assert_scan_ignores_block_edges(data)
+    assert_scan_ignores_block_edges(data, sizes=(*range(1, 8), 64))
     try:
         parsed = relevance._parsed_document(data)[1].astype(float).tobytes()
     except ValueError:
@@ -753,9 +775,10 @@ def test_scan_agrees_with_whole_document_parse(text):
     assert load_outcome(data) == parsed_outcome(data)
     assert_scan_ignores_block_edges(data)
     try:
-        doc, flat = relevance._scanned_document(data)
+        doc, flat, cells = relevance._scanned_document(data)
     except ValueError:
         return
+    assert_kept_cells(flat, cells)
     parsed_doc, parsed_flat = relevance._parsed_document(data)  # what was scanned is valid
     assert doc["arities"] == parsed_doc["arities"]
     assert doc.get("class_index") == parsed_doc.get("class_index")
@@ -781,12 +804,72 @@ def long_documents(draw):
 @settings(max_examples=50, deadline=None)
 @given(long_documents())
 def test_long_scan_agrees_with_whole_document_parse(data):
-    doc, flat = relevance._scanned_document(data)
+    doc, flat, cells = relevance._scanned_document(data)
+    assert_kept_cells(flat, cells)
     parsed_doc, parsed_flat = relevance._parsed_document(data)
     assert doc.keys() == parsed_doc.keys() and doc["arities"] == parsed_doc["arities"]
     assert flat.tobytes() == parsed_flat.astype(float).tobytes()
     assert scanned_list(data)[1] == list_less_canonical_tokens(data)
     assert_scan_ignores_block_edges(data, sizes=(64,))
+
+
+def assert_scan_is_the_parse(data, sizes=(relevance.SCAN_BYTES, 64)):
+    """The scan fills the whole-document parse's array, bit for bit, at each block size."""
+    parsed = relevance._parsed_document(data)[1].astype(float).tobytes()
+    for size in sizes:
+        with mock.patch.object(relevance, "SCAN_BYTES", size):
+            doc, flat, cells = relevance._scanned_document(data)
+        assert flat.tobytes() == parsed, size
+        assert_kept_cells(flat, cells)
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_scan_at_each_word_offset(offset):
+    # the scan compares 8-byte words of the list before its bytes: the list
+    # starts at each offset mod 8 in the document, and its tokens at each
+    # offset mod 8 in the list, so kept tokens straddle word edges every way
+    tokens = ["0.0"] * 40 + ["0.25", "0.0", "0.5"] + ["0.0"] * 13 + ["0.125", "0.125"]
+    tokens += ["0.0"] * 30
+    head = '{"arities": [%d], "probs": ' % len(tokens)
+    head += " " * ((offset - len(head)) % 8)
+    for shift in range(8):
+        data = (head + "[" + " " * shift + ", ".join(tokens) + "]}").encode()
+        assert data.index(b"[", data.index(b"probs")) % 8 == offset
+        assert load_outcome(data) == parsed_outcome(data)
+        assert_scan_is_the_parse(data)
+
+
+def scan_blocks(data):
+    """The scan's blocks as ``(a, b, lo, hi)``: the block ``[a, b)`` and its runs."""
+    blocks, period_runs = [], relevance._period_runs
+
+    def record(body, width):
+        a = 0
+        for b, lo, hi in period_runs(body, width):
+            blocks.append((a, b, lo, hi))
+            a = b
+            yield b, lo, hi
+
+    with mock.patch.object(relevance, "_period_runs", record):
+        relevance._scanned_document(data)
+    return blocks
+
+
+@pytest.mark.parametrize("size", [relevance.SCAN_BYTES, 64])
+def test_scan_merges_sparse_chunks_around_a_dense_one(size):
+    # long runs of zeros, then masses that break period 5 in most words, then
+    # zeros again: the zeros' chunks merge into blocks of more than one chunk,
+    # and the masses' chunks compare bytes, whose runs skip adjacent breaks
+    rng = np.random.default_rng(3)
+    masses = [repr(m) for m in (rng.random(30_000) / 15_000).tolist()]
+    tokens = ["0.0"] * 120_000 + masses + ["0.0"] * 120_000
+    data = ('{"arities": [%d], "probs": [%s]}' % (len(tokens), ", ".join(tokens))).encode()
+    assert len(data) > 6 * relevance.SCAN_BYTES
+    with mock.patch.object(relevance, "SCAN_BYTES", size):
+        blocks = scan_blocks(data)
+    assert any(b - a > size for a, b, _, _ in blocks)  # merged
+    assert any(np.any(lo[1:] - hi[:-1] > 1) for _, _, lo, hi in blocks)  # the byte compare
+    assert_scan_is_the_parse(data)
 
 
 def scan_peak(data):
