@@ -21,16 +21,17 @@ import numpy as np
 MASS_TOLERANCE = 1e-9
 
 
-def mass_total(probs: np.ndarray, nonzero: np.ndarray | None = None) -> float:
-    """Total of a mass array; ValueError unless non-negative, finite and near 1.
+def mass_total(masses: np.ndarray) -> float:
+    """Total of ``masses``; ValueError unless non-negative, finite and near 1.
 
-    ``nonzero``, when given, holds every nonzero value of ``probs``, so only
-    it is checked for a negative mass; the total is still ``probs.sum()``.
+    The total is ``np.sum`` of the nonzero masses in order, zeros dropped first,
+    so a zero spelled anywhere, or left out, cannot change its pairwise order.
     """
-    if np.any((probs if nonzero is None else nonzero) < 0.0):
+    nonzero = masses[masses != 0.0]
+    if np.any(nonzero < 0.0):
         raise ValueError("negative probability mass")
     with np.errstate(over="ignore"):  # an overflowing total is refused below
-        total = float(probs.sum())
+        total = float(nonzero.sum())
     if not np.isfinite(total):
         raise ValueError(f"total mass {total} is not finite")
     if abs(total - 1.0) > MASS_TOLERANCE:
@@ -55,27 +56,25 @@ class Joint:
 
     @classmethod
     def from_dense(cls, probs: np.ndarray, *args, **kwargs) -> "Joint":
-        """The joint of a dense mass array; each mass is its cell / the checked total.
+        """The joint of a dense mass array: ``from_cells`` of its nonzero cells.
 
         Further arguments go to the constructor.
         """
-        probs = np.asarray(probs, dtype=float)
-        cells = np.flatnonzero(probs.ravel() != 0.0)  # a bool mask is scanned faster than floats
-        return cls.from_cells(probs, cells, *args, **kwargs)
+        flat = np.asarray(probs, dtype=float).ravel()
+        cells = np.flatnonzero(flat != 0.0)  # a bool mask is scanned faster than floats
+        return cls.from_cells(np.shape(probs), cells, flat[cells], *args, **kwargs)
 
     @classmethod
-    def from_cells(cls, probs: np.ndarray, cells: np.ndarray, *args, **kwargs) -> "Joint":
-        """``from_dense`` of a float array whose nonzero cells are among ``cells``.
+    def from_cells(cls, shape: Sequence[int], cells: np.ndarray, masses: np.ndarray,
+                   *args, **kwargs) -> "Joint":
+        """The joint whose cells of ``shape`` hold ``masses`` at ascending ``cells``, else 0.
 
-        ``cells`` are ascending flat indices; only they are read, but the total
-        is summed over the whole array, so the masses are ``from_dense``'s.
+        Zero masses are dropped and the rest divided by their ``mass_total``.
         """
-        flat = probs.ravel()
-        mass = flat[cells]
-        total = mass_total(flat, mass)
-        kept = mass != 0.0
-        atoms = np.stack(np.unravel_index(cells[kept], probs.shape)).T  # column_stack writes strided
-        return cls(probs.shape, atoms, mass[kept] / total, *args, **kwargs)
+        total = mass_total(masses)
+        kept = masses != 0.0
+        atoms = np.stack(np.unravel_index(cells[kept], shape)).T  # column_stack writes strided
+        return cls(shape, atoms, masses[kept] / total, *args, **kwargs)
 
     def _grouping(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Group id of each atom by its projection on ``variables``, and group masses.

@@ -9,18 +9,19 @@ set by backward elimination.
 
 A labeled joint is a :class:`~miselect.infotheory.Joint`, the nonzero
 support atoms and their subset lattice, with one variable designated as
-the class.  ``from_json`` takes the document file's bytes, reads its flat,
-row-major mass list into one dense float array, and takes the atoms from
-it.  A plain document's list is scanned in place without decoding it:
-each token that is the canonical zero (``0.0`` after ``, ``) is an empty
-cell, and only the bytes of the other tokens go to ``json.loads``.  The
-scan compares 8-byte words with the words five bytes on, and bytes only
-inside the words that differ, except in a cache-sized chunk of
-``SCAN_BYTES`` where many do; the atoms are taken from the kept tokens'
-cells alone.  Any other document is decoded as a text-mode read decodes
-it and parsed whole by ``json.loads``, which words every refusal; both
-routes fill the same array and divide by its whole sum, so the masses
-are bit-equal.  Conditioning invariance
+the class.  ``from_json`` takes the document file's bytes and reads its
+flat, row-major mass list to the cells that may hold mass and their
+masses, of which ``Joint.from_cells`` keeps the nonzero ones as atoms.  A
+plain document's list is scanned in place without decoding it: each
+token that is the canonical zero (``0.0`` after ``, ``) is an empty cell,
+and only the bytes of the other tokens go to ``json.loads``.  The scan
+compares 8-byte words with the words five bytes on, and bytes only inside
+the words that differ, except in a cache-sized chunk of ``SCAN_BYTES``
+where many do; its cells are the kept tokens'.  Any other document is
+decoded as a text-mode read decodes it and parsed whole by
+``json.loads``, which words every refusal, and its cells are the nonzero
+ones of the parsed list.  Both routes divide by the sum of the nonzero
+masses in cell order, so the masses are bit-equal.  Conditioning invariance
 compares two conditionals, P(over | wide key) and P(over | narrow key),
 with 0 for a value absent under a key.  For the class, the feature
 subsets' partitions of the atoms are built one lattice level at a time, in
@@ -326,19 +327,19 @@ class LabeledJoint(Joint):
         """Parse ``{"arities": [...], "probs": [...flat row-major...], "class_index": ...}``.
 
         ``data`` is the document file's bytes.  A plain document is scanned
-        (``_scanned_document``), and its atoms are taken from the cells of the
-        tokens the scan kept (``from_cells``); any other is decoded and parsed
+        (``_scanned_document``), and its atoms are taken from the kept tokens'
+        cells and masses (``from_cells``); any other is decoded and parsed
         whole (``_parsed_document``), which words every refusal.
         """
         try:
             try:
-                doc, flat, cells = _scanned_document(data)
+                doc, cells, masses = _scanned_document(data)
             except (ValueError, RecursionError):  # the parse words the refusal
                 doc, flat = _parsed_document(data)
                 return cls.from_dense(flat.reshape(doc["arities"]), doc.get("class_index"))
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
-        return cls.from_cells(flat.reshape(doc["arities"]), cells, doc.get("class_index"))
+        return cls.from_cells(doc["arities"], cells, masses, doc.get("class_index"))
 
 
 @dataclass(frozen=True)
@@ -437,24 +438,24 @@ def _parsed_document(data: bytes) -> tuple[dict, np.ndarray]:
 
 
 def _scanned_document(data: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The same as ``_parsed_document`` for a plain, valid document, else ValueError.
+    """A plain, valid document, its kept tokens' cells and their masses as floats.
 
-    Plain means one literal ``"probs"`` key, a list holding no ``[``, ``{``
-    or ``"``, and no escape elsewhere, so that no other key decodes to
-    ``probs``.  ``json.loads`` parses the rest of the document, decoded as
-    strict UTF-8, with the list cut to ``[]``.  The list's bytes are
-    scanned in place, in blocks that ``_period_runs`` bounds by
-    ``SCAN_BYTES``, so that what a block holds stays bounded however the
-    list is spelled.  A canonical token (``, 0.0`` before the next comma)
+    The cells hold every nonzero cell of ``_parsed_document``'s list; every
+    other cell is a canonical ``0.0``.  Plain means one literal ``"probs"``
+    key, a list holding no ``[``, ``{`` or ``"``, and no escape elsewhere, so
+    that no other key decodes to ``probs``.  ``json.loads`` parses the rest
+    of the document, decoded as strict UTF-8, with the list cut to ``[]``.
+    The list's bytes are scanned in place, in blocks that ``_period_runs``
+    bounds by ``SCAN_BYTES``, so that what a block holds stays bounded
+    however the list is spelled.  A canonical token (``, 0.0`` before the next comma)
     is an empty cell.  Where the list repeats with period 5
     (``body[p] == body[p + 5]``), the canonical tokens of that run form one
     stride-5 chain, which starts at the last comma of the run's first five
     bytes if ``, 0.0`` is spelled there.  The bytes between chains are
     kept, and go to one ``json.loads``, so each value is json's own.  A
-    kept token's cell is its ordinal plus the canonical tokens before it.
-    The kept tokens' cells, ascending, are returned too: they hold every
-    nonzero cell of the dense array.  Every refusal, and a list with no
-    empty cell to skip, is left to ``_parsed_document``.
+    kept token's cell, ascending, is its ordinal plus the canonical tokens
+    before it.  Every other document, and a list with no empty cell to skip,
+    is a ValueError, left to ``_parsed_document``.
     """
     key = data.find(_PROBS_KEY)
     opening = _LIST_OPENING.match(data, key + len(_PROBS_KEY)) if key >= 0 else None
@@ -512,9 +513,7 @@ def _scanned_document(data: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
     if len(values) != len(at) or not _numbers(flat, values):  # an empty list has no token
         raise ValueError("not one number per kept token")
     cells = np.arange(len(at)) + (at - cut_at) // width  # + tokens cut before
-    dense = np.zeros(size)
-    dense[cells] = flat
-    return doc, dense, cells
+    return doc, cells, flat.astype(float)
 
 
 def _period_runs(body: np.ndarray, width: int):

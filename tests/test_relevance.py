@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -175,10 +176,10 @@ def dense_joints(draw):
 
 
 def last_bit_table():
-    """A [30, 2] table whose total, summed over all its cells, is not its eight masses' sum.
+    """A [30, 2] table whose eight masses' sum is not its sum over all its cells.
 
-    ``probs.sum()`` reads 0.9999999999999999 and the nonzero cells alone sum to
-    0.9999999999999998, so dividing by the latter moves 3 of the 8 masses.
+    The total is the former, 0.9999999999999998; ``probs.sum()`` reads
+    0.9999999999999999, and dividing by that would move 3 of the 8 masses.
     """
     probs = np.zeros((30, 2))
     masses = np.array([0.1, 0.2, 0.1, 0.7, 0.5, 0.3, 0.2, 0.3])
@@ -584,23 +585,31 @@ def parsed_outcome(data):
 
 
 def scan_outcome(data):
-    """The scanned document, its dense array's bytes and kept cells, or the scan's refusal."""
+    """The scanned document, its kept cells and their masses' bytes, or the scan's refusal."""
     try:
-        doc, flat, cells = relevance._scanned_document(data)
+        doc, cells, masses = relevance._scanned_document(data)
     except (ValueError, RecursionError) as exc:
         return f"refused: {exc}"
-    assert_kept_cells(flat, cells)
-    return doc, flat.tobytes(), cells.tolist()
+    assert_kept_cells(data, cells, masses)
+    return doc, cells.tolist(), masses.tobytes()
 
 
-def assert_kept_cells(flat, cells):
-    """The scan's kept cells are ascending and hold every nonzero cell of its array."""
+def assert_kept_cells(data, cells, masses):
+    """The scan's kept cells ascend and hold every nonzero cell of the whole-document parse.
+
+    The kept masses are the parsed list's as floats, bit for bit, and every
+    other cell parses to 0.0, so together they spell the parsed array.
+    """
+    parsed = relevance._parsed_document(data)[1].astype(float)
     assert np.all(np.diff(cells) > 0)
-    assert np.isin(np.flatnonzero(flat), cells).all()
+    assert np.isin(np.flatnonzero(parsed), cells).all()
+    assert masses.dtype == float and masses.tobytes() == parsed[cells].tobytes()
+    parsed[cells] = 0.0
+    assert parsed.tobytes() == bytes(parsed.nbytes)
 
 
 def assert_scan_ignores_block_edges(data, sizes=range(1, 8)):
-    """The scan accepts and fills the same at each block size in ``sizes`` as by default.
+    """The scan accepts and keeps the same at each block size in ``sizes`` as by default.
 
     Sizes 1 to 7 put a block edge at every byte of a canonical token and the
     next one's comma, ``, 0.0,``, so that a period-5 run is cut anywhere.
@@ -623,12 +632,37 @@ def test_zero_spellings_load_the_same_atoms(zero, comma):
     assert_scan_ignores_block_edges(data)
 
 
+# 8 masses of a [9, 2] joint, weights 8, 9, 4, 6, 4, 4, 8, 5 over 48, with
+# kept zero tokens and canonical ones (", 0.0" before a comma) between them
+ZERO_TOKEN_MASSES = ("0.16666666666666666, 0.1875, 0, 0.08333333333333333, 0.0, -0.0, 0.125, "
+                     "0.08333333333333333, 0e0, 0.0, 0.08333333333333333, 0, "
+                     "0.16666666666666666, 0.0, -0.0, 0.10416666666666667, 0.0, 0e0")
+
+
+def test_zero_tokens_leave_the_total_to_the_nonzero_masses():
+    data = ('{"arities": [9, 2], "probs": [%s]}' % ZERO_TOKEN_MASSES).encode()
+    values = np.array(json.loads(data)["probs"], dtype=float)
+    kept = np.array(json.loads(list_less_canonical_tokens(data)), dtype=float)
+    nonzero = values[values != 0.0]
+    assert (len(values), len(kept), len(nonzero)) == (18, 14, 8)
+    # with the zeros left in, np.sum pairs the masses otherwise and rounds otherwise
+    assert kept.sum() == values.sum() == 0.9999999999999999
+    assert nonzero.sum() == mass_total(kept) == mass_total(values) == 1.0
+    assert relevance._scanned_document(data)[2].tobytes() == kept.tobytes()
+    with mock.patch.object(relevance, "_parsed_document", side_effect=AssertionError):
+        scanned = load_outcome(data)
+    dense = LabeledJoint.from_dense(values.reshape(9, 2))
+    assert scanned == parsed_outcome(data) == (
+        dense.arities, dense.atoms.tolist(), dense.mass.tobytes(), dense.class_index)
+    assert scanned[2] == nonzero.tobytes()  # each over 1.0: 0.9999999999999999 would move all 8
+
+
 def scanned_list(data):
-    """The scan's dense array, and the bytes of the list it handed to ``json.loads``."""
+    """The scan's kept cells and masses, and the bytes of the list it handed to ``json.loads``."""
     loads = mock.Mock(wraps=json.loads)
     with mock.patch.object(relevance.json, "loads", loads):
-        flat = relevance._scanned_document(data)[1]
-    return flat, loads.call_args.args[0]
+        cells, masses = relevance._scanned_document(data)[1:]
+    return cells, masses, loads.call_args.args[0]
 
 
 def list_less_canonical_tokens(data):
@@ -668,13 +702,13 @@ def test_scan_of_period_5_runs(probs):
     data = ('{"arities": [%d], "probs": [%s]}' % (probs.count(",") + 1, probs)).encode()
     assert_scan_ignores_block_edges(data, sizes=(*range(1, 8), 64))
     try:
-        parsed = relevance._parsed_document(data)[1].astype(float).tobytes()
+        relevance._parsed_document(data)
     except ValueError:
         with pytest.raises(ValueError):
             relevance._scanned_document(data)
         return
-    flat, kept = scanned_list(data)
-    assert flat.tobytes() == parsed
+    cells, masses, kept = scanned_list(data)
+    assert_kept_cells(data, cells, masses)
     assert kept == list_less_canonical_tokens(data)
 
 
@@ -775,14 +809,13 @@ def test_scan_agrees_with_whole_document_parse(text):
     assert load_outcome(data) == parsed_outcome(data)
     assert_scan_ignores_block_edges(data)
     try:
-        doc, flat, cells = relevance._scanned_document(data)
+        doc, cells, masses = relevance._scanned_document(data)
     except ValueError:
         return
-    assert_kept_cells(flat, cells)
-    parsed_doc, parsed_flat = relevance._parsed_document(data)  # what was scanned is valid
+    assert_kept_cells(data, cells, masses)  # what was scanned is valid: it parses
+    parsed_doc = relevance._parsed_document(data)[0]
     assert doc["arities"] == parsed_doc["arities"]
     assert doc.get("class_index") == parsed_doc.get("class_index")
-    assert flat.tobytes() == parsed_flat.astype(float).tobytes()
 
 
 KEPT_ZEROS = ("0", "-0.0", "0.00", "0e0")
@@ -804,23 +837,20 @@ def long_documents(draw):
 @settings(max_examples=50, deadline=None)
 @given(long_documents())
 def test_long_scan_agrees_with_whole_document_parse(data):
-    doc, flat, cells = relevance._scanned_document(data)
-    assert_kept_cells(flat, cells)
-    parsed_doc, parsed_flat = relevance._parsed_document(data)
+    doc, cells, masses = relevance._scanned_document(data)
+    assert_kept_cells(data, cells, masses)
+    parsed_doc = relevance._parsed_document(data)[0]
     assert doc.keys() == parsed_doc.keys() and doc["arities"] == parsed_doc["arities"]
-    assert flat.tobytes() == parsed_flat.astype(float).tobytes()
-    assert scanned_list(data)[1] == list_less_canonical_tokens(data)
+    assert scanned_list(data)[2] == list_less_canonical_tokens(data)
     assert_scan_ignores_block_edges(data, sizes=(64,))
 
 
 def assert_scan_is_the_parse(data, sizes=(relevance.SCAN_BYTES, 64)):
-    """The scan fills the whole-document parse's array, bit for bit, at each block size."""
-    parsed = relevance._parsed_document(data)[1].astype(float).tobytes()
+    """The scan keeps the whole-document parse's masses, bit for bit, at each block size."""
     for size in sizes:
         with mock.patch.object(relevance, "SCAN_BYTES", size):
-            doc, flat, cells = relevance._scanned_document(data)
-        assert flat.tobytes() == parsed, size
-        assert_kept_cells(flat, cells)
+            doc, cells, masses = relevance._scanned_document(data)
+        assert_kept_cells(data, cells, masses)
 
 
 @pytest.mark.parametrize("offset", range(8))
@@ -872,22 +902,28 @@ def test_scan_merges_sparse_chunks_around_a_dense_one(size):
     assert_scan_is_the_parse(data)
 
 
-def scan_peak(data):
-    """The tracemalloc peak of scanning ``data``, in bytes."""
+def traced_peak(load, data):
+    """The tracemalloc peak of ``load(data)``, in bytes."""
     tracemalloc.start()
     try:
-        relevance._scanned_document(data)
+        load(data)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_scan_allocates_no_array_per_cell(grid):
-    # the list is read in place and scanned in blocks of SCAN_BYTES, and the
-    # dense result is 8 bytes a cell, the document about 5; a mask or an
-    # integer array over the whole list would push the peak past 3 bytes per byte
+    # the list is read in place and scanned in blocks of SCAN_BYTES; a mask or
+    # an integer array over the whole list would push the peak past 3 bytes per byte
     data = grid.to_json().encode()
-    assert scan_peak(data) < 3 * len(data)
+    assert traced_peak(relevance._scanned_document, data) < 3 * len(data)
+
+
+def test_grid_document_loads_without_an_array_per_cell(grid):
+    # the load keeps only the kept tokens' cells and masses: one float per
+    # cell of the grid joint's 1,327,104 would alone be 10.1 MiB
+    assert math.prod(grid.arities) == 1_327_104
+    assert traced_peak(LabeledJoint.from_json, grid.to_json().encode()) < 1 << 20
 
 
 def test_scan_of_scattered_zeros_allocates_no_array_per_byte():
@@ -897,4 +933,4 @@ def test_scan_of_scattered_zeros_allocates_no_array_per_byte():
     rng = np.random.default_rng(0)
     dense = rng.random([8] * 6) * (rng.random([8] * 6) < 0.02)
     data = LabeledJoint.from_dense(dense / dense.sum()).to_json().encode()
-    assert scan_peak(data) < 3 * len(data)
+    assert traced_peak(relevance._scanned_document, data) < 3 * len(data)
