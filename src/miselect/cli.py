@@ -266,15 +266,14 @@ def cmd_relevance(args: argparse.Namespace) -> int:
             joint = LabeledJoint.from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load joint {args.joint}: {exc}")
-    try:
-        joint.check_search_bound()
-    except ValueError as exc:
-        raise CliError(f"joint {args.joint}: {exc}")
 
     def name(f: int) -> str:
         return f"V{f + 1}"
 
-    chosen = joint.markov_blanket_filter()
+    try:  # the first analysis: a joint past the search bound is refused before any other
+        chosen = joint.markov_blanket_filter()
+    except ValueError as exc:
+        raise CliError(f"joint {args.joint}: {exc}")
     partition = joint.partition(chosen)
     for label, cls in (("SR", RelevanceClass.SR), ("WR-NR", RelevanceClass.WR_NR),
                        ("WR-R", RelevanceClass.WR_R), ("Irrelevant", RelevanceClass.IRRELEVANT)):

@@ -32,8 +32,8 @@ rows once.  A Markov blanket test of feature i takes the blanket as the
 narrow key, the blanket with i as the wide one, and for ``over`` the class with
 the other features in scope; it holds one row per (blanket, over) value
 present and one column per value of i.  Relevance-optimal sets come
-from an exhaustive search over feature subsets, which is bounded at
-``MAX_SEARCH_FEATURES``.
+from an exhaustive search over feature subsets; the lattice is not built
+for a joint of more than ``MAX_SEARCH_FEATURES`` features (ValueError).
 """
 
 from __future__ import annotations
@@ -181,8 +181,11 @@ class LabeledJoint(Joint):
         (``_Level.fits``).  The weak tests compare each distinct pair of rows
         once, ``BLOCK_CELLS`` // atoms pairs at a time, and skip a pair whose
         partitions have as many groups: S with j refines S, so they are equal.
+        A joint of more than ``MAX_SEARCH_FEATURES`` features is refused first.
         """
-        self.check_search_bound()
+        if len(self.features) > MAX_SEARCH_FEATURES:
+            raise ValueError(f"{len(self.features)} features exceed the exhaustive-search "
+                             f"bound of {MAX_SEARCH_FEATURES}")
         d, step, below = len(self.features), max(1, BLOCK_CELLS // len(self.mass)), None
         bits, informative, weak = 1 << np.arange(d), np.zeros(1 << d, bool), np.zeros(d, bool)
         row = np.empty(1 << d, np.intp)
@@ -216,14 +219,6 @@ class LabeledJoint(Joint):
     def classify_feature(self, i: int) -> RelevanceClass:
         self._check_features((i,))
         return self._relevance[0][i]
-
-    def check_search_bound(self) -> None:
-        """Raise ValueError when there are too many features for exhaustive search."""
-        if len(self.features) > MAX_SEARCH_FEATURES:
-            raise ValueError(
-                f"{len(self.features)} features exceed the exhaustive-search "
-                f"bound of {MAX_SEARCH_FEATURES}"
-            )
 
     def relevance_optimal_sets(self) -> list[tuple[int, ...]]:
         """All minimum-size maximally informative subsets, lexicographic."""
@@ -443,28 +438,26 @@ def _scanned_document(data: bytes) -> tuple[dict, np.ndarray, np.ndarray]:
     The cells hold every nonzero cell of ``_parsed_document``'s list; every
     other cell is a canonical ``0.0``.  Plain means one literal ``"probs"``
     key, a list holding no ``[``, ``{`` or ``"``, and no escape elsewhere, so
-    that no other key decodes to ``probs``.  ``json.loads`` parses the rest
-    of the document, decoded as strict UTF-8, with the list cut to ``[]``.
-    The list's bytes are scanned in place, in blocks that ``_period_runs``
-    bounds by ``SCAN_BYTES``, so that what a block holds stays bounded
-    however the list is spelled.  A canonical token (``, 0.0`` before the next comma)
-    is an empty cell.  Where the list repeats with period 5
-    (``body[p] == body[p + 5]``), the canonical tokens of that run form one
-    stride-5 chain, which starts at the last comma of the run's first five
-    bytes if ``, 0.0`` is spelled there.  The bytes between chains are
-    kept, and go to one ``json.loads``, so each value is json's own.  A
-    kept token's cell, ascending, is its ordinal plus the canonical tokens
-    before it.  Every other document, and a list with no empty cell to skip,
-    is a ValueError, left to ``_parsed_document``.
+    that no other key decodes to ``probs``.  ``json.loads`` parses the rest of
+    the document, decoded as strict UTF-8, with the list cut to ``[]``, and
+    so refuses a list with no ``]``.  The list's bytes are scanned in place,
+    in blocks that ``_period_runs`` bounds by ``SCAN_BYTES``, so that what a
+    block holds stays bounded however the list is spelled.  A canonical token
+    (``, 0.0`` before the next comma) is an empty cell.  Where the list
+    repeats with period 5 (``body[p] == body[p + 5]``), the canonical tokens
+    of that run form one stride-5 chain, which starts at the last comma of
+    the run's first five bytes if ``, 0.0`` is spelled there.  The bytes
+    between chains are kept, and go to one ``json.loads``, so each value is
+    json's own.  A kept token's cell, ascending, is its ordinal plus the
+    canonical tokens before it.  Every other document, and a list with no
+    empty cell to skip, is a ValueError, left to ``_parsed_document``.
     """
     key = data.find(_PROBS_KEY)
     opening = _LIST_OPENING.match(data, key + len(_PROBS_KEY)) if key >= 0 else None
     if opening is None:
         raise ValueError("no probs list")
     start = opening.end()
-    end = data.find(b"]", start)
-    if end < 0:
-        raise ValueError("probs is not a flat list")
+    end = data.find(b"]", start)  # none: the rest ends in the list's [ and one byte
     if data.find(_ZERO_TOKEN + b",", start, end) < 0:  # the last token holds the ]
         raise ValueError("no canonical zero to skip")
     rest = data[:start] + data[end:]  # a list with a quote is refused below: every key is here

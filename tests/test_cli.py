@@ -858,6 +858,12 @@ BAD_JOINT_FILES = {
     "short-probs": ('{"arities":[2,2],"probs":[0.5,0.5]}', FLAT_4),
     "long-probs": ('{"arities":[2,2],"probs":[0.2,0.2,0.2,0.2,0.2]}', FLAT_4),
     "empty-probs": ('{"arities":[1,1],"probs":[]}', "probs must be a flat list of 1 numbers"),
+    # kept tokens that the scan hands to json.loads, and a list the cut leaves unclosed
+    "mapping-among-kept-probs": ('{"arities": [2, 2], "probs": [0.5, 0.0, 0.0, {"a": 1}]}',
+                                 FLAT_4),
+    "string-among-kept-probs": ('{"arities": [2, 2], "probs": [0.5, 0.0, 0.0, "0.5"]}', FLAT_4),
+    "unclosed-probs": ('{"arities": [2, 2], "probs": [0.5, 0.0, 0.0, 0.5',
+                       "Expecting ',' delimiter: line 1 column 49 (char 48)"),
     "class-only": ('{"arities":[2],"probs":[0.5,0.5],"class_index":0}',
                    "need at least one feature besides the class"),
     "overflowing-mass": ('{"arities":[2,2],"probs":[1e308,1e308,0,0]}',
@@ -976,7 +982,7 @@ def test_relevance_rejects_too_many_features_before_analysis(tmp_path, monkeypat
     def analysis(*args, **kwargs):
         raise AssertionError("analysis ran before the feature bound was checked")
 
-    for name in ("markov_blanket_filter", "partition", "relevance_optimal_sets"):
+    for name in ("_lattice", "has_markov_blanket", "partition", "relevance_optimal_sets"):
         monkeypatch.setattr(LabeledJoint, name, analysis)
     path = tmp_path / "wide.json"
     path.write_text(LabeledJoint.from_dense(np.full((2,) * 14, 2.0**-14)).to_json())

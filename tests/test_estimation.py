@@ -226,6 +226,8 @@ def test_reproducibility_bit_identical():
 def test_sample_validation():
     with pytest.raises(ValueError):
         Sample(np.zeros((10, 9)), np.zeros(10))
+    with pytest.raises(ValueError, match="^labels must align with feature rows$"):
+        Sample(np.zeros((10, 10)), np.zeros(9))
     with pytest.raises(ValueError):
         Sample(np.zeros((3, 10)), np.zeros(3))
     with pytest.raises(ValueError):
@@ -570,5 +572,7 @@ def test_coded_inputs_must_match_the_requested_resolution():
     x = np.random.default_rng(12).uniform(size=100)
     with pytest.raises(ValueError, match="different resolutions"):
         estimate_mi_features(one_row(x, 10), one_row(x, 4))
+    with pytest.raises(ValueError, match="length mismatch"):
+        estimate_mi_features(one_row(x, 10), one_row(x[:50], 10))
     with pytest.raises(ValueError, match="length mismatch"):
         estimate_mi_class(one_row(x, 10), one_column_sample(x[:50], np.arange(50) % 2))

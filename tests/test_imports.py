@@ -1,11 +1,19 @@
-"""No module of the package imports a name it never uses (a lint check on the ast)."""
+"""Lint checks on the package's ast: every import is used, and none is a third-party module.
+
+The package's one runtime dependency is numpy; scipy and the test tools are
+installed for the tests alone, so an import of them would pass the tests and
+fail where only the package's dependencies are installed.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "miselect"
+# the standard library (``__future__`` among it), the one dependency, and the package
+IMPORTABLE = sys.stdlib_module_names | {"numpy", "miselect"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +45,30 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules ``source`` imports from outside ``IMPORTABLE``; relative ones are the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in IMPORTABLE]
+    return found
+
+
+def test_the_check_finds_a_third_party_import():
+    source = ("from __future__ import annotations\nimport math, scipy\n"
+              "import numpy as np\nfrom . import oracle\nfrom .xreal import XReal\n"
+              "from hypothesis import given\n")
+    assert foreign_imports(source) == ["line 2: scipy", "line 6: hypothesis"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

@@ -143,6 +143,10 @@ def test_validation():
         joint.is_maximally_informative((1,))  # class is not a feature
     with pytest.raises(ValueError):
         joint.has_markov_blanket(0, (0,))
+    with pytest.raises(ValueError, match="^feature index 7 out of range$"):
+        joint.classify_feature(7)
+    with pytest.raises(ValueError, match="^feature index -1 out of range$"):
+        joint.is_maximally_informative((-1,))
     degenerate = np.zeros((2, 2))
     degenerate[:, 1] = 0.5
     with pytest.raises(ValueError):
@@ -900,6 +904,19 @@ def test_scan_merges_sparse_chunks_around_a_dense_one(size):
     assert any(b - a > size for a, b, _, _ in blocks)  # merged
     assert any(np.any(lo[1:] - hi[:-1] > 1) for _, _, lo, hi in blocks)  # the byte compare
     assert_scan_is_the_parse(data)
+
+
+def test_scan_cuts_a_merged_block_at_the_held_word_limit():
+    # 0.3% of 8^6 x 2 cells carry mass, each alone among canonical zeros: no
+    # chunk has many differing words, but a few chunks' hold more than a block
+    # may, so a merged block ends where the next chunk would take it past that
+    rng = np.random.default_rng(1)
+    shape = [8] * 6 + [2]
+    dense = rng.random(shape) * (rng.random(shape) < 0.003)
+    data = LabeledJoint.from_dense(dense / dense.sum()).to_json().encode()
+    spans = [b - a for a, b, _, _ in scan_blocks(data)]
+    assert any(min(s, t) > relevance.SCAN_BYTES for s, t in zip(spans, spans[1:]))
+    assert_scan_is_the_parse(data, sizes=(relevance.SCAN_BYTES,))
 
 
 def traced_peak(load, data):
